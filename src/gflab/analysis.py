@@ -26,7 +26,6 @@ from itertools import combinations
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 from .mellin import ContourQuad, asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
@@ -286,6 +285,8 @@ def weak_test(source: VSource, phi: Callable[[float], float], t: float,
         phi_vals = np.array([phi(a) for a in args])
         integrand = phi_vals * snap
         return g.dy * (float(np.sum(integrand)) - 0.5 * float(integrand[0] + integrand[-1]))
+
+    from scipy.integrate import quad  # only this branch needs scipy; keeps it off the import path
 
     if y_window is None:
         lo_s, hi_s = support_y(getattr(source, "profile"))

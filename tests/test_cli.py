@@ -1,11 +1,16 @@
 """Front end: config round trip, exit codes, CSV/SVG emission, determinism."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import gflab
 from gflab import config
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
@@ -264,3 +269,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code == 0
         assert "period 1.00" in out or "period 0.99" in out
+
+    def test_record_every_gives_uniform_probes(self, tmp_path, capsys):
+        # records follow the step clock, so a coarser record stride still
+        # samples uniformly; the unit ray has 33 samples per cycle at 3 * dt
+        code = main(["analyze", "--record-every", "3", "--probe-y", "-0.6931471805599453",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
+        # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt
+        code = main(["analyze", "--record-every", "3", "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "sampling too coarse: 16.7 samples per expected cycle" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_package_import_leaves_scipy_unloaded(self):
+        code = "import sys, gflab; sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,6 +1,7 @@
 """Grid solver: exactness of the shift, time-stepping order, conservation, boundaries."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,46 @@ class TestStep:
             step(g, 0.0)
 
 
+def _rk4_oracle(values: np.ndarray, m: int, h: float) -> np.ndarray:
+    """Textbook four-stage RK4 for dn/dt = -n + S n, S the shift by m nodes."""
+    def rhs(v):
+        out = -v
+        if m < v.size:
+            out[:-m] += v[m:]
+        return out
+    k1 = rhs(values)
+    k2 = rhs(values + 0.5 * h * k1)
+    k3 = rhs(values + 0.5 * h * k2)
+    k4 = rhs(values + h * k3)
+    return values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestShiftPolynomialStep:
+    @pytest.mark.parametrize("h", [0.5, 0.25, 0.01, 1.0 / 3.0])
+    @pytest.mark.parametrize("m", [1, 8, 64])
+    def test_matches_four_stage_rk4(self, h, m):
+        rng = np.random.default_rng(m)
+        # lengths below m, between m and 4m, at 4m and well past it
+        for n in sorted({2, m + 1, 3 * m + 1, 4 * m, 4 * m + 1, 9 * m + 5}):
+            values = rng.uniform(0.5, 1.5, n)
+            g = LogGrid(alpha=2.0, m=m, dy=LOG2 / m, j_lo=-n, values=values)
+            before = values.copy()
+            got = step(g, h).values
+            np.testing.assert_allclose(got, _rk4_oracle(before, m, h), rtol=1e-14, atol=0.0)
+            assert np.array_equal(g.values, before)  # the input grid is untouched
+
+    @pytest.mark.parametrize("h", [1e-6, 0.01, 0.1, 0.25, 1.0 / 3.0, 0.49, 0.5])
+    def test_shift_coefficients_positive(self, h):
+        # the impulse response of one step at m = 1 lists c_0..c_4 leftwards
+        values = np.zeros(9)
+        values[6] = 1.0
+        out = step(LogGrid(alpha=2.0, m=1, dy=LOG2, j_lo=0, values=values), h).values
+        coeffs = out[6:1:-1]
+        assert np.all(coeffs > 0.0), coeffs
+        assert np.count_nonzero(out) == 5
+        assert math.fsum(coeffs) == pytest.approx(1.0, abs=1e-15)
+
+
 class TestAgainstSeries:
     def test_matches_series_on_nodes_at_t5(self):
         g = build_grid(GAUSS, 2.0, -35.0, 1.7, 64)
@@ -137,6 +178,16 @@ class TestConservationAndPositivity:
         g = build_grid(GAUSS, 2.0, -12.0, 1.7, 64)
         with pytest.raises(MassLeakError):
             solve_n(g, 30.0, 0.01, snapshot_times=[30.0])
+
+    def test_leak_monitor_scales_with_initial_mass(self):
+        # the equation is linear, so the trip time cannot depend on units
+        trips = []
+        for mass in (1.0, 1e12, 1e-20):
+            g = build_grid(LogGaussian(0.0, 0.1, mass), 2.0, -30.0, 1.7, 64)
+            with pytest.raises(MassLeakError) as info:
+                solve_n(g, 30.0, 0.01, snapshot_times=[30.0])
+            trips.append(float(re.search(r"at t = (\S+) ", str(info.value)).group(1)))
+        assert max(trips) - min(trips) <= 0.01 + 1e-9, trips
 
 
 class TestSolveBookkeeping:
