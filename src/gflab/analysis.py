@@ -21,20 +21,22 @@ trajectory.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, QuadratureError
 from .mellin import ContourQuad, asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
 from .model import InitialProfile, LogGaussian, ModelParams, moment, support_y
 from .series import (
     DEFAULT_TRUNCATION,
     SeriesTruncation,
-    eval_n_series,
+    eval_n,
     eval_v,
+    integrate_n,
     poisson_cutoff,
 )
 from .solver import Trajectory, v_from_grid
@@ -51,7 +53,12 @@ class VSource(Protocol):
 
 
 class SeriesSource:
-    """Evaluate v and n through the explicit series."""
+    """Evaluate v and n through the explicit series.
+
+    Both go through the one pointwise kernel of `series` (n works on n(0, .)
+    directly and never forms e^y); weak_test integrates the series term by
+    term instead of sampling it.
+    """
 
     def __init__(self, profile: InitialProfile, alpha: float,
                  trunc: SeriesTruncation = DEFAULT_TRUNCATION):
@@ -63,8 +70,7 @@ class SeriesSource:
         return eval_v(self.profile, self.alpha, t, x, self.trunc)
 
     def n(self, t: float, y: float) -> float:
-        # the log-coordinate series never forms e^y, so deep tails are safe
-        return float(eval_n_series(self.profile, self.alpha, t, np.array([y]), self.trunc)[0])
+        return eval_n(self.profile, self.alpha, t, y, self.trunc)
 
 
 class MellinSource:
@@ -260,15 +266,26 @@ def estimate_period(probe: LineProbe, expected_period: float | None = None,
                           n_cycles=float(n_cycles), amplitude=amplitude, oscillating=True)
 
 
+# Gauss-Legendre nodes per term of the termwise weak functional; the guard
+# repeats it with twice as many
+_WEAK_NODES = 64
+
+
 def weak_test(source: VSource, phi: Callable[[float], float], t: float,
               rescaled: bool = False, y_window: tuple[float, float] | None = None) -> float:
     """Integrated functional int phi(y) r(t, y) dy (or int phi(z) rtilde(t, z) dz).
 
     Grid sources integrate with the grid's trapezoid rule after the exact
-    change of variables to node coordinates; series sources use adaptive
-    quadrature over the effective support (endpoints are checked to make sure
-    the window actually contains the mass).  As t grows the plain form tends
-    to U0(2) phi(-log alpha) and the rescaled form to U0(2) int phi dG.
+    change of variables to node coordinates.  Series sources integrate the
+    series term by term over the compact initial support (series.integrate_n)
+    with 64 and 128 Gauss-Legendre nodes, and raise NumericsError when the
+    two rules disagree by more than 1e-10 of the mass or 1e-9 relative (a phi
+    that is not smooth on the support).  Other sources use adaptive quadrature
+    over the effective support and raise QuadratureError when its error
+    estimate exceeds that tolerance.  phi is zero outside a given y_window,
+    whose endpoints are checked to make sure the window contains the mass.
+    As t grows the plain form tends to U0(2) phi(-log alpha) and the rescaled
+    form to U0(2) int phi dG.
     """
     if not t > 0.0:
         raise DomainError(f"weak tests need t > 0, got {t}")
@@ -286,25 +303,52 @@ def weak_test(source: VSource, phi: Callable[[float], float], t: float,
         integrand = phi_vals * snap
         return g.dy * (float(np.sum(integrand)) - 0.5 * float(integrand[0] + integrand[-1]))
 
-    from scipy.integrate import quad  # only this branch needs scipy; keeps it off the import path
+    profile = getattr(source, "profile")
+    scale = moment(profile, 1.0)
+    epsabs, epsrel = 1e-10 * scale, 1e-9
+    if y_window is not None:
+        _check_window(source, t, y_window, scale)
+
+    def phi_of_y(y: float) -> float:
+        return phi((y + la) * math.sqrt(t) / la) if rescaled else phi(y)
+
+    if isinstance(source, SeriesSource):
+        def phi_of_z(z: np.ndarray) -> np.ndarray:
+            vals = [phi_of_y(zi / t) for zi in z.ravel().tolist()]
+            return np.array(vals, dtype=float).reshape(z.shape)
+
+        z_window = None if y_window is None else (t * y_window[0], t * y_window[1])
+        coarse, fine = (integrate_n(profile, source.alpha, t, phi_of_z, n, z_window, source.trunc)
+                        for n in (_WEAK_NODES, 2 * _WEAK_NODES))
+        if abs(fine - coarse) > max(epsabs, epsrel * abs(fine)):
+            raise NumericsError(
+                f"termwise weak functional: {_WEAK_NODES} and {2 * _WEAK_NODES} Gauss nodes "
+                f"disagree by {abs(fine - coarse):.3e} (phi is not smooth on the support)")
+        return fine
+
+    from scipy.integrate import IntegrationWarning, quad  # only this branch needs scipy
 
     if y_window is None:
-        lo_s, hi_s = support_y(getattr(source, "profile"))
+        lo_s, hi_s = support_y(profile)
         k_cap = poisson_cutoff(source.alpha**2 * t, 1e-14)
         y_window = ((lo_s - (k_cap + 2) * la) / t, (hi_s + la) / t)
-    lo, hi = y_window
-    scale = moment(getattr(source, "profile"), 1.0)
-    for edge in (lo, hi):
+        _check_window(source, t, y_window, scale)
+    with warnings.catch_warnings():
+        # a failed integration is reported below, from quad's own error estimate
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = quad(lambda y: phi_of_y(y) * r_of(source, t, y), *y_window,
+                        limit=800, epsabs=epsabs, epsrel=epsrel)
+    if err > max(epsabs, epsrel * abs(val)):
+        raise QuadratureError("weak functional: adaptive quadrature missed its tolerance", err)
+    return val
+
+
+def _check_window(source: VSource, t: float, y_window: tuple[float, float], scale: float) -> None:
+    for edge in y_window:
         if abs(r_of(source, t, edge)) > 1e-9 * scale:
             raise NumericsError(
-                f"integration window [{lo:.3g}, {hi:.3g}] does not contain the mass "
-                f"(r at {edge:.3g} is not negligible)")
-    if rescaled:
-        integrand = lambda y: phi((y + la) * math.sqrt(t) / la) * r_of(source, t, y)
-    else:
-        integrand = lambda y: phi(y) * r_of(source, t, y)
-    val, _ = quad(integrand, lo, hi, limit=800, epsabs=1e-10 * scale, epsrel=1e-9)
-    return val
+                f"integration window [{y_window[0]:.3g}, {y_window[1]:.3g}] does not contain "
+                f"the mass (r at {edge:.3g} is not negligible)")
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,21 @@ the e^{2y} weight).
 Truncation combines two mechanisms: the Poisson tail beyond K is bounded by
 the standard ratio estimate, and the profile factor vanishes once
 alpha^k x leaves the (effective) support.  Terms span many orders of
-magnitude, so sums are accumulated in ascending k with Neumaier compensation,
-and the Poisson weights are carried in log space to avoid overflow.
+magnitude, so the Poisson weights are carried in log space to avoid
+overflow; pointwise sums over k = 0..K are evaluated as one array and summed
+exactly rounded (math.fsum), node-array sums with Neumaier compensation.
+
+Weak functionals need no pointwise values at all: integrating the sum term
+by term moves every integral onto the compact initial support (see
+integrate_n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -88,48 +95,73 @@ def support_cutoff(p: InitialProfile, log_x: float, log_alpha: float) -> int:
     return int(math.ceil((hi - log_x) / log_alpha))
 
 
-def _neumaier_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    s = total + term
-    if abs(total) >= abs(term):
-        comp += (total - s) + term
-    else:
-        comp += (term - s) + total
-    return s, comp
+def truncation_order(lam: float, trunc: SeriesTruncation, k_support: int = 0) -> int:
+    """Last term K = max(poisson_cutoff(lam, trunc.eps), k_support) of a series sum.
 
-
-def _series_sum(p: InitialProfile, lam: float, log_x: float, log_alpha: float,
-                prefactor_log: float, trunc: SeriesTruncation) -> float:
-    """sum_k u0(e^{log_x + k log_alpha}) exp(k log lam - log k! + prefactor_log)."""
-    k_cap = max(poisson_cutoff(lam, trunc.eps), support_cutoff(p, log_x, log_alpha))
+    Raises TruncationError, carrying the tail bound the cap would reach, when K
+    exceeds trunc.k_max_cap.
+    """
+    k_cap = max(poisson_cutoff(lam, trunc.eps), k_support)
     if k_cap > trunc.k_max_cap:
         achieved = math.exp(min(_poisson_tail_log_bound(lam, trunc.k_max_cap) - lam, 700.0))
         raise TruncationError(
             f"series needs {k_cap} terms but the cap is {trunc.k_max_cap}", achieved)
-    total, comp = 0.0, 0.0
-    log_w = 0.0
-    log_lam = math.log(lam)
-    for k in range(k_cap + 1):
-        if k > 0:
-            log_w += log_lam - math.log(k)
-        u = density_from_log_x(p, log_x + k * log_alpha)
-        if u != 0.0:
-            total, comp = _neumaier_add(total, comp, u * math.exp(log_w + prefactor_log))
-    return total + comp
+    return k_cap
+
+
+def poisson_log_weights(lam: float, k_cap: int) -> np.ndarray:
+    """log(lam^k / k!) for k = 0..k_cap, as a running sum of log lam - log k."""
+    steps = np.empty(k_cap + 1)
+    steps[0] = 0.0
+    steps[1:] = math.log(lam) - np.log(np.arange(1, k_cap + 1))
+    return np.cumsum(steps)
+
+
+def _series_sum(density: Callable, p: InitialProfile, lam: float, start: float,
+                log_alpha: float, prefactor_log: float, trunc: SeriesTruncation) -> float:
+    """sum_k density(p, start + k log_alpha) exp(k log lam - log k! + prefactor_log).
+
+    One array evaluation over k = 0..K, summed exactly rounded.  Zero density
+    values are dropped before the weights are exponentiated, so a weight that
+    overflows never meets a vanishing profile factor.
+    """
+    k_cap = truncation_order(lam, trunc, support_cutoff(p, start, log_alpha))
+    u = density(p, start + np.arange(k_cap + 1) * log_alpha)
+    nz = u != 0.0
+    terms = u[nz] * np.exp(poisson_log_weights(lam, k_cap)[nz] + prefactor_log)
+    return math.fsum(terms.tolist())
+
+
+def _check_density_time(p: InitialProfile, t: float) -> None:
+    if isinstance(p, Dirac):
+        raise DomainError("dirac initial data is measure-valued; use support_set instead")
+    if t < 0.0:
+        raise DomainError(f"time must be nonnegative, got {t}")
 
 
 def eval_v(p: InitialProfile, alpha: float, t: float, x: float,
            trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
     """Pure-fragmentation solution v(t, x) (unit division rate, no growth)."""
-    if isinstance(p, Dirac):
-        raise DomainError("dirac initial data is measure-valued; use support_set instead")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _check_density_time(p, t)
     if not x > 0.0:
         raise DomainError(f"size must be positive, got {x}")
     if t == 0.0:
         return profile_eval_x(p, x)
     log_alpha = math.log(alpha)
-    return _series_sum(p, alpha * alpha * t, math.log(x), log_alpha, -t, trunc)
+    return _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t,
+                       trunc)
+
+
+def eval_n(p: InitialProfile, alpha: float, t: float, y: float,
+           trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+    """Log-coordinate series n(t, y) at one point, through the same kernel as eval_v.
+
+    Works on n(0, .) directly and never forms e^y, so deep tails are safe.
+    """
+    _check_density_time(p, t)
+    if t == 0.0:
+        return profile_eval_y(p, y)
+    return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t, trunc)
 
 
 def eval_u(params: ModelParams, p: InitialProfile, t: float, x: float,
@@ -147,17 +179,15 @@ def eval_u(params: ModelParams, p: InitialProfile, t: float, x: float,
             p, params.alpha, params.b * t, x * math.exp(-params.g * t), trunc)
     if form != "direct":
         raise DomainError(f"unknown evaluation form {form!r}")
-    if isinstance(p, Dirac):
-        raise DomainError("dirac initial data is measure-valued; use support_set instead")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _check_density_time(p, t)
     if not x > 0.0:
         raise DomainError(f"size must be positive, got {x}")
     if t == 0.0:
         return profile_eval_x(p, x)
     lam = params.b * params.alpha**2 * t
     log_x_eff = math.log(x) - params.g * t
-    return _series_sum(p, lam, log_x_eff, params.log_alpha, -(params.b + params.g) * t, trunc)
+    return _series_sum(density_from_log_x, p, lam, log_x_eff, params.log_alpha,
+                       -(params.b + params.g) * t, trunc)
 
 
 def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
@@ -168,21 +198,14 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
     measured against.  The sum is positive term by term, so compensated
     accumulation keeps full relative accuracy even deep in the tails.
     """
-    if isinstance(p, Dirac):
-        raise DomainError("dirac initial data is measure-valued; use support_set instead")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _check_density_time(p, t)
     y = np.asarray(y, dtype=float)
     if t == 0.0:
         return profile_eval_y(p, y)
     log_alpha = math.log(alpha)
     hi = support_y(p)[1]
-    k_cap = max(poisson_cutoff(t, trunc.eps),
-                int(math.ceil(max(0.0, (hi - float(np.min(y))) / log_alpha))))
-    if k_cap > trunc.k_max_cap:
-        achieved = math.exp(min(_poisson_tail_log_bound(t, trunc.k_max_cap) - t, 700.0))
-        raise TruncationError(
-            f"series needs {k_cap} terms but the cap is {trunc.k_max_cap}", achieved)
+    k_support = int(math.ceil(max(0.0, (hi - float(np.min(y))) / log_alpha)))
+    k_cap = truncation_order(t, trunc, k_support)
     total = np.zeros_like(y)
     comp = np.zeros_like(y)
     log_t = math.log(t)
@@ -195,6 +218,47 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
         comp += np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
         total = s
     return total + comp
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use (128 nodes take ~20 ms)."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def integrate_n(p: InitialProfile, alpha: float, t: float,
+                psi: Callable[[np.ndarray], np.ndarray], n_nodes: int,
+                z_window: tuple[float, float] | None = None,
+                trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+    """int psi(z) n(t, z) dz, integrated term by term over the initial support:
+
+        e^{-t} sum_{k <= K} t^k / k! int_{supp n0} psi(w - k log alpha) n0(w) dw,
+
+    K = truncation_order(t, trunc).  Each inner integral uses an n_nodes-point
+    Gauss-Legendre rule on support_y(p), which for a heaviside is exactly
+    [a, b], so the integrand is as smooth as psi.  psi maps an array of
+    log-sizes to an array of values; with a z_window it is taken as zero
+    outside the window, and each term's interval is clipped to it.
+    """
+    if not t > 0.0:
+        raise DomainError(f"termwise integration needs t > 0, got {t}")
+    la = math.log(alpha)
+    a, b = support_y(p)
+    k_cap = truncation_order(t, trunc)
+    ks = np.arange(k_cap + 1)
+    lo, hi = np.full(k_cap + 1, a), np.full(k_cap + 1, b)
+    if z_window is not None:
+        lo = np.maximum(lo, z_window[0] + ks * la)
+        hi = np.minimum(hi, z_window[1] + ks * la)
+    keep = hi > lo
+    if not keep.any():
+        return 0.0
+    ks, lo, hi = ks[keep], lo[keep, None], hi[keep, None]
+    x, wq = _gauss_legendre(n_nodes)
+    half = 0.5 * (hi - lo)
+    w = (0.5 * (hi + lo)) + half * x
+    term_w = np.exp(poisson_log_weights(t, k_cap)[keep] - t)[:, None] * half
+    return float(np.sum(term_w * wq * psi(w - ks[:, None] * la) * profile_eval_y(p, w)))
 
 
 def moment_of_v(p: InitialProfile, alpha: float, q: float, t: float) -> float:

@@ -181,15 +181,17 @@ def _trapz_mass(values: np.ndarray, dy: float) -> float:
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
             snapshot_times=None, probe_rays=(), record_every: int = 1) -> Trajectory:
-    """March the shift-coupled system to t_end, landing exactly on snapshot times.
+    """March the shift-coupled system to t_end on the fixed clock t_i = i * dt.
 
     Diagnostics (mass, argmax location, and the tracked line values n(t, y t)
     for each probe ray) are recorded at t = 0 and after every
-    `record_every`-th step, on the step clock alone, so snapshot times never
-    add records.  The base step dt is subdivided per interval so snapshots
-    and t_end are hit exactly.  A MassLeakError is raised as soon as any of
-    the leftmost nodes exceeds _LEAK_TOL times the initial trapezoid mass,
-    since mass reaching the left edge would silently break conservation; the
+    `record_every`-th clock step, i.e. at t = j * record_every * dt, so they
+    are uniformly spaced whatever the snapshot times.  A snapshot on the clock
+    is a copy of the clock state; one that falls inside a step (or past the
+    last full step) is reached by one partial step from a copy, and the clock
+    continues unchanged.  A MassLeakError is raised as soon as any of the
+    leftmost nodes exceeds _LEAK_TOL times the initial trapezoid mass, since
+    mass reaching the left edge would silently break conservation; the
     threshold scales with the data, so the decision does not depend on units.
     """
     if t_end < 0.0:
@@ -218,39 +220,39 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
             pos = y * t
             rec_probe[y].append(_cubic_interp(vals, j_lo, dy, pos) if y_lo <= pos <= y_hi else 0.0)
 
-    out_times: list[float] = []
+    leak_tol = _LEAK_TOL * _trapz_mass(grid.values, dy)
+
+    def check_leak(t: float, vals: np.ndarray) -> None:
+        head_max = float(vals[:_LEAK_NODES].max())
+        if head_max > leak_tol:
+            raise MassLeakError(
+                f"mass reached the left grid edge at t = {t:.6g} "
+                f"(max of leftmost {_LEAK_NODES} nodes is {head_max:.3e}, "
+                f"threshold {leak_tol:.3e}); extend y_min")
+
     out_snaps: list[np.ndarray] = []
     current = grid
-    t = 0.0
     record(0.0, current.values)
-    if snaps and snaps[0] == 0.0:
-        out_times.append(0.0)
-        out_snaps.append(current.values.copy())
-
-    leak_tol = _LEAK_TOL * _trapz_mass(grid.values, dy)
-    breakpoints = sorted(set(snaps) | {t_end})
-    steps_done = 0
-    for target in breakpoints:
-        if target <= t + 1e-15:
-            continue
-        n_sub = max(1, int(math.ceil((target - t) / dt - 1e-12)))
-        h = (target - t) / n_sub
-        for i in range(n_sub):
-            current = step(current, h)
-            t = target if i == n_sub - 1 else t + h
-            steps_done += 1
-            vals = current.values
-            head_max = float(vals[:_LEAK_NODES].max())
-            if head_max > leak_tol:
-                raise MassLeakError(
-                    f"mass reached the left grid edge at t = {t:.6g} "
-                    f"(max of leftmost {_LEAK_NODES} nodes is {head_max:.3e}, "
-                    f"threshold {leak_tol:.3e}); extend y_min")
-            if steps_done % record_every == 0:
-                record(t, vals)
-        if any(abs(target - s) <= 1e-12 for s in snaps):
-            out_times.append(target)
-            out_snaps.append(current.values.copy())
+    on_clock = 1e-9 * dt       # a snapshot this close to a clock time is taken there
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    pending = iter(snaps)
+    target = next(pending, None)
+    for i in range(n_steps + 1):
+        t = i * dt
+        if i > 0:
+            current = step(current, dt)
+            check_leak(t, current.values)
+            if i % record_every == 0:
+                record(t, current.values)
+        t_next = (i + 1) * dt if i < n_steps else math.inf
+        while target is not None and target < t_next - on_clock:
+            if target <= t + on_clock:
+                out_snaps.append(current.values.copy())
+            else:
+                partial = step(current, target - t)
+                check_leak(target, partial.values)
+                out_snaps.append(partial.values)
+            target = next(pending, None)
 
     diag = Diagnostics(
         times=np.asarray(rec_t),
@@ -258,7 +260,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         argmax_y=np.asarray(rec_argmax),
         probes={y: np.asarray(vals) for y, vals in rec_probe.items()},
     )
-    return Trajectory(grid=grid, times=np.asarray(out_times),
+    return Trajectory(grid=grid, times=np.asarray(snaps),
                       snapshots=np.asarray(out_snaps), diagnostics=diag)
 
 

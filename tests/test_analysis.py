@@ -1,9 +1,15 @@
 """Rescalings, line probes, period estimation, weak functionals, route comparison."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import gflab
 
 from gflab.analysis import (
     GridSource,
@@ -17,9 +23,9 @@ from gflab.analysis import (
     r_tilde_of,
     weak_test,
 )
-from gflab.errors import DomainError, NumericsError
-from gflab.model import LogGaussian, ModelParams, moment
-from gflab.series import eval_v
+from gflab.errors import DomainError, NumericsError, QuadratureError
+from gflab.model import LogGaussian, LogHeaviside, ModelParams, moment, support_y
+from gflab.series import eval_n, eval_n_series, eval_v, poisson_cutoff
 
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
@@ -216,6 +222,85 @@ class TestWeakFunctionals:
         errs = [abs(weak_test(gs, math.cos, t) - target) / target for t in (20.0, 60.0)]
         assert errs[1] < errs[0]
         assert errs[1] < 0.02
+
+
+def quad_over_r(source, phi, t, rescaled):
+    """Oracle: scipy.quad over pointwise r_of, split where a series term
+    crosses an edge of the initial support (r jumps there for heaviside data)."""
+    from scipy.integrate import quad
+
+    a, b = support_y(source.profile)
+    k_top = poisson_cutoff(t, 1e-16) + 2
+    edges = sorted({(e - k * LOG2) / t for k in range(k_top + 1) for e in (a, b)})
+
+    def f(y):
+        arg = (y + LOG2) * math.sqrt(t) / LOG2 if rescaled else y
+        return phi(arg) * r_of(source, t, y)
+
+    return math.fsum(quad(f, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+                     for lo, hi in zip(edges, edges[1:]))
+
+
+class TestTermwiseWeakFunctional:
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0, 40.0])
+    @pytest.mark.parametrize("rescaled", [False, True])
+    @pytest.mark.parametrize("profile", [GAUSS, LogHeaviside(-1.0, 0.0, 1.0)],
+                             ids=["gaussian", "heaviside"])
+    def test_matches_quadrature_over_r(self, profile, rescaled, t):
+        ss = SeriesSource(profile, 2.0)
+        got = weak_test(ss, math.cos, t, rescaled=rescaled)
+        assert got == pytest.approx(quad_over_r(ss, math.cos, t, rescaled), rel=1e-9)
+
+    def test_matches_node_trapezoid(self):
+        # n(10, .) is a sum of gaussians resolved by the node spacing, so the
+        # trapezoid sum over nodes covering its support is exact to rounding
+        dy = LOG2 / 64
+        ys = np.arange(-6000, 200) * dy
+        n = eval_n_series(GAUSS, 2.0, 10.0, ys)
+        f = n * np.cos(ys / 10.0)
+        trapz = dy * (math.fsum(f) - 0.5 * (f[0] + f[-1]))
+        got = weak_test(SeriesSource(GAUSS, 2.0), math.cos, 10.0)
+        assert got == pytest.approx(trapz, rel=1e-12)
+
+    def test_window_isolates_one_lattice_translate(self):
+        # at t = 1 the k-th term of r lives on [-0.2 - k log 2, -k log 2]; the
+        # window edges sit in the gaps, so phi = 1 picks term k = 1 alone
+        ss = SeriesSource(LogHeaviside(-0.2, 0.0, 1.0), 2.0)
+        got = weak_test(ss, lambda y: 1.0, 1.0, y_window=(-1.0, -0.5))
+        assert got == pytest.approx(0.2 * math.exp(-1.0), rel=1e-12)
+
+    def test_jump_inside_the_mass_trips_the_node_guard(self):
+        ss = SeriesSource(GAUSS, 2.0)
+        with pytest.raises(NumericsError, match="Gauss nodes disagree"):
+            weak_test(ss, lambda y: 1.0 if y < -0.6 else 0.0, 10.0)
+
+    def test_series_weak_test_leaves_scipy_unloaded(self):
+        code = ("import math, sys\n"
+                "from gflab.analysis import SeriesSource, weak_test\n"
+                "from gflab.model import LogGaussian\n"
+                "weak_test(SeriesSource(LogGaussian(0.0, 0.1, 1.0), 2.0), math.cos, 10.0)\n"
+                "sys.exit('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class _SeriesValuedContour(MellinSource):
+    """A contour-route source served by the series, so adaptive quadrature runs fast."""
+
+    def n(self, t, y):
+        return eval_n(self.profile, self.alpha, t, y)
+
+
+class TestContourWeakFunctional:
+    def test_matches_series_source(self):
+        cs = _SeriesValuedContour(GAUSS, 2.0)
+        assert weak_test(cs, math.cos, 2.0) == pytest.approx(
+            weak_test(SeriesSource(GAUSS, 2.0), math.cos, 2.0), rel=1e-9)
+
+    def test_unresolved_phi_raises_instead_of_returning(self):
+        cs = _SeriesValuedContour(GAUSS, 2.0)
+        with pytest.raises(QuadratureError, match="missed its tolerance"):
+            weak_test(cs, lambda y: math.sin(1e6 * y), 0.5)
 
 
 class TestSources:

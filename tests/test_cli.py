@@ -278,6 +278,14 @@ class TestAnalyze:
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_snapshots_between_steps_keep_probes_uniform(self, tmp_path, capsys):
+        # dt = 0.03 does not divide 1, 5, 10 or 25; records stay on the step clock
+        code = main(["analyze", "--t-end", "30", "--dt", "0.03",
+                     "--probe-y", "-0.6931471805599453", "--snapshots", "1,5,10,25,30",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
         # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt
         code = main(["analyze", "--record-every", "3", "--out-dir", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 """Series route: truncation, moment laws, support geometry, the dirac lattice."""
 
 import math
+import warnings
 from math import exp, fsum, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -10,6 +11,7 @@ from gflab.errors import DomainError, TruncationError
 from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, moment, profile_eval_x
 from gflab.series import (
     SeriesTruncation,
+    eval_n,
     eval_n_series,
     eval_u,
     eval_v,
@@ -69,6 +71,16 @@ class TestEvalV:
                     assert val == 0.0
                 else:
                     assert val > 0.0
+
+    @pytest.mark.parametrize("t", [40.0, 60.0])
+    def test_heaviside_matches_brute_force_with_hundreds_of_terms(self, t):
+        # lam = alpha^2 t = 160 and 240, so the kernel sums K in the hundreds;
+        # alpha^k x lands mid-support at k = k0, from the far tail to the bulk
+        for k0 in (int(t / 2), int(t), int(4 * t), int(5 * t)):
+            x = math.exp(-k0 * LOG2 - 0.1)
+            got = eval_v(HEAVI, 2.0, t, x)
+            assert got > 0.0
+            assert got == pytest.approx(brute_v(HEAVI, 2.0, t, x, terms=800), rel=1e-12)
 
     def test_semigroup_one_step(self):
         # evolving v(t1) by t2 with a short discrete convolution reproduces v(t1 + t2)
@@ -183,6 +195,15 @@ class TestGridSeries:
             for y, got in zip(ys[::8], vec[::8]):
                 ref = math.exp(2.0 * y) * eval_v(GAUSS, 2.0, t, math.exp(y))
                 assert got == pytest.approx(ref, rel=1e-11, abs=1e-280)
+
+    @pytest.mark.parametrize("p", [GAUSS, HEAVI], ids=["gaussian", "heaviside"])
+    def test_pointwise_kernel_matches_in_deep_tails(self, p):
+        ys = np.linspace(-60.0, 1.0, 123)
+        vec = eval_n_series(p, 2.0, 60.0, ys)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = np.array([eval_n(p, 2.0, 60.0, float(y)) for y in ys])
+        np.testing.assert_allclose(got, vec, rtol=1e-13, atol=0.0)
 
     def test_t_zero_is_initial_density(self):
         ys = np.linspace(-2.0, 1.0, 11)

@@ -202,6 +202,20 @@ class TestSolveBookkeeping:
         traj = solve_n(g, 2.0, 0.3, snapshot_times=[0.7, 1.3, 2.0])
         assert traj.times.tolist() == [0.7, 1.3, 2.0]
 
+    def test_records_keep_the_clock_when_snapshots_fall_between_steps(self):
+        # 1 and 5 are not multiples of dt = 0.03: each is reached by a partial
+        # step from a copy, and the clock (so every record) stays at j * 2 * dt
+        g = build_grid(GAUSS, 2.0, -22.0, 1.7, 64)
+        traj = solve_n(g, 6.0, 0.03, snapshot_times=[1.0, 5.0, 6.0], probe_rays=[-LOG2],
+                       record_every=2)
+        times = traj.diagnostics.times
+        assert times.size == 101
+        np.testing.assert_allclose(times, 0.06 * np.arange(101), rtol=0.0, atol=1e-12)
+        assert traj.times.tolist() == [1.0, 5.0, 6.0]
+        for t, snap in zip(traj.times, traj.snapshots):
+            exact = eval_n_series(GAUSS, 2.0, float(t), g.y_nodes())
+            assert np.max(np.abs(snap - exact)) < 1e-7
+
     def test_snapshots_outside_horizon_rejected(self):
         g = build_grid(GAUSS, 2.0, -10.0, 1.7, 32)
         with pytest.raises(DomainError):
