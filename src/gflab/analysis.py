@@ -330,7 +330,7 @@ def weak_test(source: VSource, phi: Callable[[float], float], t: float,
 
     if y_window is None:
         lo_s, hi_s = support_y(profile)
-        k_cap = poisson_cutoff(source.alpha**2 * t, 1e-14)
+        k_cap = poisson_cutoff(t, 1e-14)  # r(t, .) has Poisson parameter t
         y_window = ((lo_s - (k_cap + 2) * la) / t, (hi_s + la) / t)
         _check_window(source, t, y_window, scale)
     with warnings.catch_warnings():

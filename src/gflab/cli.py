@@ -4,12 +4,15 @@ Exit-code contract: 0 success, 2 domain/precondition error, 3 numerical guard
 trip (mass leak, truncation, quadrature), 4 analysis threshold violation.
 Data files are deterministic: identical configuration gives byte-identical
 CSV output (fixed summation orders, 17 significant digits, no wall-clock
-content).
+content).  CSV tables are streamed to the file one block of rows at a time
+(one block per snapshot for the profile tables), so no whole-file text is
+ever held in memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -38,21 +41,59 @@ _FIGURES = {
 }
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _write_csv(path: Path | None, header: list[str], blocks) -> None:
+    """Write a CSV table to path (stdout when None), streaming one block of rows at a time.
 
-
-def _write_csv(path: Path | None, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    A block is a list of equal-length columns.  A column whose first value is
+    a float is written with 17 significant digits; any other column (text
+    formatted once and shared by blocks, ints, bools) is written with str.
+    """
+    if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else path.open("w", encoding="utf-8", newline="\n")) as out:
+        out.write(",".join(header) + "\n")
+        for block in blocks:
+            n_rows = len(block[0]) if block else 0
+            if not n_rows:
+                continue
+            cells = [None] * (n_rows * len(block))
+            for j, col in enumerate(block):
+                cells[j::len(block)] = col.tolist() if isinstance(col, np.ndarray) else col
+            row = ",".join("%.17g" if isinstance(col[0], float) else "%s" for col in block)
+            out.write(((row + "\n") * n_rows) % tuple(cells))
+    if path is not None:
         print(f"wrote {path}")
+
+
+def _write_svg(path: Path, curves, title: str, xlabel: str, ylabel: str) -> None:
+    doc = svg.line_plot(curves, title=title, xlabel=xlabel, ylabel=ylabel)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(doc, encoding="utf-8")
+    print(f"wrote {path}")
+
+
+def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str, formats) -> None:
+    """<stem>.csv with t, y, n and sqrt(t) n at every node of every snapshot,
+    and <stem>.svg with the rescaled profiles sqrt(t) n(t, y)."""
+    ys = traj.grid.y_nodes()
+    times = traj.times.tolist()
+    if "csv" in formats:
+        y_text = ["%.17g" % y for y in ys.tolist()]
+        blocks = ([["%.17g" % t] * ys.size, y_text, snap, math.sqrt(t) * snap]
+                  for t, snap in zip(times, traj.snapshots))
+        _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
+    if "svg" in formats:
+        keep = slice(None, None, max(1, ys.size // 2000))
+        curves = [(f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep])
+                  for t, snap in zip(times, traj.snapshots)]
+        _write_svg(out_dir / f"{stem}.svg", curves, title="rescaled profiles sqrt(t) n(t, y)",
+                   xlabel="y = log x", ylabel="sqrt(t) n")
+
+
+def _write_compare(path: Path | None, tbl: analysis.MethodComparison) -> None:
+    header = ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"]
+    _write_csv(path, header, [[[getattr(r, name) for r in tbl.rows] for name in header]])
 
 
 def _load_config(args) -> config.RunConfig:
@@ -119,7 +160,7 @@ def cmd_evaluate(args) -> int:
                 val = mellin.asymp_u(params, p, t, x).poisson
             rows.append((t, x, val, args.method))
     out = Path(args.out) if args.out else None
-    _write_csv(out, ["t", "x", "value", "method"], rows)
+    _write_csv(out, ["t", "x", "value", "method"], [list(zip(*rows))])
     return 0
 
 
@@ -127,31 +168,12 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args)
     traj = _solve_run(cfg)
     out_dir = Path(cfg.directory)
-    rows = []
-    ys = traj.grid.y_nodes()
-    for t, snap in zip(traj.times, traj.snapshots):
-        rt = math.sqrt(t)
-        for y, n in zip(ys, snap):
-            rows.append((float(t), float(y), float(n), rt * float(n)))
+    _write_snapshots(traj, out_dir, "snapshots", cfg.formats)
     if "csv" in cfg.formats:
-        _write_csv(out_dir / "snapshots.csv", ["t", "y", "n", "sqrt_t_n"], rows)
         diag = traj.diagnostics
         header = ["t", "mass", "argmax_y"] + [f"n_ray={y:.6g}" for y in diag.probes]
-        drows = []
-        for i, t in enumerate(diag.times):
-            drows.append((float(t), float(diag.mass[i]), float(diag.argmax_y[i]),
-                          *[float(diag.probes[y][i]) for y in diag.probes]))
-        _write_csv(out_dir / "diagnostics.csv", header, drows)
-    if "svg" in cfg.formats:
-        curves = []
-        for t, snap in zip(traj.times, traj.snapshots):
-            keep = slice(None, None, max(1, ys.size // 2000))
-            curves.append((f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep]))
-        doc = svg.line_plot(curves, title="rescaled profiles sqrt(t) n(t, y)",
-                            xlabel="y = log x", ylabel="sqrt(t) n")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "snapshots.svg").write_text(doc, encoding="utf-8")
-        print(f"wrote {out_dir / 'snapshots.svg'}")
+        _write_csv(out_dir / "diagnostics.csv", header,
+                   [[diag.times, diag.mass, diag.argmax_y, *diag.probes.values()]])
     return 0
 
 
@@ -163,41 +185,21 @@ def cmd_figures(args) -> int:
     profile_line, kind = _FIGURES[fig_id]
     cfg = config.with_overrides(cfg, profile=parse_profile(profile_line))
     out_dir = Path(cfg.directory)
-    if kind == "probes":
-        traj = _solve_run(cfg)
-        src = analysis.GridSource(traj)
-        rays = cfg.resolved_rays()
-        probes = [analysis.line_probe(src, y) for y in rays]
-        times = probes[0].times
-        header = ["t"] + [f"f_y={p.y:.6g}" for p in probes]
-        rows = [(float(t), *[float(p.values[i]) for p in probes])
-                for i, t in enumerate(times)]
-        curves = [(f"y={p.y:.4g}", p.times, p.values) for p in probes]
-        title = "line values sqrt(t) exp(-Psi(y) t) n(t, y t)"
-        xlabel = "t"
-        ylabel = "f_y(t)"
-    else:
-        traj = _solve_run(cfg)
-        ys = traj.grid.y_nodes()
-        header = ["t", "y", "n", "sqrt_t_n"]
-        rows = []
-        for t, snap in zip(traj.times, traj.snapshots):
-            rt = math.sqrt(t)
-            for y, n in zip(ys, snap):
-                rows.append((float(t), float(y), float(n), rt * float(n)))
-        keep = slice(None, None, max(1, ys.size // 2000))
-        curves = [(f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep])
-                  for t, snap in zip(traj.times, traj.snapshots)]
-        title = "rescaled profiles sqrt(t) n(t, y)"
-        xlabel = "y = log x"
-        ylabel = "sqrt(t) n"
+    traj = _solve_run(cfg)
+    if kind == "profiles":
+        _write_snapshots(traj, out_dir, f"figure{fig_id}", cfg.formats)
+        return 0
+    src = analysis.GridSource(traj)
+    probes = [analysis.line_probe(src, y) for y in cfg.resolved_rays()]
     if "csv" in cfg.formats:
-        _write_csv(out_dir / f"figure{fig_id}.csv", header, rows)
+        _write_csv(out_dir / f"figure{fig_id}.csv",
+                   ["t"] + [f"f_y={p.y:.6g}" for p in probes],
+                   [[probes[0].times, *(p.values for p in probes)]])
     if "svg" in cfg.formats:
-        doc = svg.line_plot(curves, title=title, xlabel=xlabel, ylabel=ylabel)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"figure{fig_id}.svg").write_text(doc, encoding="utf-8")
-        print(f"wrote {out_dir / f'figure{fig_id}.svg'}")
+        _write_svg(out_dir / f"figure{fig_id}.svg",
+                   [(f"y={p.y:.4g}", p.times, p.values) for p in probes],
+                   title="line values sqrt(t) exp(-Psi(y) t) n(t, y t)",
+                   xlabel="t", ylabel="f_y(t)")
     return 0
 
 
@@ -298,13 +300,11 @@ def cmd_analyze(args) -> int:
         _write_csv(out_dir / "periods.csv",
                    ["y", "expected", "period", "amplitude", "confidence",
                     "n_cycles", "oscillating"],
-                   period_rows)
+                   [list(zip(*period_rows))])
         if weak_rows:
-            _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"], weak_rows)
-        _write_csv(out_dir / "compare.csv",
-                   ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"],
-                   [(r.method_a, r.method_b, r.t, r.x, r.val_a, r.val_b, r.rel_err)
-                    for r in cmp_tbl.rows])
+            _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"],
+                       [list(zip(*weak_rows))])
+        _write_compare(out_dir / "compare.csv", cmp_tbl)
     print("\n".join(report))
     if violations:
         raise ThresholdError("; ".join(violations))
@@ -320,9 +320,7 @@ def cmd_compare(args) -> int:
     traj = _solve_run(cfg, snapshots=ts)
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)
     out = Path(cfg.directory) / "compare.csv" if "csv" in cfg.formats else None
-    _write_csv(out, ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"],
-               [(r.method_a, r.method_b, r.t, r.x, r.val_a, r.val_b, r.rel_err)
-                for r in tbl.rows])
+    _write_compare(out, tbl)
     print(tbl.summary())
     return 0
 

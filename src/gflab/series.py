@@ -76,15 +76,26 @@ def poisson_cutoff(lam: float, eps: float) -> int:
     """Smallest K with sum_{k > K} lam^k / k! < eps * e^lam.
 
     The tail past K is bounded by the first neglected term times the geometric
-    series with ratio lam / (K + 2), valid once that ratio is below one.
+    series with ratio lam / (K + 2), valid once that ratio is below one.  The
+    bound decreases in k from ceil(lam) on, so K is bracketed by doubling the
+    step and then found by bisection.
     """
     if lam <= 0.0:
         return 0
     target = math.log(eps) + lam
-    k = int(math.ceil(lam))
-    while _poisson_tail_log_bound(lam, k) >= target:
-        k += 1
-    return k
+    lo = int(math.ceil(lam)) - 1  # the bound fails at lo (or lo precedes the search)
+    step = 1
+    while _poisson_tail_log_bound(lam, lo + step) >= target:
+        lo += step
+        step *= 2
+    hi = lo + step  # the bound holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _poisson_tail_log_bound(lam, mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def support_cutoff(p: InitialProfile, log_x: float, log_alpha: float) -> int:

@@ -6,7 +6,6 @@ be produced by external tools reading the CSV files.
 
 from __future__ import annotations
 
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -46,10 +45,11 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(x: float) -> float:
+    # screen coordinates, of a float or elementwise of an array
+    def sx(x):
         return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return margin_t + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
@@ -104,19 +104,13 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
     for idx, (label, xs, ys) in enumerate(curves):
         color = _COLORS[idx % len(_COLORS)]
         ok = np.isfinite(xs) & np.isfinite(ys)
-        pts = []
-        segments = []
-        for keep, x, y in zip(ok, xs, ys):
-            if keep:
-                pts.append(f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}")
-            elif pts:
-                segments.append(pts)
-                pts = []
-        if pts:
-            segments.append(pts)
-        for seg in segments:
-            if len(seg) >= 2:
-                ET.SubElement(root, "polyline", points=" ".join(seg),
+        pts = list(map("{:.6g},{:.6g}".format, sx(xs[ok]).tolist(), sy(ys[ok]).tolist()))
+        # a non-finite point ends a polyline: cut where the finite indices jump
+        jumps = np.flatnonzero(np.diff(np.flatnonzero(ok)) > 1) + 1
+        cuts = [0, *jumps.tolist(), len(pts)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo >= 2:
+                ET.SubElement(root, "polyline", points=" ".join(pts[lo:hi]),
                               fill="none", stroke=color)
         leg = ET.SubElement(root, "text", x=str(margin_l + 8),
                             y=str(margin_t + 14 + 13 * idx), fill=color)
@@ -125,7 +119,3 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
 
     body = ET.tostring(root, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
-
-
-def is_finite_number(v: float) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)

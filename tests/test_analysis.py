@@ -297,6 +297,25 @@ class TestContourWeakFunctional:
         assert weak_test(cs, math.cos, 2.0) == pytest.approx(
             weak_test(SeriesSource(GAUSS, 2.0), math.cos, 2.0), rel=1e-9)
 
+    def test_default_window_is_sized_by_the_poisson_parameter_t(self, monkeypatch):
+        import scipy.integrate
+
+        windows = []
+        real_quad = scipy.integrate.quad
+
+        def spy(f, a, b, **kwargs):
+            windows.append((a, b))
+            return real_quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", spy)
+        t, la = 10.0, math.log(2.0)
+        val = weak_test(_SeriesValuedContour(GAUSS, 2.0), math.cos, t)
+        lo_s, hi_s = support_y(GAUSS)
+        k_cap = poisson_cutoff(t, 1e-14)
+        assert windows == [((lo_s - (k_cap + 2) * la) / t, (hi_s + la) / t)]
+        assert windows[0][0] == pytest.approx(-3.17, abs=0.01)
+        assert val == pytest.approx(weak_test(SeriesSource(GAUSS, 2.0), math.cos, t), rel=1e-9)
+
     def test_unresolved_phi_raises_instead_of_returning(self):
         cs = _SeriesValuedContour(GAUSS, 2.0)
         with pytest.raises(QuadratureError, match="missed its tolerance"):

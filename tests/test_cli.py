@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import gflab
-from gflab import config
+from gflab import analysis, cli, config, mellin, series, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
 from gflab.errors import DomainError
-from gflab.model import LogGaussian, LogHeaviside
+from gflab.model import LogGaussian, LogHeaviside, ModelParams
 
 CONFIG_TEXT = """\
 [model]
@@ -45,6 +45,15 @@ formats = csv, svg
 period_tol = 0.02
 asymp_tol = 0.1
 """
+
+
+def oracle_csv(header, rows) -> bytes:
+    """The per-row writer the block writer replaced: float cells with 17
+    significant digits, any other cell by str, the whole text joined at once."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestConfig:
@@ -180,6 +189,145 @@ class TestSolve:
         assert rows[0].startswith("t,mass,argmax_y")
         masses = [float(r.split(",")[1]) for r in rows[1:]]
         assert max(abs(m - 1.0) for m in masses) < 1e-6
+
+
+class TestWriters:
+    """The block CSV writer and the array-built SVG points against per-row and
+    per-point oracles, byte for byte."""
+
+    def test_solve_tables_match_row_oracle(self, tmp_path, capsys, monkeypatch):
+        runs, solve_run = [], cli._solve_run
+
+        def spy(*args, **kwargs):
+            runs.append(solve_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "_solve_run", spy)
+        out = tmp_path / "o"
+        assert main(["solve", "--t-end", "2", "--snapshots", "0.5,1,2", "--record-every", "10",
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        traj = runs[0]
+        ys = traj.grid.y_nodes()
+        rows = [(float(t), float(y), float(n), math.sqrt(t) * float(n))
+                for t, snap in zip(traj.times, traj.snapshots) for y, n in zip(ys, snap)]
+        assert (out / "snapshots.csv").read_bytes() == oracle_csv(["t", "y", "n", "sqrt_t_n"], rows)
+        diag = traj.diagnostics
+        header = ["t", "mass", "argmax_y"] + [f"n_ray={y:.6g}" for y in diag.probes]
+        drows = [(float(t), float(diag.mass[i]), float(diag.argmax_y[i]),
+                  *[float(diag.probes[y][i]) for y in diag.probes])
+                 for i, t in enumerate(diag.times)]
+        assert (out / "diagnostics.csv").read_bytes() == oracle_csv(header, drows)
+
+    @pytest.mark.parametrize("profile", ["loggaussian mu=0 sigma=0.1 mass=1",
+                                         "loggaussian mu=0 sigma=0.5 mass=1"])
+    def test_analyze_tables_match_row_oracle(self, profile, tmp_path, capsys, monkeypatch):
+        periods, tables, compare_methods = [], [], analysis.compare_methods
+
+        def period_spy(probe, **kwargs):
+            est = estimate_period(probe, **kwargs)
+            periods.append((probe.y, kwargs["expected_period"], est.period, est.amplitude,
+                            est.confidence, est.n_cycles, est.oscillating))
+            return est
+
+        def compare_spy(*args, **kwargs):
+            tables.append(compare_methods(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(analysis, "estimate_period", period_spy)
+        monkeypatch.setattr(analysis, "compare_methods", compare_spy)
+        out = tmp_path / "o"
+        assert main(["analyze", "--t-end", "40", "--profile", profile,
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        header = ["y", "expected", "period", "amplitude", "confidence", "n_cycles", "oscillating"]
+        assert (out / "periods.csv").read_bytes() == oracle_csv(header, periods)
+        cmp_header = ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"]
+        cmp_rows = [(r.method_a, r.method_b, r.t, r.x, r.val_a, r.val_b, r.rel_err)
+                    for r in tables[0].rows]
+        assert (out / "compare.csv").read_bytes() == oracle_csv(cmp_header, cmp_rows)
+
+    def test_compare_table_with_nan_matches_row_oracle(self, tmp_path, capsys):
+        # x = 1.5 lies outside the asymptotic formulas' domain: NaN cells
+        tbl = analysis.compare_methods(LogGaussian(0.0, 0.1, 1.0), ModelParams(alpha=2.0),
+                                       [20.0], [2.0**-20, 1.5],
+                                       methods=["series", "asymp-poisson"])
+        cli._write_compare(tmp_path / "compare.csv", tbl)
+        capsys.readouterr()
+        rows = [(r.method_a, r.method_b, r.t, r.x, r.val_a, r.val_b, r.rel_err) for r in tbl.rows]
+        assert any(math.isnan(r[-1]) for r in rows)
+        header = ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"]
+        assert (tmp_path / "compare.csv").read_bytes() == oracle_csv(header, rows)
+
+    def test_mixed_cells_match_row_oracle(self, tmp_path, capsys):
+        header = ["f", "i", "b", "s", "g"]
+        rows = [(math.nan, 3, True, "series", np.float64(0.1)),
+                (math.inf, -7, np.bool_(False), "pde", -0.0),
+                (-math.inf, 10**15, False, "mellin", 5e-324),
+                (1.0 / 3.0, 0, True, "x,y", 1e300)]
+        cli._write_csv(tmp_path / "mixed.csv", header, [list(zip(*rows))])
+        cli._write_csv(tmp_path / "empty.csv", header, [[]])
+        capsys.readouterr()
+        assert (tmp_path / "mixed.csv").read_bytes() == oracle_csv(header, rows)
+        assert (tmp_path / "empty.csv").read_bytes() == oracle_csv(header, [])
+
+    @pytest.mark.parametrize("method", ["series", "asymp-theta"])
+    def test_evaluate_stdout_matches_row_oracle(self, method, capsys):
+        ts, xs = [0.5, 1.0, 5.0], [0.25, 0.5, 1e-3]
+        assert main(["evaluate", "--method", method, "--t", "0.5,1,5",
+                     "--x", "0.25,0.5,1e-3"]) == 0
+        cfg = config.RunConfig()
+
+        def value(t, x):
+            if method == "series":
+                return series.eval_u(cfg.params, cfg.profile, t, x)
+            return mellin.asymp_u(cfg.params, cfg.profile, t, x).theta
+
+        rows = [(t, x, value(t, x), method) for t in ts for x in xs]
+        assert capsys.readouterr().out.encode() == oracle_csv(["t", "x", "value", "method"], rows)
+
+    def test_svg_breaks_curves_like_point_oracle(self):
+        xs = np.linspace(-2.0, 3.0, 40)
+        ys = np.sin(xs)
+        ys[[0, 5, 7, 8, 20, 39]] = [np.nan, np.inf, np.nan, -np.inf, np.nan, np.nan]
+        xs[30] = np.inf  # leaves isolated finite points at 6 and 31
+        ys[32] = np.nan
+        curves = [("a", xs, ys), ("b", np.array([0.0, 1.0]), np.array([2.0, -1.0]))]
+        doc = ET.fromstring(svg.line_plot(curves).split("\n", 1)[1])
+        got = [pl.get("points") for pl in doc.iter("{http://www.w3.org/2000/svg}polyline")]
+
+        ok = [np.isfinite(cx) & np.isfinite(cy) for _, cx, cy in curves]
+        fx = np.concatenate([cx[k] for (_, cx, _), k in zip(curves, ok)])
+        fy = np.concatenate([cy[k] for (_, _, cy), k in zip(curves, ok)])
+        x_lo, x_hi = float(fx.min()), float(fx.max())
+        y_lo, y_hi = float(fy.min()), float(fy.max())
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        expected = []
+        for (_, cx, cy), keep in zip(curves, ok):
+            pts = []
+            for k, x, y in zip(keep, cx, cy):
+                if k:
+                    px = 64 + (float(x) - x_lo) / (x_hi - x_lo) * 640
+                    py = 28 + (y_hi - float(y)) / (y_hi - y_lo) * 408
+                    pts.append(f"{px:.6g},{py:.6g}")
+                    continue
+                if len(pts) >= 2:
+                    expected.append(" ".join(pts))
+                pts = []
+            if len(pts) >= 2:
+                expected.append(" ".join(pts))
+        assert got == expected
+        assert len(got) == 5
+
+    def test_profile_figure_and_solve_share_one_writer(self, tmp_path, capsys):
+        ladder = ["--t-end", "2", "--snapshots", "0.5,1,2"]
+        assert main(["figures", "--id", "9", *ladder, "--out-dir", str(tmp_path / "f")]) == 0
+        assert main(["solve", "--profile", "logheaviside a=-1 b=0 height=1", *ladder,
+                     "--out-dir", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        for fig, snap in (("figure9.csv", "snapshots.csv"), ("figure9.svg", "snapshots.svg")):
+            assert (tmp_path / "f" / fig).read_bytes() == (tmp_path / "s" / snap).read_bytes()
 
 
 class TestFigures:

@@ -11,6 +11,7 @@ from gflab.errors import DomainError, TruncationError
 from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, moment, profile_eval_x
 from gflab.series import (
     SeriesTruncation,
+    _poisson_tail_log_bound,
     eval_n,
     eval_n_series,
     eval_u,
@@ -109,6 +110,18 @@ class TestEvalV:
             # check against the exact tail computed by complement
             head = fsum(exp(j * log(lam) - lgamma(j + 1) - lam) for j in range(k + 1))
             assert 1.0 - head < 1e-13
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-10, 1e-6])
+    def test_poisson_cutoff_matches_linear_scan(self, eps):
+        def linear_cutoff(lam):
+            target = math.log(eps) + lam
+            k = math.ceil(lam)
+            while _poisson_tail_log_bound(lam, k) >= target:
+                k += 1
+            return k
+
+        for lam in np.logspace(-3.0, 4.0, 281).tolist():
+            assert poisson_cutoff(lam, eps) == linear_cutoff(lam), lam
 
 
 class TestEvalU:
