@@ -74,15 +74,20 @@ class SeriesSource:
 
 
 class MellinSource:
-    """Evaluate v and n through the contour inversion (log-gaussian data only)."""
+    """Evaluate v and n through the contour inversion (log-gaussian data only).
 
-    def __init__(self, profile: InitialProfile, alpha: float, nu: float = 2.0):
+    By default (nu=None) each point is inverted on its own real saddle line,
+    as inverse_mellin_v chooses it; a given nu puts every contour on that line.
+    """
+
+    def __init__(self, profile: InitialProfile, alpha: float, nu: float | None = None):
         self.profile = profile
         self.alpha = alpha
         self.nu = nu
 
     def v(self, t: float, x: float) -> float:
-        cq = ContourQuad.for_gaussian(self.profile, self.alpha, t, self.nu)
+        cq = None if self.nu is None else ContourQuad.for_gaussian(
+            self.profile, self.alpha, t, self.nu)
         return inverse_mellin_v(self.profile, self.alpha, t, x, cq)
 
     def n(self, t: float, y: float) -> float:

@@ -11,6 +11,15 @@ Along a vertical contour |e^{(K(s) - 1) t}| is periodic in Im s with period
 come from U0 itself.  The numerical inversion therefore accepts log-gaussian
 data only, where |U0(nu + i tau)| falls off like exp(-sigma^2 tau^2 / 2).
 
+The inversion puts its line at the real saddle nu* of the whole integrand
+(saddle_abscissa): there the integrand is the Fourier transform of a tilted
+density whose mean is log x, so the trapezoid sum does not cancel away the
+value.  By Poisson summation a trapezoid step h aliases that density from
+2 pi / h away, so the step comes from the width of the density (a Poisson
+comb of gaussians), not from a heuristic (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  The
+guard is relative: the error estimate must stay below err_tol * |v|.
+
 Large-time behaviour along rays x = e^{yt} (y < 0) is governed by the real
 saddle abscissa s_plus(t, x) and its vertical lattice of translates
 s_k = s_plus - 2 i k pi / log alpha, all sharing the same K value.  Two
@@ -40,6 +49,7 @@ from .model import (
 
 # exp(-z^2 / 2) dips below 1e-16 past this many widths.
 _DECAY_WIDTHS = math.sqrt(-2.0 * math.log(1e-16))
+_EPS = float(np.finfo(float).eps)
 
 
 def K_of_s(alpha: float, s):
@@ -82,6 +92,86 @@ def psi(alpha: float, y: float) -> tuple[float, float, float]:
     return (lr * y / la - y / la - 1.0, lr / la, 1.0 / (y * la))
 
 
+def saddle_abscissa(p: LogGaussian, alpha: float, t: float, x: float) -> float:
+    """Real saddle nu* of the full contour integrand U0(s) e^{(K(s) - 1) t} x^{-s}.
+
+    nu* is the real root of
+
+        mu + sigma^2 (nu - 2) - t log(alpha) alpha^{2 - nu} = log x,
+
+    i.e. the exponential tilt e^{(nu - 2) z} n(t, z) whose mean is log x.
+    The left side increases strictly in nu, so the root exists and is unique
+    for every x > 0 and t >= 0; at t = 0 it is nu_0 = 2 + (log x - mu) / sigma^2,
+    and s_plus is its large-t limit.  With u = log(alpha) (nu - nu_0) it reads
+    u + log u = L = log(t log(alpha)^2 / sigma^2) + (mu - log x) log(alpha) / sigma^2,
+    i.e. u = W(e^L) (Lambert W), found by Newton's method from the standard
+    starting guess; u is positive, and the iterates approach it from below
+    after the first step.
+    """
+    la = math.log(alpha)
+    nu_0 = 2.0 + (math.log(x) - p.mu) / p.sigma**2
+    if t == 0.0:
+        return nu_0
+    big_l = math.log(t * la * la / p.sigma**2) + (p.mu - math.log(x)) * la / p.sigma**2
+    u = big_l - math.log(big_l) if big_l > 1.0 else math.exp(big_l)
+    for _ in range(100):
+        if u == 0.0:  # e^L underflowed: nu_0 is the root to double precision
+            break
+        u_next = u * (1.0 + big_l - math.log(u)) / (1.0 + u)
+        converged = abs(u_next - u) <= 1e-15 * u_next
+        u = u_next
+        if converged:
+            break
+    return nu_0 + u / la
+
+
+def _log_integrand(p: LogGaussian, alpha: float, t: float, log_x: float, s):
+    """log of U0(s) e^{(K(s) - 1) t} x^{-s} for log-gaussian data.
+
+    One exponent, so that no factor overflows or underflows on its own when
+    the saddle sits far from s = 2; log U0 is the closed form of
+    model.mellin_U0.
+    """
+    w = s - 2.0
+    out = math.log(p.mass) + p.mu * w + 0.5 * p.sigma**2 * w * w - s * log_x
+    if t > 0.0:  # at t = 0 the saddle may sit where K(s) overflows
+        out = out + (K_of_s(alpha, s) - 1.0) * t
+    return out
+
+
+# log of the share of its mode below which the Poisson pmf counts as zero
+_LOG_PMF_CUT = math.log(1e-17)
+
+
+def _poisson_reach(lam: float) -> int:
+    """Index distance from the mode of Poisson(lam) past which, on either side,
+    the pmf stays below 1e-17 of its value at the mode (0 for lam = 0)."""
+    if lam <= 0.0:
+        return 0
+    mode = math.floor(lam)
+    log_lam = math.log(lam)
+    log_mode = mode * log_lam - math.lgamma(mode + 1)
+
+    def below(k: int) -> bool:
+        return k < 0 or k * log_lam - math.lgamma(k + 1) - log_mode < _LOG_PMF_CUT
+
+    reach = 0
+    for side in (1, -1):
+        lo, step = 0, 1  # the pmf is not yet below the cut at distance lo
+        while not below(mode + side * (lo + step)):
+            lo += step
+            step *= 2
+        hi = lo + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mode + side * mid):
+                hi = mid
+            else:
+                lo = mid
+        reach = max(reach, hi)
+    return reach
+
+
 @dataclass(frozen=True)
 class ContourQuad:
     """Trapezoid rule on the truncated vertical contour nu + i [-tau_max, tau_max]."""
@@ -98,33 +188,67 @@ class ContourQuad:
 
     @classmethod
     def for_gaussian(cls, p: LogGaussian, alpha: float, t: float, nu: float = 2.0) -> "ContourQuad":
-        """Contour sized for a log-gaussian integrand.
+        """Contour on the line nu sized for a log-gaussian integrand.
 
-        tau_max makes the gaussian factor exp(-sigma^2 tau^2 / 2) fall below
-        1e-16, with extra sqrt(t) margin; the node spacing resolves both the
-        transform width (sigma / 4) and the oscillation of e^{K(s) t}, whose
-        phase moves at t log(alpha) alpha^{2 - nu} per unit tau.
+        Along the line the integrand is the Fourier transform of the tilted
+        density e^{(nu - 2) z} n(t, z), and by Poisson summation a trapezoid
+        step h adds the copies of that density 2 pi / h away to the value.
+        The tilted density is a Poisson(t alpha^{2 - nu}) comb of gaussians
+        spaced log alpha apart, so it is negligible past D = log(alpha) times
+        the Poisson reach (1e-17 of the mode) plus 8.6 widths on either side;
+        h = pi / D keeps even the half-resolution pass clear of the copies.
+        tau_max puts the transform factor exp(-sigma^2 tau^2 / 2) below 1e-16
+        and adds one period 2 pi / log alpha of e^{K(s) t}.
         """
         sigma = p.sigma
-        tau_max = (_DECAY_WIDTHS + 2.0 * math.sqrt(max(1.0, t))) / sigma
-        rate = t * math.log(alpha) * alpha ** (2.0 - nu)
-        h = sigma / 4.0
-        if rate > 0.0:
-            h = min(h, math.pi / (4.0 * rate))
+        la = math.log(alpha)
+        lam = t * alpha ** (2.0 - nu) if t > 0.0 else 0.0
+        width = la * _poisson_reach(lam) + 2.0 * _DECAY_WIDTHS * sigma
+        h = math.pi / width
+        tau_max = _DECAY_WIDTHS / sigma + 2.0 * math.pi / la
         n = int(math.ceil(2.0 * tau_max / h)) + 1
         n += n % 2
         return cls(nu=nu, tau_max=tau_max, n_nodes=n)
 
 
-def _contour_value(p: InitialProfile, alpha: float, t: float, log_x: float,
-                   nu: float, tau_max: float, n_nodes: int) -> float:
-    taus = np.linspace(-tau_max, tau_max, n_nodes)
+def _contour_value(p: LogGaussian, alpha: float, t: float, log_x: float,
+                   nu: float, tau_max: float, n_nodes: int) -> tuple[float, float]:
+    """(1 / 2 pi) times the n_nodes-point trapezoid sum over nu + i [-tau_max, tau_max],
+    and an estimate of its rounding error.
+
+    For real data the integrand at nu - i tau is the conjugate of the one at
+    nu + i tau, so only the nodes with tau >= 0 are evaluated and the real
+    part is doubled.  A term e^z carries a relative rounding error of about
+    eps (1 + |z|), since z (mostly the phase tau log x) is rounded before the
+    exponential; summed over the terms that bounds what the cancellation
+    between them can leave.
+    """
     h = 2.0 * tau_max / (n_nodes - 1)
-    weights = np.full(n_nodes, h)
-    weights[0] = weights[-1] = 0.5 * h
-    s = nu + 1j * taus
-    integrand = mellin_U0(p, s) * np.exp((K_of_s(alpha, s) - 1.0) * t - s * log_x)
-    return float(np.sum(weights * integrand.real)) / (2.0 * math.pi)
+    taus = tau_max - h * np.arange((n_nodes + 1) // 2)
+    weights = np.full(taus.size, 2.0 * h)
+    weights[0] = h
+    if n_nodes % 2:
+        weights[-1] = h  # the node on the real axis is not doubled
+    z = _log_integrand(p, alpha, t, log_x, nu + 1j * taus)
+    integrand = np.exp(z)
+    value = float(np.dot(weights, integrand.real)) / (2.0 * math.pi)
+    rounding = _EPS * float(np.dot(weights, np.abs(integrand) * (1.0 + np.abs(z)))) / (2.0 * math.pi)
+    return value, rounding
+
+
+def _tail_bound(p: LogGaussian, alpha: float, t: float, log_x: float,
+                nu: float, tau_max: float) -> float:
+    """Bound on the contour integral past |tau| = tau_max.
+
+    |U0(nu + i tau)| = U0(nu) e^{-sigma^2 tau^2 / 2}, |e^{K(s) t}| <= e^{K(nu) t}
+    and |x^{-s}| = x^{-nu}, so the neglected part is at most the integrand
+    modulus at tau = 0 times int_{tau_max}^inf e^{-sigma^2 tau^2 / 2} d tau / pi.
+    """
+    gauss_tail = math.erfc(p.sigma * tau_max / math.sqrt(2.0)) / (p.sigma * math.sqrt(2.0 * math.pi))
+    if gauss_tail == 0.0:
+        return 0.0
+    log_bound = _log_integrand(p, alpha, t, log_x, nu).real + math.log(gauss_tail)
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
@@ -132,9 +256,14 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     """v(t, x) by trapezoid quadrature of the inverse Mellin contour integral.
 
     Only log-gaussian data gives an integrand that decays along the contour
-    (the exponential factor is periodic, not decaying, in Im s).  The result
-    is checked against a half-resolution pass; if the difference exceeds
-    err_tol * (1 + |value|) a QuadratureError carrying the estimate is raised.
+    (the exponential factor is periodic, not decaying, in Im s).  Without a
+    given cq the line sits at the real saddle nu* = saddle_abscissa(p, alpha,
+    t, x), where the integrand does not cancel, and the rule is sized there
+    by Poisson summation (ContourQuad.for_gaussian).  The result is checked
+    against a half-resolution pass: if the difference, plus the bound on the
+    truncated tails and the rounding estimate of the sum, exceeds
+    err_tol * |value|, a QuadratureError carrying that estimate is raised, so
+    a small value is held to the same relative accuracy as a large one.
     """
     if not isinstance(p, LogGaussian):
         raise DomainError(
@@ -145,12 +274,13 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     if not x > 0.0:
         raise DomainError(f"size must be positive, got {x}")
     if cq is None:
-        cq = ContourQuad.for_gaussian(p, alpha, t)
+        cq = ContourQuad.for_gaussian(p, alpha, t, saddle_abscissa(p, alpha, t, x))
     log_x = math.log(x)
-    value = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, cq.n_nodes)
-    coarse = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, max(2, cq.n_nodes // 2))
-    estimate = abs(value - coarse)
-    if estimate > err_tol * (1.0 + abs(value)):
+    value, rounding = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, cq.n_nodes)
+    coarse = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, max(2, cq.n_nodes // 2))[0]
+    estimate = (abs(value - coarse) + rounding
+                + _tail_bound(p, alpha, t, log_x, cq.nu, cq.tau_max))
+    if not estimate <= err_tol * abs(value):
         raise QuadratureError("contour quadrature did not converge", estimate)
     return value
 

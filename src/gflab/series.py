@@ -201,12 +201,27 @@ def eval_u(params: ModelParams, p: InitialProfile, t: float, x: float,
                        -(params.b + params.g) * t, trunc)
 
 
+# a part of a sum below this share of it is left out
+_LOG_NEGLIGIBLE = math.log(1e-17)
+
+
 def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
                   trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> np.ndarray:
     """Log-coordinate series n(t, y) = e^{-t} sum_k n(0, y + k log alpha) t^k / k!.
 
     Vectorized over the node array y; this is the oracle the grid solver is
-    measured against.  The sum is positive term by term, so compensated
+    measured against.  Each node sums the k whose y + k log alpha lies in
+    support_y(p): from its first such k, ceil((hi - lo) / log alpha) + 1
+    terms, taken as that many passes over the whole array in increasing k.
+
+    The terms are log-concave in k, so the terms left out on one side sum to
+    at most the next one over 1 - (its ratio to the last one taken).  Where
+    that bound is not below 1e-17 of the sum, the window is widened one term
+    at a time; this happens in the tails of a wide gaussian at small t, whose
+    Poisson weights grow faster than the profile decays past the effective
+    support.  The ratio is taken on logs, so it holds where the terms
+    underflow.  Every k <= K = truncation_order(...) is thus summed or
+    negligible.  The sum is positive term by term, so compensated
     accumulation keeps full relative accuracy even deep in the tails.
     """
     _check_density_time(p, t)
@@ -214,20 +229,57 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
     if t == 0.0:
         return profile_eval_y(p, y)
     log_alpha = math.log(alpha)
-    hi = support_y(p)[1]
+    lo, hi = support_y(p)
     k_support = int(math.ceil(max(0.0, (hi - float(np.min(y))) / log_alpha)))
     k_cap = truncation_order(t, trunc, k_support)
-    total = np.zeros_like(y)
-    comp = np.zeros_like(y)
+    n_pass = int(math.ceil((hi - lo) / log_alpha)) + 1
+    # index k + 1 holds the weight e^{-t} t^k / k! of term k; zero (log -inf)
+    # for k = -1 and past k_cap
+    weights = np.zeros(k_cap + n_pass + 3)
+    log_weights = np.full(weights.size, -np.inf)
     log_t = math.log(t)
     log_w = -t
     for k in range(k_cap + 1):
         if k > 0:
             log_w += log_t - math.log(k)
-        term = profile_eval_y(p, y + k * log_alpha) * math.exp(log_w)
-        s = total + term
-        comp += np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
-        total = s
+        weights[k + 1] = math.exp(log_w)
+        log_weights[k + 1] = log_w
+
+    def term(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Term k of every node, and its log from the two factors."""
+        n0 = profile_eval_y(p, y + k * log_alpha)
+        with np.errstate(divide="ignore"):
+            return n0 * weights.take(k + 1), np.log(n0) + log_weights.take(k + 1)
+
+    total = np.zeros_like(y)
+    comp = np.zeros_like(y)
+
+    def add(term_k: np.ndarray) -> None:
+        s = total + term_k
+        comp[...] += np.where(np.abs(total) >= np.abs(term_k), (total - s) + term_k,
+                              (term_k - s) + total)
+        total[...] = s
+
+    k_first = np.clip(np.ceil((lo - y) / log_alpha), 0, k_cap + 1).astype(np.int64)
+    log_edges = []
+    for i in range(n_pass):
+        term_k, log_k = term(k_first + i)
+        add(term_k)
+        if i in (0, n_pass - 1):
+            log_edges.append(log_k)
+    for edge, log_last, step in ((k_first, log_edges[0], -1),
+                                 (k_first + n_pass - 1, log_edges[-1], 1)):
+        while True:
+            term_k, log_next = term(edge + step)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drop = log_next - log_last
+                log_rest = np.where(drop < 0.0, log_next - np.log1p(-np.exp(drop)), np.inf)
+                widen = (log_next > -np.inf) & ~(log_rest <= _LOG_NEGLIGIBLE + np.log(total))
+            if not widen.any():
+                break
+            add(np.where(widen, term_k, 0.0))
+            edge = np.where(widen, edge + step, edge)
+            log_last = np.where(widen, log_next, log_last)
     return total + comp
 
 

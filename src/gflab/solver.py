@@ -142,6 +142,28 @@ def _cubic_interp(values: np.ndarray, j_lo: int, dy: float, y: float) -> float:
     return float(wm1 * values[i - 1] + w0 * values[i] + w1 * values[i + 1] + w2 * values[i + 2])
 
 
+def _cubic_stencil(n: int, j_lo: int, dy: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices and weights, shape y.shape + (4,), that reproduce _cubic_interp.
+
+    sum((w * values[idx])[..., k] for k in 0..3), added in that order, repeats
+    the float operations of _cubic_interp at each y bit for bit: the on-node
+    and linear edge branches put zero weights on the unused nodes, whose
+    indices are clipped into the grid.  The caller checks the range.
+    """
+    u = np.minimum(np.maximum(y / dy - j_lo, 0.0), float(n - 1))
+    i = np.floor(u).astype(np.int64)
+    f = u - i
+    w = np.stack([-f * (f - 1.0) * (f - 2.0) / 6.0,
+                  (f * f - 1.0) * (f - 2.0) / 2.0,
+                  -f * (f + 1.0) * (f - 2.0) / 2.0,
+                  f * (f * f - 1.0) / 6.0], axis=-1)
+    linear = (i == 0) | (i == n - 2)
+    w[linear] = np.stack([np.zeros_like(f), 1.0 - f, f, np.zeros_like(f)], axis=-1)[linear]
+    w[(f == 0.0) | (i >= n - 1)] = (0.0, 1.0, 0.0, 0.0)
+    idx = np.clip(i[..., None] + np.arange(-1, 3), 0, n - 1)
+    return idx, w
+
+
 @dataclass
 class Diagnostics:
     """Per-record scalars collected while stepping."""
@@ -206,19 +228,24 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         raise DomainError(f"snapshot times {snaps} fall outside [0, {t_end}]")
 
     rays = [float(y) for y in probe_rays]
-    rec_t: list[float] = []
+    j_lo, dy = grid.j_lo, grid.dy
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    # records sit on the clock, so every probe's stencil is known before stepping;
+    # a probe outside the grid records 0 through all-zero weights
+    rec_t = np.array([i * dt for i in range(0, n_steps + 1, record_every)])
+    pos = rec_t[:, None] * np.array(rays)
+    probe_idx, probe_w = _cubic_stencil(grid.n_nodes, j_lo, dy, pos)
+    probe_w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
+    probe_idx = probe_idx.reshape(rec_t.size, -1)
+    gathered = np.empty(probe_idx.shape)
     rec_mass: list[float] = []
     rec_argmax: list[float] = []
-    rec_probe: dict[float, list[float]] = {y: [] for y in rays}
-    j_lo, dy, y_lo, y_hi = grid.j_lo, grid.dy, grid.y_min, grid.y_max
 
-    def record(t: float, vals: np.ndarray) -> None:
-        rec_t.append(t)
+    def record(vals: np.ndarray) -> None:
+        j = len(rec_mass)
         rec_mass.append(_trapz_mass(vals, dy))
         rec_argmax.append((j_lo + int(vals.argmax())) * dy)
-        for y in rays:
-            pos = y * t
-            rec_probe[y].append(_cubic_interp(vals, j_lo, dy, pos) if y_lo <= pos <= y_hi else 0.0)
+        gathered[j] = vals.take(probe_idx[j])
 
     leak_tol = _LEAK_TOL * _trapz_mass(grid.values, dy)
 
@@ -232,9 +259,8 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
 
     out_snaps: list[np.ndarray] = []
     current = grid
-    record(0.0, current.values)
+    record(current.values)
     on_clock = 1e-9 * dt       # a snapshot this close to a clock time is taken there
-    n_steps = int(math.floor(t_end / dt + 1e-9))
     pending = iter(snaps)
     target = next(pending, None)
     for i in range(n_steps + 1):
@@ -243,7 +269,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
             current = step(current, dt)
             check_leak(t, current.values)
             if i % record_every == 0:
-                record(t, current.values)
+                record(current.values)
         t_next = (i + 1) * dt if i < n_steps else math.inf
         while target is not None and target < t_next - on_clock:
             if target <= t + on_clock:
@@ -254,11 +280,13 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
                 out_snaps.append(partial.values)
             target = next(pending, None)
 
+    terms = probe_w * gathered.reshape(probe_w.shape)
+    probes = ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
     diag = Diagnostics(
-        times=np.asarray(rec_t),
+        times=rec_t,
         mass=np.asarray(rec_mass),
         argmax_y=np.asarray(rec_argmax),
-        probes={y: np.asarray(vals) for y, vals in rec_probe.items()},
+        probes={y: probes[:, r].copy() for r, y in enumerate(rays)},
     )
     return Trajectory(grid=grid, times=np.asarray(snaps),
                       snapshots=np.asarray(out_snaps), diagnostics=diag)

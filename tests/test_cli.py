@@ -434,6 +434,15 @@ class TestAnalyze:
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_contour_agrees_with_series_at_late_times(self, tmp_path, capsys):
+        # at t = 60 the comparison points x = 0.25, 0.5, 0.75 hold values down
+        # to 1e-21, which the contour on the line nu = 2 could not resolve
+        code = main(["analyze", "--t-end", "60", "--snapshots", "60",
+                     "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "all checks passed" in captured.out
+
     def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
         # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt
         code = main(["analyze", "--record-every", "3", "--out-dir", str(tmp_path / "o")])

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gflab.analysis import MellinSource
 from gflab.errors import DomainError, QuadratureError
 from gflab.mellin import (
     AsympTruncation,
@@ -20,9 +23,10 @@ from gflab.mellin import (
     psi,
     s_k,
     s_plus,
+    saddle_abscissa,
     theta_sum,
 )
-from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, mellin_U0
+from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, mellin_U0, profile_eval_x
 from gflab.series import eval_v
 
 LOG2 = math.log(2.0)
@@ -150,6 +154,85 @@ class TestInverseMellin:
             ContourQuad(nu=2.0, tau_max=0.0, n_nodes=10)
         with pytest.raises(DomainError):
             ContourQuad(nu=2.0, tau_max=1.0, n_nodes=7)
+
+
+class TestSaddleLine:
+    """The contour on the real saddle line: placement, sizing and the relative guard."""
+
+    @pytest.mark.parametrize("p", [GAUSS, LogGaussian(-0.4, 0.5, 3.0)])
+    @pytest.mark.parametrize("t", [0.5, 5.0, 60.0])
+    @pytest.mark.parametrize("log_x", [-80.0, -3.0, -0.2, 0.0, 1.5])
+    def test_abscissa_solves_the_saddle_equation(self, p, t, log_x):
+        nu = saddle_abscissa(p, 2.0, t, math.exp(log_x))
+        lhs = p.mu + p.sigma**2 * (nu - 2.0) - t * LOG2 * 2.0 ** (2.0 - nu)
+        assert lhs == pytest.approx(log_x, rel=1e-12, abs=1e-12)
+
+    def test_abscissa_at_t_zero_and_large_t(self):
+        assert saddle_abscissa(GAUSS, 2.0, 0.0, 1.5) == 2.0 + math.log(1.5) / GAUSS.sigma**2
+        # s_plus is the large-t limit along a ray
+        gaps = [abs(saddle_abscissa(GAUSS, 2.0, t, math.exp(-0.9 * t))
+                    - s_plus(2.0, t, math.exp(-0.9 * t))) for t in (100.0, 500.0)]
+        assert gaps[0] < 1e-4 and gaps[1] < 0.25 * gaps[0]
+
+    @pytest.mark.parametrize("t,x", [(40.0, 0.75), (60.0, 0.25)])
+    def test_values_far_below_one_are_right(self, t, x):
+        # on the line nu = 2 these came back as 5.5e-15 and 1.0e-14 with no error
+        ref = eval_v(GAUSS, 2.0, t, x)
+        assert inverse_mellin_v(GAUSS, 2.0, t, x) == pytest.approx(ref, rel=1e-9)
+
+    def test_cancelled_sum_on_a_given_line_raises(self):
+        cq = ContourQuad.for_gaussian(GAUSS, 2.0, 40.0)
+        assert cq.nu == 2.0
+        with pytest.raises(QuadratureError):
+            inverse_mellin_v(GAUSS, 2.0, 40.0, 0.75, cq)
+
+    def test_guard_is_relative(self):
+        # 136 nodes on the saddle line leave a 4e-4 error in a value of 8e-19;
+        # the old absolute test err_tol * (1 + |value|) let it through
+        nu = saddle_abscissa(GAUSS, 2.0, 40.0, 0.75)
+        cq = ContourQuad(nu=nu, tau_max=ContourQuad.for_gaussian(GAUSS, 2.0, 40.0, nu).tau_max,
+                         n_nodes=136)
+        with pytest.raises(QuadratureError):
+            inverse_mellin_v(GAUSS, 2.0, 40.0, 0.75, cq)
+
+    @pytest.mark.parametrize("t,x", [(57.63508392608828, 1.158125200135123e-30),
+                                     (22.373234198704946, 1.6189689404792748e-07)])
+    def test_rounding_floor_raises(self, t, x):
+        # sigma = 0.05 leaves gaps between the lattice copies, and here the
+        # saddle falls into one, so the sum cancels to a small share of its
+        # terms; the fine and half-resolution passes agree within 1e-8, yet
+        # without the rounding estimate the values were off by 2.6e-6 and 2.1e-7
+        with pytest.raises(QuadratureError):
+            inverse_mellin_v(LogGaussian(0.0, 0.05, 1.0), 2.0, t, x)
+
+    @pytest.mark.parametrize("x", [0.3, 1.0, 1.2, 2.5])
+    def test_initial_data(self, x):
+        assert inverse_mellin_v(GAUSS, 2.0, 0.0, x) == pytest.approx(
+            profile_eval_x(GAUSS, x), rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("x", [1.0, 1.5, 3.0])
+    def test_sizes_at_and_above_one(self, t, x):
+        assert inverse_mellin_v(GAUSS, 2.0, t, x) == pytest.approx(
+            eval_v(GAUSS, 2.0, t, x), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(0.5, 60.0), ray=st.floats(-2.0, -0.5),
+           sigma=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
+    def test_within_tolerance_or_raises(self, t, ray, sigma):
+        p = LogGaussian(0.0, sigma, 1.0)
+        x = math.exp(ray * LOG2 * t)
+        try:
+            got = inverse_mellin_v(p, 2.0, t, x)
+        except QuadratureError:
+            return
+        assert got == pytest.approx(eval_v(p, 2.0, t, x), rel=1e-6)
+
+    def test_mellin_source_uses_the_saddle_unless_given_a_line(self):
+        assert MellinSource(GAUSS, 2.0).v(40.0, 0.75) == pytest.approx(
+            eval_v(GAUSS, 2.0, 40.0, 0.75), rel=1e-9)
+        with pytest.raises(QuadratureError):
+            MellinSource(GAUSS, 2.0, nu=2.0).v(40.0, 0.75)
 
 
 class TestAsymptotics:

@@ -7,8 +7,18 @@ from math import exp, fsum, lgamma, log, pi, sqrt
 import numpy as np
 import pytest
 
+from gflab.config import RunConfig
 from gflab.errors import DomainError, TruncationError
-from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, moment, profile_eval_x
+from gflab.model import (
+    Dirac,
+    LogGaussian,
+    LogHeaviside,
+    ModelParams,
+    moment,
+    profile_eval_x,
+    profile_eval_y,
+    support_y,
+)
 from gflab.series import (
     SeriesTruncation,
     _poisson_tail_log_bound,
@@ -19,7 +29,9 @@ from gflab.series import (
     moment_of_v,
     poisson_cutoff,
     support_set,
+    truncation_order,
 )
+from gflab.solver import build_grid
 
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
@@ -223,6 +235,73 @@ class TestGridSeries:
         out = eval_n_series(GAUSS, 2.0, 0.0, ys)
         assert np.allclose(out, [math.exp(2 * y) * profile_eval_x(GAUSS, math.exp(y)) for y in ys],
                            rtol=1e-12)
+
+
+def all_k_series(p, alpha, t, y, trunc=SeriesTruncation()):
+    """Oracle: every node sums every k = 0..K in order, with Neumaier compensation.
+
+    This is the node-array loop eval_n_series ran before it summed only the
+    terms inside the support.
+    """
+    y = np.asarray(y, dtype=float)
+    log_alpha = math.log(alpha)
+    hi = support_y(p)[1]
+    k_support = int(math.ceil(max(0.0, (hi - float(np.min(y))) / log_alpha)))
+    k_cap = truncation_order(t, trunc, k_support)
+    total = np.zeros_like(y)
+    comp = np.zeros_like(y)
+    log_t = math.log(t)
+    log_w = -t
+    for k in range(k_cap + 1):
+        if k > 0:
+            log_w += log_t - math.log(k)
+        term = profile_eval_y(p, y + k * log_alpha) * math.exp(log_w)
+        s = total + term
+        comp += np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
+        total = s
+    return total + comp
+
+
+def default_grid_nodes():
+    cfg = RunConfig()
+    return build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
+                      cfg.resolved_y_max(), cfg.m).y_nodes()
+
+
+class TestSupportWindow:
+    """eval_n_series sums each node's terms inside the support, widened only where needed."""
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 10.0, 60.0])
+    @pytest.mark.parametrize("p", [LogHeaviside(-1.0, 0.0, 1.0), GAUSS],
+                             ids=["heaviside", "gaussian-0.1"])
+    def test_bit_identical_to_all_k_loop(self, p, t):
+        ys = default_grid_nodes()
+        got = eval_n_series(p, 2.0, t, ys)
+        assert np.array_equal(got, all_k_series(p, 2.0, t, ys))
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 10.0, 60.0])
+    def test_wide_gaussian_matches_all_k_loop(self, t):
+        p = LogGaussian(0.0, 0.5, 1.0)
+        ys = default_grid_nodes()
+        np.testing.assert_allclose(eval_n_series(p, 2.0, t, ys), all_k_series(p, 2.0, t, ys),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("p,alpha,t", [
+        (LogGaussian(0.0, 0.5, 1.0), 2.0, 1e-3),
+        (LogGaussian(0.0, 1.0, 1.0), 2.0, 0.1),
+        # the dominant terms sit ~16 sigma left of the support and every term
+        # of the support window underflows: the widening has to run on logs
+        (LogGaussian(0.742, 1.0, 1.0), 1.3, 0.0238),
+    ])
+    def test_tails_outside_the_support_are_widened_into(self, p, alpha, t):
+        # small t: the Poisson weights grow by k/t per step to the left, faster
+        # than a wide gaussian falls past 12 sigma, so the terms that matter
+        # lie outside the support window
+        ys = np.linspace(-60.0, 5.0, 651)
+        ref = all_k_series(p, alpha, t, ys)
+        got = eval_n_series(p, alpha, t, ys)
+        assert np.count_nonzero(ref) > 100
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 class TestSupportSet:

@@ -10,7 +10,15 @@ import pytest
 from gflab.errors import DomainError, MassLeakError
 from gflab.model import Dirac, LogGaussian, LogHeaviside, profile_eval_y
 from gflab.series import eval_n_series, eval_v
-from gflab.solver import LogGrid, build_grid, solve_n, step, v_from_grid
+from gflab.solver import (
+    LogGrid,
+    _cubic_interp,
+    _cubic_stencil,
+    build_grid,
+    solve_n,
+    step,
+    v_from_grid,
+)
 
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
@@ -228,6 +236,45 @@ class TestSolveBookkeeping:
         assert track.size == traj.diagnostics.times.size
         # at t = 0 every ray sits at y = 0, the gaussian peak
         assert track[0] == pytest.approx(3.989422804014327, rel=1e-12)
+
+
+class TestProbeStencil:
+    """Probes are gathered through precomputed stencils; _cubic_interp is the oracle."""
+
+    def test_stencil_repeats_cubic_interp_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        g = build_grid(GAUSS, 2.0, -6.0, 1.7, 16)
+        vals = rng.random(g.n_nodes) * 10.0 ** rng.uniform(-30.0, 3.0, g.n_nodes)
+        ys = np.concatenate([
+            rng.uniform(g.y_min, g.y_max, 850),      # interior cubic branch
+            g.y_nodes()[rng.integers(0, g.n_nodes, 30)],  # on a node (f == 0)
+            g.y_min + g.dy * rng.random(8),          # first cell: linear
+            g.y_max - g.dy * rng.random(8),          # last cell: linear
+            [g.y_min, g.y_max, g.y_max - g.dy, g.y_min + g.dy],
+        ])
+        assert ys.size == 900
+        idx, w = _cubic_stencil(g.n_nodes, g.j_lo, g.dy, ys)
+        terms = w * vals[idx]
+        got = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+        want = np.array([_cubic_interp(vals, g.j_lo, g.dy, float(y)) for y in ys])
+        assert got.tobytes() == want.tobytes()
+
+    def test_recorded_probes_equal_interpolated_clock_states(self):
+        # every record time is also a snapshot (a copy of the clock state), so
+        # each probe sample must be _cubic_interp of that snapshot; the rays
+        # leave the grid (recorded as 0) on both sides
+        g = build_grid(GAUSS, 2.0, -22.0, 1.7, 32)
+        rays = [-LOG2, -1.9, -8.0, 1.0]
+        rec_times = [i * 0.05 for i in range(0, 61, 3)]
+        traj = solve_n(g, 3.0, 0.05, snapshot_times=rec_times, probe_rays=rays,
+                       record_every=3)
+        assert traj.diagnostics.times.tolist() == traj.times.tolist()
+        for y in rays:
+            want = [_cubic_interp(s, g.j_lo, g.dy, y * t) if g.y_min <= y * t <= g.y_max else 0.0
+                    for t, s in zip(traj.times, traj.snapshots)]
+            assert traj.diagnostics.probes[y].tolist() == want
+        assert traj.diagnostics.probes[-8.0][-1] == 0.0
+        assert traj.diagnostics.probes[1.0][-1] == 0.0
 
 
 @pytest.fixture(scope="module")
