@@ -403,17 +403,39 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / denom
 
 
+# route name -> v(p, alpha, t, x).  Each entry looks its function up when it is
+# called, so a function rebound on this module (as a tracer does) is seen.
+ROUTES: dict[str, Callable[..., float]] = {
+    "series": lambda p, alpha, t, x: eval_v(p, alpha, t, x),
+    "mellin": lambda p, alpha, t, x: inverse_mellin_v(p, alpha, t, x),
+    "asymp-theta": lambda p, alpha, t, x: asymp_v_theta(p, alpha, t, x),
+    "asymp-poisson": lambda p, alpha, t, x: asymp_v_poisson(p, alpha, t, x),
+}
+
+
+def _route(routes: dict, name: str) -> Callable[..., float]:
+    if name not in routes:
+        raise DomainError(f"unknown evaluation method {name!r} (choose from {list(routes)})")
+    return routes[name]
+
+
+def route_u(name: str, params: ModelParams, p: InitialProfile, t: float, x: float) -> float:
+    """u(t, x) by the named v-route and the characteristic rescaling e^{-gt} v(bt, x e^{-gt})."""
+    v = _route(ROUTES, name)
+    decay = math.exp(-params.g * t)
+    return decay * v(p, params.alpha, params.b * t, x * decay)
+
+
 def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list,
                     traj: Trajectory | None = None, methods=None,
-                    tol: dict[frozenset, float] | None = None,
-                    trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> MethodComparison:
+                    tol: dict[frozenset, float] | None = None) -> MethodComparison:
     """Evaluate v(t, x) by every requested route and tabulate pairwise errors.
 
-    Methods: "series" (always available), "pde" (needs a trajectory snapshotted
-    at each t), "mellin" (log-gaussian only), "asymp-theta" / "asymp-poisson"
-    (0 < x < 1, t > 0).  Cells a method cannot evaluate are NaN and excluded
-    from flags; flagged rows exceed the pairwise tolerance (default 1e-6,
-    asymptotic pairs 0.15).
+    Methods: the ROUTES ("series"; "mellin", log-gaussian only; "asymp-theta"
+    and "asymp-poisson", 0 < x < 1 and t > 0) and, given a trajectory
+    snapshotted at each t, "pde".  Cells a method cannot evaluate are NaN and
+    excluded from flags; flagged rows exceed the pairwise tolerance (default
+    1e-6, asymptotic pairs 0.15).
     """
     if methods is None:
         methods = ["series"]
@@ -421,25 +443,16 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
             methods.append("pde")
         if isinstance(profile, LogGaussian):
             methods.append("mellin")
-    alpha = params.alpha
+    routes = dict(ROUTES)
+    if traj is not None:
+        routes["pde"] = lambda p, alpha, t, x: v_from_grid(traj, t, x)
+    fns = {m: _route(routes, m) for m in methods}
 
     def evaluate(method: str, t: float, x: float) -> float:
         try:
-            if method == "series":
-                return eval_v(profile, alpha, t, x, trunc)
-            if method == "pde":
-                if traj is None:
-                    return math.nan
-                return v_from_grid(traj, t, x)
-            if method == "mellin":
-                return inverse_mellin_v(profile, alpha, t, x)
-            if method == "asymp-theta":
-                return asymp_v_theta(profile, alpha, t, x)
-            if method == "asymp-poisson":
-                return asymp_v_poisson(profile, alpha, t, x)
+            return fns[method](profile, params.alpha, t, x)
         except DomainError:
             return math.nan
-        raise DomainError(f"unknown evaluation method {method!r}")
 
     def _default_pair_tol(a: str, b: str) -> float:
         if "asymp-theta" in (a, b) or "asymp-poisson" in (a, b):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -21,9 +22,7 @@ import numpy as np
 
 from . import analysis, config, mellin, series, solver, svg
 from .errors import DomainError, GFLabError, NumericsError, ThresholdError
-from .model import Dirac, LogGaussian, moment, parse_profile
-
-_METHODS = ("series", "mellin", "asymp-theta", "asymp-poisson")
+from .model import Dirac, LogGaussian, moment
 
 # figure id -> (profile line, kind); probe figures track the three standard
 # rays, profile figures export sqrt(t) n(t, y) at the snapshot ladder
@@ -98,36 +97,18 @@ def _write_compare(path: Path | None, tbl: analysis.MethodComparison) -> None:
 
 def _load_config(args) -> config.RunConfig:
     cfg = config.load(args.config) if args.config else config.RunConfig()
-    overrides = {}
-    if getattr(args, "profile", None):
-        overrides["profile"] = parse_profile(args.profile)
-    if any(getattr(args, k, None) is not None for k in ("alpha", "b", "g")):
-        base = cfg.params
-        overrides["params"] = type(base)(
-            g=args.g if args.g is not None else base.g,
-            b=args.b if args.b is not None else base.b,
-            alpha=args.alpha if args.alpha is not None else base.alpha,
-        )
-    for flag, key in (("m", "m"), ("y_min", "y_min"), ("y_max", "y_max"),
-                      ("t_end", "t_end"), ("dt", "dt"), ("record_every", "record_every"),
-                      ("out_dir", "directory"), ("period_tol", "period_tol"),
-                      ("mass_tol", "mass_tol"), ("weak_tol", "weak_tol"),
-                      ("asymp_tol", "asymp_tol"), ("t_min", "t_min")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "snapshots", None):
-        overrides["snapshots"] = tuple(float(s) for s in args.snapshots.split(","))
-    if getattr(args, "probe_y", None):
-        overrides["rays"] = tuple(args.probe_y)
-    return config.with_overrides(cfg, **overrides)
+    texts = {}
+    for _, key, *_ in config.FIELDS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            texts[key] = ",".join(flag) if isinstance(flag, list) else flag  # --probe-y repeats
+    return config.with_texts(cfg, texts)
 
 
 def _solve_run(cfg: config.RunConfig, t_end: float | None = None,
                snapshots=None, rays=None) -> solver.Trajectory:
     t_end = cfg.t_end if t_end is None else t_end
     snaps = cfg.resolved_snapshots() if snapshots is None else tuple(snapshots)
-    snaps = tuple(t for t in snaps if t <= t_end + 1e-12)
     rays = cfg.resolved_rays() if rays is None else tuple(rays)
     grid = solver.build_grid(cfg.profile, cfg.params.alpha,
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
@@ -140,25 +121,10 @@ def _solve_run(cfg: config.RunConfig, t_end: float | None = None,
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    if args.method not in _METHODS:
-        raise DomainError(f"unknown method {args.method!r} (choose from {_METHODS})")
     ts = [float(s) for s in args.t.split(",")]
     xs = [float(s) for s in args.x.split(",")]
-    p, params = cfg.profile, cfg.params
-    rows = []
-    for t in ts:
-        for x in xs:
-            if args.method == "series":
-                val = series.eval_u(params, p, t, x)
-            elif args.method == "mellin":
-                # exact characteristic rescaling of the contour inversion
-                val = math.exp(-params.g * t) * mellin.inverse_mellin_v(
-                    p, params.alpha, params.b * t, x * math.exp(-params.g * t))
-            elif args.method == "asymp-theta":
-                val = mellin.asymp_u(params, p, t, x).theta
-            else:
-                val = mellin.asymp_u(params, p, t, x).poisson
-            rows.append((t, x, val, args.method))
+    rows = [(t, x, analysis.route_u(args.method, cfg.params, cfg.profile, t, x), args.method)
+            for t in ts for x in xs]
     out = Path(args.out) if args.out else None
     _write_csv(out, ["t", "x", "value", "method"], [list(zip(*rows))])
     return 0
@@ -183,7 +149,7 @@ def cmd_figures(args) -> int:
     if fig_id not in _FIGURES:
         raise DomainError(f"unknown figure id {fig_id!r} (available: {sorted(_FIGURES, key=int)})")
     profile_line, kind = _FIGURES[fig_id]
-    cfg = config.with_overrides(cfg, profile=parse_profile(profile_line))
+    cfg = config.with_texts(cfg, {"profile": profile_line})
     out_dir = Path(cfg.directory)
     traj = _solve_run(cfg)
     if kind == "profiles":
@@ -316,7 +282,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     ts = [float(s) for s in args.t.split(",")] if args.t else [1.0, 5.0]
     xs = [float(s) for s in args.x.split(",")] if args.x else [0.25, 0.5, 0.75]
-    cfg = config.with_overrides(cfg, t_end=max(ts))  # sizes the grid for the run
+    cfg = dataclasses.replace(cfg, t_end=max(ts))  # sizes the grid for the run
     traj = _solve_run(cfg, snapshots=ts)
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)
     out = Path(cfg.directory) / "compare.csv" if "csv" in cfg.formats else None
@@ -331,25 +297,24 @@ def cmd_compare(args) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="config file; flags override its values")
     sp.add_argument("--profile", help='e.g. "loggaussian mu=0 sigma=0.1 mass=1"')
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--g", type=float)
-    sp.add_argument("--m", type=int, help="grid cells per log(alpha)")
-    sp.add_argument("--y-min", dest="y_min", type=float)
-    sp.add_argument("--y-max", dest="y_max", type=float)
-    sp.add_argument("--t-end", dest="t_end", type=float)
-    sp.add_argument("--dt", type=float)
+    sp.add_argument("--alpha")
+    sp.add_argument("--b")
+    sp.add_argument("--g")
+    sp.add_argument("--m", help="grid cells per log(alpha)")
+    sp.add_argument("--y-min")
+    sp.add_argument("--y-max")
+    sp.add_argument("--t-end")
+    sp.add_argument("--dt")
     sp.add_argument("--snapshots", help="comma-separated times")
-    sp.add_argument("--record-every", dest="record_every", type=int)
-    sp.add_argument("--probe-y", dest="probe_y", type=float, action="append",
+    sp.add_argument("--record-every")
+    sp.add_argument("--probe-y", dest="rays", metavar="PROBE_Y", action="append",
                     help="ray slope y < 0; repeatable")
-    sp.add_argument("--out-dir", dest="out_dir")
-    sp.add_argument("--period-tol", dest="period_tol", type=float)
-    sp.add_argument("--mass-tol", dest="mass_tol", type=float)
-    sp.add_argument("--weak-tol", dest="weak_tol", type=float)
-    sp.add_argument("--asymp-tol", dest="asymp_tol", type=float)
-    sp.add_argument("--t-min", dest="t_min", type=float,
-                    help="start of the probe analysis window")
+    sp.add_argument("--out-dir", dest="directory", metavar="OUT_DIR")
+    sp.add_argument("--period-tol")
+    sp.add_argument("--mass-tol")
+    sp.add_argument("--weak-tol")
+    sp.add_argument("--asymp-tol")
+    sp.add_argument("--t-min", help="start of the probe analysis window")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evaluate", help="evaluate u(t, x) by one route, emit CSV")
     _add_common(sp)
-    sp.add_argument("--method", required=True, choices=_METHODS)
+    sp.add_argument("--method", required=True, choices=list(analysis.ROUTES))
     sp.add_argument("--t", required=True, help="comma-separated times")
     sp.add_argument("--x", required=True, help="comma-separated sizes")
     sp.add_argument("--out", help="CSV path (default: stdout)")

@@ -9,22 +9,67 @@ parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
 from .model import InitialProfile, LogGaussian, ModelParams, format_profile, parse_profile, support_y
 
-_SECTIONS = {
-    "model": {"alpha", "b", "g", "profile"},
-    "grid": {"m", "y_min", "y_max"},
-    "time": {"t_end", "dt", "snapshots", "record_every"},
-    "probes": {"rays"},
-    "output": {"directory", "formats"},
-    "analyze": {"period_tol", "mass_tol", "weak_tol", "pde_tol", "mellin_tol",
-                "asymp_tol", "amp_threshold", "t_min"},
-}
+
+def _items(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(s) for s in _items(text))
+
+
+def _auto(text: str) -> float | None:
+    return None if text.strip().lower() == "auto" else float(text)
+
+
+def _show_auto(value: float | None) -> str:
+    return "auto" if value is None else repr(value)
+
+
+def _join(values) -> str | None:
+    return ", ".join(repr(v) for v in values) or None
+
+
+# Every config key, once: (section, key, parse its text, format its value).
+# dumps writes sections and keys in this order and leaves out a key whose
+# format gives None (an empty snapshot or ray list).  The model keys other
+# than the profile are the fields of ModelParams.
+FIELDS = (
+    ("model", "alpha", float, repr),
+    ("model", "b", float, repr),
+    ("model", "g", float, repr),
+    ("model", "profile", parse_profile, format_profile),
+    ("grid", "m", int, str),
+    ("grid", "y_min", _auto, _show_auto),
+    ("grid", "y_max", _auto, _show_auto),
+    ("time", "t_end", float, repr),
+    ("time", "dt", float, repr),
+    ("time", "snapshots", _floats, _join),
+    ("time", "record_every", int, str),
+    ("probes", "rays", _floats, _join),
+    ("output", "directory", str.strip, str),
+    ("output", "formats", lambda text: tuple(_items(text)), ", ".join),
+    ("analyze", "period_tol", float, repr),
+    ("analyze", "mass_tol", float, repr),
+    ("analyze", "weak_tol", float, repr),
+    ("analyze", "pde_tol", float, repr),
+    ("analyze", "mellin_tol", float, repr),
+    ("analyze", "asymp_tol", float, repr),
+    ("analyze", "amp_threshold", float, repr),
+    ("analyze", "t_min", float, repr),
+)
+_SECTIONS = {section: {k for s, k, *_ in FIELDS if s == section} for section, *_ in FIELDS}
+_PARAMS = {f.name for f in fields(ModelParams) if f.init}
+
+
+def _value(cfg: "RunConfig", key: str):
+    return getattr(cfg.params if key in _PARAMS else cfg, key)
 
 
 @dataclass(frozen=True)
@@ -54,6 +99,15 @@ class RunConfig:
     t_min: float = 20.0                 # start of the probe analysis window
 
     def __post_init__(self) -> None:
+        # the [analyze] keys but t_min are tolerances; any other number must be finite
+        for section, key, *_ in FIELDS:
+            value = _value(self, key)
+            if section == "analyze" and key != "t_min":
+                if not value > 0.0:
+                    raise DomainError(f"{key} must be positive")
+            elif any(isinstance(v, float) and not math.isfinite(v)
+                     for v in (value if isinstance(value, tuple) else (value,))):
+                raise DomainError(f"{key} must be finite, got {value}")
         if self.m < 1:
             raise DomainError(f"grid cells per log(alpha) must be >= 1, got {self.m}")
         if self.t_end < 0.0:
@@ -65,10 +119,6 @@ class RunConfig:
         for f_ in self.formats:
             if f_ not in ("csv", "svg"):
                 raise DomainError(f"unknown output format {f_!r}")
-        for tol_name in ("period_tol", "mass_tol", "weak_tol", "pde_tol",
-                         "mellin_tol", "asymp_tol", "amp_threshold"):
-            if not getattr(self, tol_name) > 0.0:
-                raise DomainError(f"{tol_name} must be positive")
 
     # --- resolved values ------------------------------------------------
 
@@ -102,11 +152,6 @@ class RunConfig:
         return tuple(ladder + [self.t_end])
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    return tuple(float(s) for s in items)
-
-
 def loads(text: str) -> RunConfig:
     """Parse the config syntax into a RunConfig, rejecting unknown keys."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -115,58 +160,33 @@ def loads(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise DomainError(f"malformed config: {exc}") from exc
 
+    texts = {}
     for section in cp.sections():
         if section not in _SECTIONS:
             raise DomainError(f"unknown config section [{section}]")
         for key in cp[section]:
             if key not in _SECTIONS[section]:
                 raise DomainError(f"unknown key {key!r} in section [{section}]")
+            texts[key] = cp.get(section, key)
+    return with_texts(RunConfig(), texts)
 
-    def get(section: str, key: str, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
 
-    kwargs = {}
-    profile_text = get("model", "profile")
-    if profile_text is not None:
-        kwargs["profile"] = parse_profile(profile_text)
-    kwargs["params"] = ModelParams(
-        g=float(get("model", "g", 0.0)),
-        b=float(get("model", "b", 1.0)),
-        alpha=float(get("model", "alpha", 2.0)),
-    )
-    if get("grid", "m") is not None:
-        kwargs["m"] = int(get("grid", "m"))
-    for sec, key in (("grid", "y_min"), ("grid", "y_max")):
-        raw = get(sec, key)
-        if raw is not None and raw.strip().lower() != "auto":
-            kwargs[key] = float(raw)
-    for key, cast in (("t_end", float), ("dt", float), ("record_every", int)):
-        raw = get("time", key)
-        if raw is not None:
-            kwargs[key] = cast(raw)
-    raw = get("time", "snapshots")
-    if raw is not None:
-        kwargs["snapshots"] = _parse_floats(raw)
-    raw = get("probes", "rays")
-    if raw is not None:
-        kwargs["rays"] = _parse_floats(raw)
-    raw = get("output", "directory")
-    if raw is not None:
-        kwargs["directory"] = raw.strip()
-    raw = get("output", "formats")
-    if raw is not None:
-        kwargs["formats"] = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for key in ("period_tol", "mass_tol", "weak_tol", "pde_tol", "mellin_tol",
-                "asymp_tol", "amp_threshold", "t_min"):
-        raw = get("analyze", key)
-        if raw is not None:
-            kwargs[key] = float(raw)
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise DomainError(f"invalid configuration: {exc}") from exc
+def with_texts(cfg: RunConfig, texts: dict[str, str]) -> RunConfig:
+    """cfg with the given keys set from their config-file text (CLI flags use it too).
+
+    A text its key cannot parse raises a DomainError naming the section and key.
+    """
+    values = {}
+    for section, key, parse, _ in FIELDS:
+        if key in texts:
+            try:
+                values[key] = parse(texts[key])
+            except ValueError as exc:
+                raise DomainError(f"[{section}] {key}: {exc}") from exc
+    params = {key: values.pop(key) for key in _PARAMS if key in values}
+    if params:
+        values["params"] = replace(cfg.params, **params)
+    return replace(cfg, **values)
 
 
 def load(path: str) -> RunConfig:
@@ -176,36 +196,9 @@ def load(path: str) -> RunConfig:
 
 def dumps(cfg: RunConfig) -> str:
     """Serialize canonically; floats use repr so the round trip is exact."""
-    out = io.StringIO()
-    out.write("[model]\n")
-    out.write(f"alpha = {cfg.params.alpha!r}\n")
-    out.write(f"b = {cfg.params.b!r}\n")
-    out.write(f"g = {cfg.params.g!r}\n")
-    out.write(f"profile = {format_profile(cfg.profile)}\n\n")
-    out.write("[grid]\n")
-    out.write(f"m = {cfg.m}\n")
-    out.write(f"y_min = {'auto' if cfg.y_min is None else repr(cfg.y_min)}\n")
-    out.write(f"y_max = {'auto' if cfg.y_max is None else repr(cfg.y_max)}\n\n")
-    out.write("[time]\n")
-    out.write(f"t_end = {cfg.t_end!r}\n")
-    out.write(f"dt = {cfg.dt!r}\n")
-    if cfg.snapshots:
-        out.write(f"snapshots = {', '.join(repr(t) for t in cfg.snapshots)}\n")
-    out.write(f"record_every = {cfg.record_every}\n\n")
-    out.write("[probes]\n")
-    if cfg.rays:
-        out.write(f"rays = {', '.join(repr(y) for y in cfg.rays)}\n")
-    out.write("\n[output]\n")
-    out.write(f"directory = {cfg.directory}\n")
-    out.write(f"formats = {', '.join(cfg.formats)}\n\n")
-    out.write("[analyze]\n")
-    for key in ("period_tol", "mass_tol", "weak_tol", "pde_tol", "mellin_tol",
-                "asymp_tol", "amp_threshold", "t_min"):
-        out.write(f"{key} = {getattr(cfg, key)!r}\n")
-    return out.getvalue()
-
-
-def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None overrides (CLI flags win over the config file)."""
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **clean) if clean else cfg
+    sections: dict[str, str] = {}
+    for section, key, _, fmt in FIELDS:
+        text = fmt(_value(cfg, key))
+        line = "" if text is None else f"{key} = {text}\n"
+        sections[section] = sections.get(section, f"[{section}]\n") + line
+    return "\n".join(sections.values())

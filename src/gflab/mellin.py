@@ -390,37 +390,16 @@ def asymp_u(params: ModelParams, p: InitialProfile, t: float, x: float,
             tr: AsympTruncation | None = None) -> AsympU:
     """Growth-case asymptotics of u(t, x), stated for b = 1 exactly.
 
-    Both forms are the exact image of the v-asymptotics under
-    u(t, x) = e^{-gt} v(t, x e^{-gt}), with s_plus evaluated at x e^{-gt}:
-
-      theta:   x^{-s_plus} e^{(alpha^{2-s_plus} - 1 + g (s_plus - 1)) t}
-               times the lattice sum with phases in log(x e^{-gt}),
-      poisson: e^{(alpha^{2-s_plus} - 1 - g) t} times the dilation sum over
-               u0(alpha^n x e^{-gt}).
-
-    General b is reached through the caller's time rescaling; any other value
-    raises a DomainError.
+    Both forms are the v-asymptotics carried over by the characteristic
+    rescaling u(t, x) = e^{-gt} v(t, x e^{-gt}), so s_plus is evaluated at
+    x e^{-gt} and 0 < x e^{-gt} < 1 is required.  General b is reached through
+    the caller's time rescaling; any other value raises a DomainError.
     """
     if params.b != 1.0:
         raise DomainError(
             f"growth-case asymptotics are normalized to b = 1 (got b = {params.b}); "
             "rescale time by b first")
-    g = params.g
-    alpha = params.alpha
-    x_eff = x * math.exp(-g * t)
-    sp = s_plus(alpha, t, x_eff)  # validates t > 0 and 0 < x e^{-gt} < 1
-    la = params.log_alpha
-    log_x = math.log(x)
-    log_x_eff = log_x - g * t
-
-    k_max = tr.k_max if tr is not None else default_theta_k_max(p, alpha, sp)
-    pref_t = math.exp(-sp * log_x + (alpha ** (2.0 - sp) - 1.0 + g * (sp - 1.0)) * t)
-    denom_t = math.sqrt(2.0 * math.pi * t) * la * alpha ** (1.0 - sp / 2.0)
-    theta = pref_t * theta_sum(p, alpha, sp, log_x_eff, k_max).real / denom_t
-
-    n_range = tr.n_range if tr is not None else default_poisson_range(p, alpha, x_eff)
-    pref_p = math.exp((alpha ** (2.0 - sp) - 1.0 - g) * t)
-    denom_p = math.sqrt(2.0 * math.pi * t) * alpha ** (1.0 - sp / 2.0)
-    poisson = pref_p * poisson_sum(p, alpha, sp, x_eff, n_range) / denom_p
-
-    return AsympU(theta=theta, poisson=poisson)
+    decay = math.exp(-params.g * t)
+    x_eff = x * decay
+    return AsympU(theta=decay * asymp_v_theta(p, params.alpha, t, x_eff, tr),
+                  poisson=decay * asymp_v_poisson(p, params.alpha, t, x_eff, tr))

@@ -43,6 +43,9 @@ class ModelParams:
     log_alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "b", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 1.0:
             raise DomainError(f"fragment ratio must satisfy alpha > 1, got {self.alpha}")
         if not self.b > 0.0:

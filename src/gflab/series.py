@@ -176,29 +176,10 @@ def eval_n(p: InitialProfile, alpha: float, t: float, y: float,
 
 
 def eval_u(params: ModelParams, p: InitialProfile, t: float, x: float,
-           trunc: SeriesTruncation = DEFAULT_TRUNCATION, form: str = "rescaled") -> float:
-    """Full solution u(t, x) for general (g, b, alpha).
-
-    Two algebraically equivalent forms are implemented and cross-checked in
-    the tests:
-
-      rescaled: e^{-gt} v(bt, x e^{-gt}) evaluated through eval_v,
-      direct:   e^{-(b+g)t} sum_k u0(alpha^k x e^{-gt}) (b alpha^2 t)^k / k!.
-    """
-    if form == "rescaled":
-        return math.exp(-params.g * t) * eval_v(
-            p, params.alpha, params.b * t, x * math.exp(-params.g * t), trunc)
-    if form != "direct":
-        raise DomainError(f"unknown evaluation form {form!r}")
-    _check_density_time(p, t)
-    if not x > 0.0:
-        raise DomainError(f"size must be positive, got {x}")
-    if t == 0.0:
-        return profile_eval_x(p, x)
-    lam = params.b * params.alpha**2 * t
-    log_x_eff = math.log(x) - params.g * t
-    return _series_sum(density_from_log_x, p, lam, log_x_eff, params.log_alpha,
-                       -(params.b + params.g) * t, trunc)
+           trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+    """Full solution u(t, x) = e^{-gt} v(bt, x e^{-gt}) for general (g, b, alpha), through eval_v."""
+    return math.exp(-params.g * t) * eval_v(
+        p, params.alpha, params.b * t, x * math.exp(-params.g * t), trunc)
 
 
 # a part of a sum below this share of it is left out

@@ -122,33 +122,13 @@ def step(grid: LogGrid, dt: float) -> LogGrid:
     return LogGrid(grid.alpha, m, grid.dy, grid.j_lo, out)
 
 
-def _cubic_interp(values: np.ndarray, j_lo: int, dy: float, y: float) -> float:
-    """Four-point Lagrange interpolation on the uniform grid (linear at the edges)."""
-    n = values.size
-    u = y / dy - j_lo
-    if u < -1e-9 or u > n - 1 + 1e-9:
-        raise DomainError(f"log-size {y} is outside the grid [{j_lo * dy}, {(j_lo + n - 1) * dy}]")
-    u = min(max(u, 0.0), float(n - 1))
-    i = int(math.floor(u))
-    f = u - i
-    if f == 0.0 or i >= n - 1:
-        return float(values[i])
-    if i == 0 or i == n - 2:
-        return float((1.0 - f) * values[i] + f * values[i + 1])
-    wm1 = -f * (f - 1.0) * (f - 2.0) / 6.0
-    w0 = (f * f - 1.0) * (f - 2.0) / 2.0
-    w1 = -f * (f + 1.0) * (f - 2.0) / 2.0
-    w2 = f * (f * f - 1.0) / 6.0
-    return float(wm1 * values[i - 1] + w0 * values[i] + w1 * values[i + 1] + w2 * values[i + 2])
-
-
 def _cubic_stencil(n: int, j_lo: int, dy: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weights, shape y.shape + (4,), that reproduce _cubic_interp.
+    """Node indices and weights, shape y.shape + (4,), of interpolation at log-sizes y.
 
-    sum((w * values[idx])[..., k] for k in 0..3), added in that order, repeats
-    the float operations of _cubic_interp at each y bit for bit: the on-node
-    and linear edge branches put zero weights on the unused nodes, whose
-    indices are clipped into the grid.  The caller checks the range.
+    Four-point Lagrange interpolation on the uniform grid, linear in the first
+    and last cell and exact on a node.  Those branches put zero weights on the
+    unused nodes, whose indices are clipped into the grid.  _stencil_sum adds
+    the four terms in a fixed order.  The caller checks the range.
     """
     u = np.minimum(np.maximum(y / dy - j_lo, 0.0), float(n - 1))
     i = np.floor(u).astype(np.int64)
@@ -162,6 +142,17 @@ def _cubic_stencil(n: int, j_lo: int, dy: float, y: np.ndarray) -> tuple[np.ndar
     w[(f == 0.0) | (i >= n - 1)] = (0.0, 1.0, 0.0, 0.0)
     idx = np.clip(i[..., None] + np.arange(-1, 3), 0, n - 1)
     return idx, w
+
+
+def _stencil_sum(w: np.ndarray, node_values: np.ndarray) -> np.ndarray:
+    terms = w * node_values
+    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
+
+
+def _interp(grid: LogGrid, values: np.ndarray, y: float) -> float:
+    """Interpolated node values at one log-size y inside the grid."""
+    idx, w = _cubic_stencil(values.size, grid.j_lo, grid.dy, np.array([y]))
+    return float(_stencil_sum(w, values[idx])[0])
 
 
 @dataclass
@@ -194,7 +185,7 @@ class Trajectory:
         snap = self.snapshots[self.snapshot_index(t)]
         if y > self.grid.y_max + 1e-12 or y < self.grid.y_min - 1e-12:
             return 0.0
-        return _cubic_interp(snap, self.grid.j_lo, self.grid.dy, y)
+        return _interp(self.grid, snap, y)
 
 
 def _trapz_mass(values: np.ndarray, dy: float) -> float:
@@ -280,8 +271,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
                 out_snaps.append(partial.values)
             target = next(pending, None)
 
-    terms = probe_w * gathered.reshape(probe_w.shape)
-    probes = ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
+    probes = _stencil_sum(probe_w, gathered.reshape(probe_w.shape))
     diag = Diagnostics(
         times=rec_t,
         mass=np.asarray(rec_mass),
@@ -310,4 +300,4 @@ def v_from_grid(traj: Trajectory, t: float, x: float) -> float:
         warnings.warn(f"log-size {y:.3f} is below the grid; extrapolating v as 0",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    return math.exp(-2.0 * y) * _cubic_interp(traj.snapshots[idx], g.j_lo, g.dy, y)
+    return math.exp(-2.0 * y) * _interp(g, traj.snapshots[idx], y)

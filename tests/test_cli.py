@@ -47,6 +47,46 @@ asymp_tol = 0.1
 """
 
 
+DEFAULT_DUMPS = """\
+[model]
+alpha = 2.0
+b = 1.0
+g = 0.0
+profile = loggaussian mu=0.0 sigma=0.1 mass=1.0
+
+[grid]
+m = 64
+y_min = auto
+y_max = auto
+
+[time]
+t_end = 60.0
+dt = 0.01
+record_every = 1
+
+[probes]
+
+[output]
+directory = out
+formats = csv, svg
+
+[analyze]
+period_tol = 0.02
+mass_tol = 1e-06
+weak_tol = 0.02
+pde_tol = 1e-07
+mellin_tol = 1e-06
+asymp_tol = 0.1
+amp_threshold = 0.001
+t_min = 20.0
+"""
+
+CONFIG_DUMPS = DEFAULT_DUMPS.replace(
+    "t_end = 60.0\ndt = 0.01\n",
+    "t_end = 30.0\ndt = 0.01\nsnapshots = 1.0, 5.0, 10.0, 30.0\n").replace(
+    "[probes]\n", "[probes]\nrays = -0.6931471805599453\n")
+
+
 def oracle_csv(header, rows) -> bytes:
     """The per-row writer the block writer replaced: float cells with 17
     significant digits, any other cell by str, the whole text joined at once."""
@@ -85,6 +125,11 @@ class TestConfig:
             config.loads("[model]\nalpha = 0.5\n")
         with pytest.raises(DomainError):
             config.loads("[model]\nprofile = loggaussian mu=0 sigma=-1 mass=1\n")
+
+    def test_dumps_bytes_are_pinned(self):
+        # the canonical text as written before the config field table
+        assert config.dumps(config.RunConfig()) == DEFAULT_DUMPS
+        assert config.dumps(config.loads(CONFIG_TEXT)) == CONFIG_DUMPS
 
     def test_auto_grid_covers_probe_rays(self):
         cfg = config.loads(CONFIG_TEXT)
@@ -125,6 +170,71 @@ class TestEvaluate:
         first = capsys.readouterr().out
         main(["evaluate", "--method", "series", "--t", "1,2", "--x", "0.3,0.9"])
         assert capsys.readouterr().out == first
+
+
+class TestRouteTable:
+    """evaluate reads u off the route table by the characteristic rescaling."""
+
+    @staticmethod
+    def values(capsys, *args):
+        assert main(["evaluate", *args]) == 0
+        return [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]]
+
+    @pytest.mark.parametrize("method", list(analysis.ROUTES))
+    def test_division_rate_rescales_time(self, method, capsys):
+        xs = "0.25,0.5,1e-3"
+        fast = self.values(capsys, "--method", method, "--b", "2", "--t", "5", "--x", xs)
+        slow = self.values(capsys, "--method", method, "--b", "1", "--t", "10", "--x", xs)
+        assert fast == slow
+
+    def test_growth_asymptotics_match_direct_derivation(self, capsys):
+        # asymp_u(...).theta as derived directly, before the rescaling, at g = 0.5
+        want = [("5", "0.25", 2.9631617361338449), ("10", "1e-3", 3494436.0097525832),
+                ("25", "0.5", 173679.02296866526), ("25", "3e-8", 3.490583697972599e+17)]
+        for t, x, value in want:
+            got = self.values(capsys, "--method", "asymp-theta", "--g", "0.5",
+                              "--t", t, "--x", x)
+            assert float(got[0]) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    def test_unknown_method_fails(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--method", "magic", "--t", "1", "--x", "0.5"])
+        assert exc.value.code == 2
+        with pytest.raises(DomainError, match="magic"):
+            analysis.route_u("magic", ModelParams(), LogGaussian(0.0, 0.1), 1.0, 0.5)
+
+
+class TestRefusals:
+    """Malformed or non-finite numbers, from a flag or the config file, exit 2
+    with a message that names the field."""
+
+    @pytest.mark.parametrize("args, config_text, names", [
+        (["solve", "--t-end", "inf"], None, "t_end"),
+        (["evaluate", "--alpha", "inf", "--method", "series", "--t", "1", "--x", "0.5"],
+         None, "alpha"),
+        (["solve"], "[time]\nt_end = abc\n", "[time] t_end"),
+        (["solve"], "[grid]\nm = 2.5\n", "[grid] m"),
+        (["solve"], "[model]\nalpha = x\n", "[model] alpha"),
+        (["solve", "--snapshots", "1,abc"], None, "snapshots"),
+        (["solve", "--t-end", "nan"], None, "t_end"),
+        (["solve", "--y-min", "nan"], None, "y_min"),
+        (["solve", "--g", "nan"], None, "g must be finite"),
+        (["solve", "--probe-y=-inf"], None, "rays"),
+        (["solve", "--t-min", "nan"], None, "t_min"),
+    ])
+    def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
+        extra = ["--out-dir", str(tmp_path / "o")]
+        if config_text is not None:
+            (tmp_path / "run.cfg").write_text(config_text)
+            extra += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args + extra) == 2
+        assert names in capsys.readouterr().err
+
+    def test_snapshot_past_the_horizon(self, tmp_path, capsys):
+        assert main(["solve", "--t-end", "5", "--snapshots", "7",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "7" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigMerging:

@@ -45,6 +45,12 @@ class TestValidation:
             ModelParams(g=-0.1)
         assert ModelParams(alpha=2.0).log_alpha == math.log(2.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "b", "g"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_must_be_finite(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
+
     def test_profile_invariants(self):
         with pytest.raises(DomainError):
             LogGaussian(0.0, -0.1)

@@ -14,6 +14,7 @@ from gflab.model import (
     LogGaussian,
     LogHeaviside,
     ModelParams,
+    density_from_log_x,
     moment,
     profile_eval_x,
     profile_eval_y,
@@ -22,6 +23,7 @@ from gflab.model import (
 from gflab.series import (
     SeriesTruncation,
     _poisson_tail_log_bound,
+    _series_sum,
     eval_n,
     eval_n_series,
     eval_u,
@@ -136,6 +138,17 @@ class TestEvalV:
             assert poisson_cutoff(lam, eps) == linear_cutoff(lam), lam
 
 
+def direct_u(params, p, t, x, trunc=SeriesTruncation()):
+    """u(t, x) = e^{-(b+g)t} sum_k u0(alpha^k x e^{-gt}) (b alpha^2 t)^k / k!, summed
+    directly rather than through the rescaling eval_u uses: the oracle of eval_u."""
+    if t == 0.0:
+        return profile_eval_x(p, x)
+    lam = params.b * params.alpha**2 * t
+    log_x_eff = math.log(x) - params.g * t
+    return _series_sum(density_from_log_x, p, lam, log_x_eff, params.log_alpha,
+                       -(params.b + params.g) * t, trunc)
+
+
 class TestEvalU:
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
@@ -143,8 +156,8 @@ class TestEvalU:
         params = ModelParams(g=g, b=b, alpha=2.0)
         for t in (0.25, 1.0, 2.0):
             for x in (0.4, 1.0, 2.5):
-                a = eval_u(params, GAUSS, t, x, form="rescaled")
-                d = eval_u(params, GAUSS, t, x, form="direct")
+                a = eval_u(params, GAUSS, t, x)
+                d = direct_u(params, GAUSS, t, x)
                 assert d == pytest.approx(a, rel=1e-12, abs=1e-280)
 
     def test_pure_fragmentation_reduction(self):
@@ -162,10 +175,6 @@ class TestEvalU:
         lhs = eval_u(params, GAUSS, t, 1.0)
         rhs = math.exp(-t) * eval_v(GAUSS, 2.0, t, math.exp(-t))
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(DomainError):
-            eval_u(ModelParams(), GAUSS, 1.0, 1.0, form="other")
 
 
 class TestMoments:

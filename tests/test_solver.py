@@ -12,7 +12,6 @@ from gflab.model import Dirac, LogGaussian, LogHeaviside, profile_eval_y
 from gflab.series import eval_n_series, eval_v
 from gflab.solver import (
     LogGrid,
-    _cubic_interp,
     _cubic_stencil,
     build_grid,
     solve_n,
@@ -236,6 +235,27 @@ class TestSolveBookkeeping:
         assert track.size == traj.diagnostics.times.size
         # at t = 0 every ray sits at y = 0, the gaussian peak
         assert track[0] == pytest.approx(3.989422804014327, rel=1e-12)
+
+
+def _cubic_interp(values: np.ndarray, j_lo: int, dy: float, y: float) -> float:
+    """Four-point Lagrange interpolation on the uniform grid (linear at the edges),
+    one point at a time: the oracle of _cubic_stencil."""
+    n = values.size
+    u = y / dy - j_lo
+    if u < -1e-9 or u > n - 1 + 1e-9:
+        raise DomainError(f"log-size {y} is outside the grid [{j_lo * dy}, {(j_lo + n - 1) * dy}]")
+    u = min(max(u, 0.0), float(n - 1))
+    i = int(math.floor(u))
+    f = u - i
+    if f == 0.0 or i >= n - 1:
+        return float(values[i])
+    if i == 0 or i == n - 2:
+        return float((1.0 - f) * values[i] + f * values[i + 1])
+    wm1 = -f * (f - 1.0) * (f - 2.0) / 6.0
+    w0 = (f * f - 1.0) * (f - 2.0) / 2.0
+    w1 = -f * (f + 1.0) * (f - 2.0) / 2.0
+    w2 = f * (f * f - 1.0) / 6.0
+    return float(wm1 * values[i - 1] + w0 * values[i] + w1 * values[i + 1] + w2 * values[i + 2])
 
 
 class TestProbeStencil:
