@@ -34,7 +34,6 @@ from .mellin import (
     AsympTruncation,
     ContourQuad,
     K_of_s,
-    asymp_u,
     asymp_v_poisson,
     asymp_v_theta,
     inverse_mellin_v,
@@ -58,7 +57,6 @@ from .model import (
 from .series import (
     SeriesTruncation,
     eval_n_series,
-    eval_u,
     eval_v,
     moment_of_v,
     support_set,
@@ -73,9 +71,9 @@ __all__ = [
     "LogGrid", "LogHeaviside", "MassLeakError", "MellinSource",
     "MethodComparison", "ModelParams", "NumericsError", "PeriodEstimate",
     "QuadratureError", "SeriesSource", "SeriesTruncation", "ThresholdError",
-    "Trajectory", "TruncationError", "asymp_u", "asymp_v_poisson",
+    "Trajectory", "TruncationError", "asymp_v_poisson",
     "asymp_v_theta", "build_grid", "compare_methods", "estimate_period",
-    "eval_n_series", "eval_u", "eval_v", "format_profile", "inverse_mellin_v",
+    "eval_n_series", "eval_v", "format_profile", "inverse_mellin_v",
     "line_probe", "mellin_U0", "moment", "moment_of_v", "parse_profile",
     "profile_eval_x", "profile_eval_y", "psi", "r_of", "r_tilde_of", "s_k",
     "s_plus", "solve_n", "step", "support_set", "v_from_grid", "weak_test",

@@ -29,7 +29,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .errors import DomainError, NumericsError, QuadratureError
-from .mellin import ContourQuad, asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
+from .mellin import asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
 from .model import InitialProfile, LogGaussian, ModelParams, moment, support_y
 from .series import (
     DEFAULT_TRUNCATION,
@@ -74,21 +74,15 @@ class SeriesSource:
 
 
 class MellinSource:
-    """Evaluate v and n through the contour inversion (log-gaussian data only).
+    """Evaluate v and n through the contour inversion (log-gaussian data only),
+    each point on its own real saddle line as inverse_mellin_v chooses it."""
 
-    By default (nu=None) each point is inverted on its own real saddle line,
-    as inverse_mellin_v chooses it; a given nu puts every contour on that line.
-    """
-
-    def __init__(self, profile: InitialProfile, alpha: float, nu: float | None = None):
+    def __init__(self, profile: InitialProfile, alpha: float):
         self.profile = profile
         self.alpha = alpha
-        self.nu = nu
 
     def v(self, t: float, x: float) -> float:
-        cq = None if self.nu is None else ContourQuad.for_gaussian(
-            self.profile, self.alpha, t, self.nu)
-        return inverse_mellin_v(self.profile, self.alpha, t, x, cq)
+        return inverse_mellin_v(self.profile, self.alpha, t, x)
 
     def n(self, t: float, y: float) -> float:
         return math.exp(2.0 * y) * self.v(t, math.exp(y))
@@ -305,8 +299,7 @@ def weak_test(source: VSource, phi: Callable[[float], float], t: float,
         else:
             args = ys / t
         phi_vals = np.array([phi(a) for a in args])
-        integrand = phi_vals * snap
-        return g.dy * (float(np.sum(integrand)) - 0.5 * float(integrand[0] + integrand[-1]))
+        return g.trapezoid(phi_vals * snap)
 
     profile = getattr(source, "profile")
     scale = moment(profile, 1.0)

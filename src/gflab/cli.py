@@ -105,15 +105,22 @@ def _load_config(args) -> config.RunConfig:
     return config.with_texts(cfg, texts)
 
 
-def _solve_run(cfg: config.RunConfig, t_end: float | None = None,
-               snapshots=None, rays=None) -> solver.Trajectory:
-    t_end = cfg.t_end if t_end is None else t_end
-    snaps = cfg.resolved_snapshots() if snapshots is None else tuple(snapshots)
-    rays = cfg.resolved_rays() if rays is None else tuple(rays)
+def _solve_run(cfg: config.RunConfig) -> solver.Trajectory:
     grid = solver.build_grid(cfg.profile, cfg.params.alpha,
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
-    return solver.solve_n(grid, t_end, cfg.dt, snapshot_times=snaps,
-                          probe_rays=rays, record_every=cfg.record_every)
+    return solver.solve_n(grid, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
+                          probe_rays=cfg.resolved_rays(), record_every=cfg.record_every)
+
+
+def _flag_floats(flag: str, text: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated --t or --x list; all must be finite."""
+    try:
+        values = config.parse_floats(text)
+    except ValueError as exc:
+        raise DomainError(f"--{flag}: {exc}") from exc
+    if not values or not all(math.isfinite(v) for v in values):
+        raise DomainError(f"--{flag} needs finite numbers, got {text!r}")
+    return values
 
 
 # --- subcommands ---------------------------------------------------------
@@ -121,8 +128,7 @@ def _solve_run(cfg: config.RunConfig, t_end: float | None = None,
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    ts = [float(s) for s in args.t.split(",")]
-    xs = [float(s) for s in args.x.split(",")]
+    ts, xs = _flag_floats("t", args.t), _flag_floats("x", args.x)
     rows = [(t, x, analysis.route_u(args.method, cfg.params, cfg.profile, t, x), args.method)
             for t in ts for x in xs]
     out = Path(args.out) if args.out else None
@@ -280,10 +286,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    ts = [float(s) for s in args.t.split(",")] if args.t else [1.0, 5.0]
-    xs = [float(s) for s in args.x.split(",")] if args.x else [0.25, 0.5, 0.75]
-    cfg = dataclasses.replace(cfg, t_end=max(ts))  # sizes the grid for the run
-    traj = _solve_run(cfg, snapshots=ts)
+    ts = (1.0, 5.0) if args.t is None else _flag_floats("t", args.t)
+    xs = (0.25, 0.5, 0.75) if args.x is None else _flag_floats("x", args.x)
+    # the horizon sizes the grid for the run; the requested times are its snapshots
+    traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts))
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)
     out = Path(cfg.directory) / "compare.csv" if "csv" in cfg.formats else None
     _write_compare(out, tbl)

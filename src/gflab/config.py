@@ -20,7 +20,8 @@ def _items(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def parse_floats(text: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list (config lists and CLI flags)."""
     return tuple(float(s) for s in _items(text))
 
 
@@ -50,9 +51,9 @@ FIELDS = (
     ("grid", "y_max", _auto, _show_auto),
     ("time", "t_end", float, repr),
     ("time", "dt", float, repr),
-    ("time", "snapshots", _floats, _join),
+    ("time", "snapshots", parse_floats, _join),
     ("time", "record_every", int, str),
-    ("probes", "rays", _floats, _join),
+    ("probes", "rays", parse_floats, _join),
     ("output", "directory", str.strip, str),
     ("output", "formats", lambda text: tuple(_items(text)), ", ".join),
     ("analyze", "period_tol", float, repr),

@@ -33,19 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .model import (
-    InitialProfile,
-    LogGaussian,
-    ModelParams,
-    density_from_log_x,
-    mellin_U0,
-    support_y,
-)
+from .model import InitialProfile, LogGaussian, density_from_log_x, dilation_window, mellin_U0
 
 # exp(-z^2 / 2) dips below 1e-16 past this many widths.
 _DECAY_WIDTHS = math.sqrt(-2.0 * math.log(1e-16))
@@ -313,12 +305,8 @@ def default_theta_k_max(p: InitialProfile, alpha: float, s_plus_value: float,
 
 def default_poisson_range(p: InitialProfile, alpha: float, x: float) -> tuple[int, int]:
     """Dilation indices n with alpha^n x inside the (effective) profile support, padded by one."""
-    lo, hi = support_y(p)
-    la = math.log(alpha)
-    lx = math.log(x)
-    n_lo = int(math.floor((lo - lx) / la)) - 1
-    n_hi = int(math.ceil((hi - lx) / la)) + 1
-    return (min(n_lo, 0), max(n_hi, 0))
+    first, last = dilation_window(p, math.log(alpha), math.log(x))
+    return (min(int(first) - 1, 0), max(int(last) + 1, 0))
 
 
 def theta_sum(p: InitialProfile, alpha: float, s_plus_value: float, log_x: float,
@@ -378,28 +366,3 @@ def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float,
     denom = math.sqrt(2.0 * math.pi * t) * alpha ** (1.0 - sp / 2.0)
     return pref * poisson_sum(p, alpha, sp, x, n_range) / denom
 
-
-class AsympU(NamedTuple):
-    """The two equivalent asymptotic evaluations of u(t, x)."""
-
-    theta: float
-    poisson: float
-
-
-def asymp_u(params: ModelParams, p: InitialProfile, t: float, x: float,
-            tr: AsympTruncation | None = None) -> AsympU:
-    """Growth-case asymptotics of u(t, x), stated for b = 1 exactly.
-
-    Both forms are the v-asymptotics carried over by the characteristic
-    rescaling u(t, x) = e^{-gt} v(t, x e^{-gt}), so s_plus is evaluated at
-    x e^{-gt} and 0 < x e^{-gt} < 1 is required.  General b is reached through
-    the caller's time rescaling; any other value raises a DomainError.
-    """
-    if params.b != 1.0:
-        raise DomainError(
-            f"growth-case asymptotics are normalized to b = 1 (got b = {params.b}); "
-            "rescale time by b first")
-    decay = math.exp(-params.g * t)
-    x_eff = x * decay
-    return AsympU(theta=decay * asymp_v_theta(p, params.alpha, t, x_eff, tr),
-                  poisson=decay * asymp_v_poisson(p, params.alpha, t, x_eff, tr))

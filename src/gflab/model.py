@@ -52,7 +52,8 @@ class ModelParams:
             raise DomainError(f"division rate must satisfy b > 0, got {self.b}")
         if self.g < 0.0:
             raise DomainError(f"growth rate must satisfy g >= 0, got {self.g}")
-        # Every module reads log(alpha) from here rather than recomputing it.
+        # Read by the config, the CLI and support_set; the routes take alpha
+        # alone (series, mellin, analysis) and compute log(alpha) themselves.
         object.__setattr__(self, "log_alpha", math.log(self.alpha))
 
 
@@ -120,6 +121,24 @@ def support_y(p: InitialProfile) -> tuple[float, float]:
     if isinstance(p, LogHeaviside):
         return (p.a, p.b)
     return (math.log(p.x0), math.log(p.x0))
+
+
+def dilation_window(p: InitialProfile, log_alpha: float, y):
+    """First and last k with y + k log alpha in support_y(p), for a scalar or an array y.
+
+    Floats (first > last where the lattice misses the support).  The quotient
+    estimate is moved by one where the rounded y + k log alpha, the argument
+    the series kernels evaluate, says otherwise, so exact lattice hits on an
+    edge count as inside.
+    """
+    lo, hi = support_y(p)
+    first = np.ceil((lo - y) / log_alpha)
+    first = first - (y + (first - 1.0) * log_alpha >= lo)
+    first = first + (y + first * log_alpha < lo)
+    last = np.floor((hi - y) / log_alpha)
+    last = last + (y + (last + 1.0) * log_alpha <= hi)
+    last = last - (y + last * log_alpha > hi)
+    return first, last
 
 
 def density_from_log_x(p: InitialProfile, log_x):

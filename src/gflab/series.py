@@ -6,7 +6,8 @@ equation is the Poisson-weighted dilation sum
     v(t, x) = e^{-t} sum_{k >= 0} u0(alpha^k x) (alpha^2 t)^k / k!,
 
 and the general solution follows by the characteristic rescaling
-u(t, x) = e^{-gt} v(bt, x e^{-gt}).  In log coordinates the same sum reads
+u(t, x) = e^{-gt} v(bt, x e^{-gt}) (analysis.route_u).  In log coordinates
+the same sum reads
 
     n(t, y) = e^{-t} sum_{k >= 0} n(0, y + k log alpha) t^k / k!,
 
@@ -40,6 +41,7 @@ from .model import (
     InitialProfile,
     ModelParams,
     density_from_log_x,
+    dilation_window,
     moment,
     profile_eval_x,
     profile_eval_y,
@@ -98,14 +100,6 @@ def poisson_cutoff(lam: float, eps: float) -> int:
     return hi
 
 
-def support_cutoff(p: InitialProfile, log_x: float, log_alpha: float) -> int:
-    """Smallest k with alpha^k x past the right edge of the profile support."""
-    hi = support_y(p)[1]
-    if log_x > hi:
-        return 0
-    return int(math.ceil((hi - log_x) / log_alpha))
-
-
 def truncation_order(lam: float, trunc: SeriesTruncation, k_support: int = 0) -> int:
     """Last term K = max(poisson_cutoff(lam, trunc.eps), k_support) of a series sum.
 
@@ -120,11 +114,22 @@ def truncation_order(lam: float, trunc: SeriesTruncation, k_support: int = 0) ->
     return k_cap
 
 
-def poisson_log_weights(lam: float, k_cap: int) -> np.ndarray:
-    """log(lam^k / k!) for k = 0..k_cap, as a running sum of log lam - log k."""
+@lru_cache(maxsize=None)
+def _log_k(size: int) -> np.ndarray:
+    """math.log(k) for k = 1..size (sizes are powers of two, so few tables are built)."""
+    return np.array([math.log(k) for k in range(1, size + 1)])
+
+
+def poisson_log_weights(lam: float, k_cap: int, start: float = 0.0) -> np.ndarray:
+    """start + log(lam^k / k!) for k = 0..k_cap, as a running sum of log lam - log k.
+
+    The sum runs in order of k over math.log values, so entry k equals the
+    scalar recurrence log_w += math.log(lam) - math.log(k) from log_w = start
+    bit for bit.
+    """
     steps = np.empty(k_cap + 1)
-    steps[0] = 0.0
-    steps[1:] = math.log(lam) - np.log(np.arange(1, k_cap + 1))
+    steps[0] = start
+    steps[1:] = math.log(lam) - _log_k(1 << (k_cap - 1).bit_length())[:k_cap]
     return np.cumsum(steps)
 
 
@@ -136,7 +141,7 @@ def _series_sum(density: Callable, p: InitialProfile, lam: float, start: float,
     values are dropped before the weights are exponentiated, so a weight that
     overflows never meets a vanishing profile factor.
     """
-    k_cap = truncation_order(lam, trunc, support_cutoff(p, start, log_alpha))
+    k_cap = truncation_order(lam, trunc, int(dilation_window(p, log_alpha, start)[1]) + 1)
     u = density(p, start + np.arange(k_cap + 1) * log_alpha)
     nz = u != 0.0
     terms = u[nz] * np.exp(poisson_log_weights(lam, k_cap)[nz] + prefactor_log)
@@ -175,13 +180,6 @@ def eval_n(p: InitialProfile, alpha: float, t: float, y: float,
     return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t, trunc)
 
 
-def eval_u(params: ModelParams, p: InitialProfile, t: float, x: float,
-           trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
-    """Full solution u(t, x) = e^{-gt} v(bt, x e^{-gt}) for general (g, b, alpha), through eval_v."""
-    return math.exp(-params.g * t) * eval_v(
-        p, params.alpha, params.b * t, x * math.exp(-params.g * t), trunc)
-
-
 # a part of a sum below this share of it is left out
 _LOG_NEGLIGIBLE = math.log(1e-17)
 
@@ -192,8 +190,9 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
 
     Vectorized over the node array y; this is the oracle the grid solver is
     measured against.  Each node sums the k whose y + k log alpha lies in
-    support_y(p): from its first such k, ceil((hi - lo) / log alpha) + 1
-    terms, taken as that many passes over the whole array in increasing k.
+    support_y(p) (model.dilation_window): from its first such k, one term
+    more than any node can have in the support, taken as that many passes
+    over the whole array in increasing k.
 
     The terms are log-concave in k, so the terms left out on one side sum to
     at most the next one over 1 - (its ratio to the last one taken).  Where
@@ -210,21 +209,16 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
     if t == 0.0:
         return profile_eval_y(p, y)
     log_alpha = math.log(alpha)
-    lo, hi = support_y(p)
-    k_support = int(math.ceil(max(0.0, (hi - float(np.min(y))) / log_alpha)))
-    k_cap = truncation_order(t, trunc, k_support)
-    n_pass = int(math.ceil((hi - lo) / log_alpha)) + 1
+    first, last = dilation_window(p, log_alpha, y)
+    k_cap = truncation_order(t, trunc, int(np.max(last)) + 1)
+    # the most terms a node can have in the support (one on its left edge), plus one
+    n_pass = int(dilation_window(p, log_alpha, support_y(p)[0])[1]) + 2
     # index k + 1 holds the weight e^{-t} t^k / k! of term k; zero (log -inf)
     # for k = -1 and past k_cap
-    weights = np.zeros(k_cap + n_pass + 3)
-    log_weights = np.full(weights.size, -np.inf)
-    log_t = math.log(t)
-    log_w = -t
-    for k in range(k_cap + 1):
-        if k > 0:
-            log_w += log_t - math.log(k)
-        weights[k + 1] = math.exp(log_w)
-        log_weights[k + 1] = log_w
+    log_weights = np.full(k_cap + n_pass + 3, -np.inf)
+    log_weights[1:k_cap + 2] = poisson_log_weights(t, k_cap, start=-t)
+    weights = np.zeros(log_weights.size)
+    weights[1:k_cap + 2] = [math.exp(w) for w in log_weights[1:k_cap + 2].tolist()]
 
     def term(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Term k of every node, and its log from the two factors."""
@@ -241,7 +235,7 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
                               (term_k - s) + total)
         total[...] = s
 
-    k_first = np.clip(np.ceil((lo - y) / log_alpha), 0, k_cap + 1).astype(np.int64)
+    k_first = np.clip(first, 0, k_cap + 1).astype(np.int64)
     log_edges = []
     for i in range(n_pass):
         term_k, log_k = term(k_first + i)
@@ -330,20 +324,14 @@ def support_set(p: InitialProfile, params: ModelParams, t: float,
         raise DomainError("support_set is only defined for dirac initial data")
     if t < 0.0:
         raise DomainError(f"time must be nonnegative, got {t}")
+    if t == 0.0:
+        return [(p.x0, p.weight)]
     if k_max is None:
         # weights carry (b alpha t)^k / k!, a Poisson profile in k
         k_max = poisson_cutoff(params.b * params.alpha * t, 1e-16)
-    lam = params.b * params.alpha**2 * t
+    la = params.log_alpha
     pref = -(params.b + params.g) * t
     shift = params.g * t
-    atoms: list[tuple[float, float]] = []
-    log_w = 0.0
-    for k in range(k_max + 1):
-        if k > 0:
-            if lam == 0.0:
-                break
-            log_w += math.log(lam) - math.log(k)
-        x_k = math.exp(-k * params.log_alpha + shift) * p.x0
-        w_k = p.weight * math.exp(log_w + pref - k * params.log_alpha)
-        atoms.append((x_k, w_k))
-    return atoms
+    log_w = poisson_log_weights(params.b * params.alpha**2 * t, k_max).tolist()
+    return [(math.exp(-k * la + shift) * p.x0, p.weight * math.exp(log_w[k] + pref - k * la))
+            for k in range(k_max + 1)]

@@ -74,6 +74,10 @@ class LogGrid:
     def y_nodes(self) -> np.ndarray:
         return (self.j_lo + np.arange(self.n_nodes)) * self.dy
 
+    def trapezoid(self, f: np.ndarray) -> float:
+        """Trapezoid integral over the grid of the node values f."""
+        return self.dy * (float(np.sum(f)) - 0.5 * float(f[0] + f[-1]))
+
 
 def build_grid(p: InitialProfile, alpha: float, y_min: float, y_max: float, m: int) -> LogGrid:
     """Sample n(0, y) = e^{2y} u0(e^y) on a shift-commensurate grid covering [y_min, y_max]."""
@@ -149,12 +153,6 @@ def _stencil_sum(w: np.ndarray, node_values: np.ndarray) -> np.ndarray:
     return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
 
 
-def _interp(grid: LogGrid, values: np.ndarray, y: float) -> float:
-    """Interpolated node values at one log-size y inside the grid."""
-    idx, w = _cubic_stencil(values.size, grid.j_lo, grid.dy, np.array([y]))
-    return float(_stencil_sum(w, values[idx])[0])
-
-
 @dataclass
 class Diagnostics:
     """Per-record scalars collected while stepping."""
@@ -185,11 +183,8 @@ class Trajectory:
         snap = self.snapshots[self.snapshot_index(t)]
         if y > self.grid.y_max + 1e-12 or y < self.grid.y_min - 1e-12:
             return 0.0
-        return _interp(self.grid, snap, y)
-
-
-def _trapz_mass(values: np.ndarray, dy: float) -> float:
-    return dy * (float(np.sum(values)) - 0.5 * float(values[0] + values[-1]))
+        idx, w = _cubic_stencil(snap.size, self.grid.j_lo, self.grid.dy, np.array([y]))
+        return float(_stencil_sum(w, snap[idx])[0])
 
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
@@ -234,11 +229,11 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
 
     def record(vals: np.ndarray) -> None:
         j = len(rec_mass)
-        rec_mass.append(_trapz_mass(vals, dy))
+        rec_mass.append(grid.trapezoid(vals))
         rec_argmax.append((j_lo + int(vals.argmax())) * dy)
         gathered[j] = vals.take(probe_idx[j])
 
-    leak_tol = _LEAK_TOL * _trapz_mass(grid.values, dy)
+    leak_tol = _LEAK_TOL * grid.trapezoid(grid.values)
 
     def check_leak(t: float, vals: np.ndarray) -> None:
         head_max = float(vals[:_LEAK_NODES].max())
@@ -292,12 +287,9 @@ def v_from_grid(traj: Trajectory, t: float, x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"size must be positive, got {x}")
     y = math.log(x)
-    idx = traj.snapshot_index(t)
-    g = traj.grid
-    if y > g.y_max + 1e-12:
-        return 0.0
-    if y < g.y_min - 1e-12:
+    n = traj.n_at(t, y)
+    if y < traj.grid.y_min - 1e-12:
         warnings.warn(f"log-size {y:.3f} is below the grid; extrapolating v as 0",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    return math.exp(-2.0 * y) * _interp(g, traj.snapshots[idx], y)
+    return math.exp(-2.0 * y) * n

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gflab
-from gflab import analysis, cli, config, mellin, series, svg
+from gflab import analysis, cli, config, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
 from gflab.errors import DomainError
@@ -188,7 +188,7 @@ class TestRouteTable:
         assert fast == slow
 
     def test_growth_asymptotics_match_direct_derivation(self, capsys):
-        # asymp_u(...).theta as derived directly, before the rescaling, at g = 0.5
+        # the growth-case theta form as derived directly, before the rescaling, at g = 0.5
         want = [("5", "0.25", 2.9631617361338449), ("10", "1e-3", 3494436.0097525832),
                 ("25", "0.5", 173679.02296866526), ("25", "3e-8", 3.490583697972599e+17)]
         for t, x, value in want:
@@ -221,6 +221,11 @@ class TestRefusals:
         (["solve", "--g", "nan"], None, "g must be finite"),
         (["solve", "--probe-y=-inf"], None, "rays"),
         (["solve", "--t-min", "nan"], None, "t_min"),
+        (["evaluate", "--method", "series", "--t", "abc", "--x", "1"], None, "--t"),
+        (["evaluate", "--method", "series", "--t", "nan", "--x", "1"], None, "--t"),
+        (["evaluate", "--method", "series", "--t", "1", "--x", "inf"], None, "--x"),
+        (["compare", "--t", "1,abc"], None, "--t"),
+        (["compare", "--x", "0.5,-inf"], None, "--x"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -388,12 +393,8 @@ class TestWriters:
                      "--x", "0.25,0.5,1e-3"]) == 0
         cfg = config.RunConfig()
 
-        def value(t, x):
-            if method == "series":
-                return series.eval_u(cfg.params, cfg.profile, t, x)
-            return mellin.asymp_u(cfg.params, cfg.profile, t, x).theta
-
-        rows = [(t, x, value(t, x), method) for t in ts for x in xs]
+        rows = [(t, x, analysis.route_u(method, cfg.params, cfg.profile, t, x), method)
+                for t in ts for x in xs]
         assert capsys.readouterr().out.encode() == oracle_csv(["t", "x", "value", "method"], rows)
 
     def test_svg_breaks_curves_like_point_oracle(self):

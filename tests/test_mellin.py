@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gflab.analysis import MellinSource
+from gflab.analysis import MellinSource, route_u
 from gflab.errors import DomainError, QuadratureError
 from gflab.mellin import (
     AsympTruncation,
     ContourQuad,
     K_of_s,
-    asymp_u,
     asymp_v_poisson,
     asymp_v_theta,
     default_poisson_range,
@@ -228,11 +227,9 @@ class TestSaddleLine:
             return
         assert got == pytest.approx(eval_v(p, 2.0, t, x), rel=1e-6)
 
-    def test_mellin_source_uses_the_saddle_unless_given_a_line(self):
+    def test_mellin_source_uses_the_saddle(self):
         assert MellinSource(GAUSS, 2.0).v(40.0, 0.75) == pytest.approx(
             eval_v(GAUSS, 2.0, 40.0, 0.75), rel=1e-9)
-        with pytest.raises(QuadratureError):
-            MellinSource(GAUSS, 2.0, nu=2.0).v(40.0, 0.75)
 
 
 class TestAsymptotics:
@@ -289,12 +286,17 @@ class TestAsymptotics:
 
 
 class TestGrowthAsymptotics:
+    @staticmethod
+    def pair(params, t, x):
+        return (route_u("asymp-theta", params, GAUSS, t, x),
+                route_u("asymp-poisson", params, GAUSS, t, x))
+
     def test_reduces_to_pure_fragmentation(self):
         params = ModelParams(g=0.0, b=1.0, alpha=2.0)
         t, x = 25.0, 2.0**-25
-        pair = asymp_u(params, GAUSS, t, x)
-        assert pair.theta == asymp_v_theta(GAUSS, 2.0, t, x)
-        assert pair.poisson == asymp_v_poisson(GAUSS, 2.0, t, x)
+        theta, poisson = self.pair(params, t, x)
+        assert theta == asymp_v_theta(GAUSS, 2.0, t, x)
+        assert poisson == asymp_v_poisson(GAUSS, 2.0, t, x)
 
     @pytest.mark.parametrize("g", [0.25, 1.0])
     @pytest.mark.parametrize("t", [12.0, 20.0])
@@ -302,20 +304,16 @@ class TestGrowthAsymptotics:
     def test_two_forms_agree(self, g, t, scale):
         params = ModelParams(g=g, b=1.0, alpha=2.0)
         x = scale * math.exp(g * t) * 2.0**-t
-        pair = asymp_u(params, GAUSS, t, x)
-        assert pair.theta == pytest.approx(pair.poisson, rel=1e-10)
+        theta, poisson = self.pair(params, t, x)
+        assert theta == pytest.approx(poisson, rel=1e-10)
 
     def test_change_of_variables_identity(self):
         # u-asymptotics must be the exact image of the v-asymptotics
         params = ModelParams(g=1.0, b=1.0, alpha=2.0)
         t = 20.0
         x = math.exp(t) * 2.0**-t
-        pair = asymp_u(params, GAUSS, t, x)
+        theta, poisson = self.pair(params, t, x)
         ref_t = math.exp(-t) * asymp_v_theta(GAUSS, 2.0, t, 2.0**-t)
         ref_p = math.exp(-t) * asymp_v_poisson(GAUSS, 2.0, t, 2.0**-t)
-        assert pair.theta == pytest.approx(ref_t, rel=1e-10)
-        assert pair.poisson == pytest.approx(ref_p, rel=1e-10)
-
-    def test_other_division_rates_rejected(self):
-        with pytest.raises(DomainError, match="b = 1"):
-            asymp_u(ModelParams(g=0.0, b=2.0, alpha=2.0), GAUSS, 5.0, 0.25)
+        assert theta == pytest.approx(ref_t, rel=1e-10)
+        assert poisson == pytest.approx(ref_p, rel=1e-10)

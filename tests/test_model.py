@@ -12,12 +12,14 @@ from gflab.model import (
     LogGaussian,
     LogHeaviside,
     ModelParams,
+    dilation_window,
     format_profile,
     mellin_U0,
     moment,
     parse_profile,
     profile_eval_x,
     profile_eval_y,
+    support_y,
 )
 
 GAUSS = LogGaussian(mu=0.0, sigma=0.1, mass=1.0)
@@ -93,6 +95,31 @@ class TestDensities:
     def test_positive_size_required(self):
         with pytest.raises(DomainError):
             profile_eval_x(GAUSS, -1.0)
+
+
+class TestDilationWindow:
+    """First and last k with y + k log alpha in the support, against testing each k."""
+
+    @pytest.mark.parametrize("p", [GAUSS, HEAVI, LogHeaviside(-1.0, 0.0, 1.0)],
+                             ids=["gaussian", "heaviside-0.2", "heaviside-1"])
+    @pytest.mark.parametrize("alpha", [1.3, 2.0, 3.0, 7.0])
+    def test_matches_membership_count(self, p, alpha):
+        la = math.log(alpha)
+        lo, hi = support_y(p)
+        hits = np.arange(-5, 300)
+        # exact lattice hits on either edge, and points in between
+        y = np.concatenate([hi - hits * la, lo - hits * la, np.linspace(-60.0, 5.0, 997)])
+        ks = np.arange(-40, 400)
+        arg = y[:, None] + ks * la
+        inside = (arg >= lo) & (arg <= hi)
+        count = inside.sum(axis=1)
+        has = count > 0
+        first, last = dilation_window(p, la, y)
+        np.testing.assert_array_equal(np.maximum(last - first + 1.0, 0.0), count)
+        np.testing.assert_array_equal(first[has], ks[inside[has].argmax(axis=1)])
+        np.testing.assert_array_equal(last[has], ks[-1 - inside[has][:, ::-1].argmax(axis=1)])
+        for i in range(0, y.size, 41):
+            assert dilation_window(p, la, float(y[i])) == (first[i], last[i])
 
 
 class TestMellin:

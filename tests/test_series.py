@@ -7,6 +7,7 @@ from math import exp, fsum, lgamma, log, pi, sqrt
 import numpy as np
 import pytest
 
+from gflab.analysis import route_u
 from gflab.config import RunConfig
 from gflab.errors import DomainError, TruncationError
 from gflab.model import (
@@ -26,10 +27,10 @@ from gflab.series import (
     _series_sum,
     eval_n,
     eval_n_series,
-    eval_u,
     eval_v,
     moment_of_v,
     poisson_cutoff,
+    poisson_log_weights,
     support_set,
     truncation_order,
 )
@@ -138,9 +139,24 @@ class TestEvalV:
             assert poisson_cutoff(lam, eps) == linear_cutoff(lam), lam
 
 
+class TestPoissonLogWeights:
+    @pytest.mark.parametrize("lam", [0.3, 10.0, 60.0, 240.0])
+    @pytest.mark.parametrize("start", ["zero", "minus-lam"])
+    def test_equals_the_scalar_recurrence(self, lam, start):
+        # the steps are math.log values summed in order of k: np.log need not
+        # agree with math.log (with numpy 2.4 on x86-64 they part at k = 9170)
+        k_cap = SeriesTruncation().k_max_cap
+        log_w = 0.0 if start == "zero" else -lam
+        want = [log_w]
+        for k in range(1, k_cap + 1):
+            log_w += math.log(lam) - math.log(k)
+            want.append(log_w)
+        assert poisson_log_weights(lam, k_cap, want[0]).tolist() == want
+
+
 def direct_u(params, p, t, x, trunc=SeriesTruncation()):
     """u(t, x) = e^{-(b+g)t} sum_k u0(alpha^k x e^{-gt}) (b alpha^2 t)^k / k!, summed
-    directly rather than through the rescaling eval_u uses: the oracle of eval_u."""
+    directly rather than through the characteristic rescaling: the oracle of route_u."""
     if t == 0.0:
         return profile_eval_x(p, x)
     lam = params.b * params.alpha**2 * t
@@ -156,23 +172,23 @@ class TestEvalU:
         params = ModelParams(g=g, b=b, alpha=2.0)
         for t in (0.25, 1.0, 2.0):
             for x in (0.4, 1.0, 2.5):
-                a = eval_u(params, GAUSS, t, x)
+                a = route_u("series", params, GAUSS, t, x)
                 d = direct_u(params, GAUSS, t, x)
                 assert d == pytest.approx(a, rel=1e-12, abs=1e-280)
 
     def test_pure_fragmentation_reduction(self):
         params = ModelParams(g=0.0, b=1.0, alpha=2.0)
         for t, x in ((0.5, 0.6), (2.0, 0.3)):
-            assert eval_u(params, GAUSS, t, x) == eval_v(GAUSS, 2.0, t, x)
+            assert route_u("series", params, GAUSS, t, x) == eval_v(GAUSS, 2.0, t, x)
 
     def test_t_zero(self):
         params = ModelParams(g=1.0, b=2.0, alpha=3.0)
-        assert eval_u(params, GAUSS, 0.0, 0.9) == profile_eval_x(GAUSS, 0.9)
+        assert route_u("series", params, GAUSS, 0.0, 0.9) == profile_eval_x(GAUSS, 0.9)
 
     def test_characteristic_rescaling_value(self):
         params = ModelParams(g=1.0, b=1.0, alpha=2.0)
         t = 0.5
-        lhs = eval_u(params, GAUSS, t, 1.0)
+        lhs = route_u("series", params, GAUSS, t, 1.0)
         rhs = math.exp(-t) * eval_v(GAUSS, 2.0, t, math.exp(-t))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
