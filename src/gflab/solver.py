@@ -23,7 +23,31 @@ right edge), so one RK4 step of size h is exactly the shift polynomial
 obtained by expanding the RK4 Taylor polynomial sum_{j<=4} (h (S - I))^j / j!.
 Every c_k is positive for h < 1 (c_3 = h^3 (1 - h) / 6 is the binding one),
 so with the cap h <= 0.5 the update is a positive combination of shifts and
-node values stay nonnegative.
+node values stay nonnegative.  `step` applies it to the field: five shifted
+axpys.
+
+Every step is a polynomial in the same S, so i steps give
+
+    n_i = sum_k d_i[k] S^k n_0,    (S^k n_0)[j] = n_0[j + k m],
+
+where d_i, the i-fold convolution of (c_0, ..., c_4), is the discrete twin
+of the paper's explicit formula: RK4 weights in place of the Poisson(t)
+weights of the exact flow e^{t (S - I)}.  `solve_n` propagates d (one
+convolution per step) instead of the field: the same finite sums in another
+order, not an approximation.  Only the entries of d that can reach the
+nonzero range [lo, hi] of n_0 from a grid node are kept; a convolution moves
+weight only to higher k, so dropping the rest changes no kept entry.  Every
+value the solver emits (probe stencil nodes, leak monitor, mass, argmax,
+snapshots) comes from d and the m-blocks B_q[r] = n_0[lo + q m + r] through
+one node kernel
+
+    n[j] = sum_q d[p + q] B_q[r],    j = lo + r - p m,  0 <= r < m,
+
+summed in fixed q order, so a probe node and the same node of a snapshot
+are the same floating-point number.  `step` stays the oracle the
+propagator is tested against; the weights come only from the RK4
+coefficients, never from the series, so the solver stays an independent
+route.
 """
 
 from __future__ import annotations
@@ -34,6 +58,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, MassLeakError
 from .model import Dirac, InitialProfile, profile_eval_y, support_y
@@ -41,6 +66,8 @@ from .model import Dirac, InitialProfile, profile_eval_y, support_y
 MAX_STEP = 0.5          # positivity-preserving cap for the explicit scheme
 _LEAK_TOL = 1e-12       # left-edge monitor threshold, relative to the initial mass
 _LEAK_NODES = 10
+_CHUNK = 64             # clock steps per propagator chunk
+_FLUSH = 2.0 ** -500    # argmax screen: smaller weights and scaled data count as 0
 
 
 @dataclass(frozen=True)
@@ -87,11 +114,15 @@ def build_grid(p: InitialProfile, alpha: float, y_min: float, y_max: float, m: i
         raise DomainError(f"cells per log(alpha) must be a positive integer, got {m}")
     if not y_min < y_max:
         raise DomainError(f"empty grid domain [{y_min}, {y_max}]")
-    hi = support_y(p)[1]
+    lo, hi = support_y(p)
     if y_max < hi:
         raise DomainError(
             f"right boundary y_max = {y_max} does not cover the initial support "
             f"(needs y_max >= {hi}); the zero boundary would be wrong")
+    if y_min > lo:
+        raise DomainError(
+            f"left boundary y_min = {y_min} cuts the initial support "
+            f"(needs y_min <= {lo}); the initial data would be truncated")
     dy = math.log(alpha) / m
     j_lo = int(math.floor(y_min / dy + 1e-12))
     j_hi = int(math.ceil(y_max / dy - 1e-12))
@@ -124,6 +155,99 @@ def step(grid: LogGrid, dt: float) -> LogGrid:
             break
         out[:-shift] += c[k] * v[shift:]
     return LogGrid(grid.alpha, m, grid.dy, grid.j_lo, out)
+
+
+def _advance(w: np.ndarray, h: float) -> np.ndarray:
+    """The shift weights one RK4 step of size h later, truncated to len(w)."""
+    return np.correlate(w, _rk4_shift_coeffs(h)[::-1], "full")[:w.size]  # w * c(h)
+
+
+class _ShiftBlocks:
+    """The initial data cut into m-blocks, and the node kernel on them.
+
+    B[q, r] = n_0[lo + q m + r] over the nonzero range [lo, hi] of n_0, zero
+    padded.  Node j = lo + r - p m sits in block column c = p + right, where
+    `right` counts the whole blocks of nodes right of lo.  A weight row w holds
+    `right` zeros and then d, so that n[j] = sum_q w[c + q] B[q, r] for every
+    grid node, with no index out of range.
+    """
+
+    def __init__(self, grid: LogGrid):
+        v, m = grid.values, grid.m
+        nz = np.flatnonzero(v)
+        lo, hi = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
+        q = (hi - lo) // m + 1
+        self.B = np.zeros((q, m))
+        self.B.flat[:hi - lo + 1] = v[lo:hi + 1]
+        self.m, self.n, self.lo = m, v.size, lo
+        self.right = (v.size - 1 - lo) // m
+        left = -(-lo // m)                              # blocks reaching node 0
+        self.cols = self.right + left + 1
+        self.width = self.cols + q - 1
+        # argmax screens with 2^-e B, e the exponent of max|B|, and with the weights
+        # and entries of B below _FLUSH dropped, so that no product is subnormal
+        # (slow); `flush_err` bounds what that drops from a node, as the weights
+        # sum to 1.  U_c = sum_q w[c + q] bound[q] bounds every node of column c.
+        top = float(np.abs(self.B).max())
+        self.scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
+        self.Bs = self.B / self.scale
+        self.Bs[np.abs(self.Bs) < _FLUSH] = 0.0
+        self.bound = np.abs(self.Bs).max(axis=1)
+        self.flush_err = (q + 2) * _FLUSH
+        self.j = lo + np.arange(m) - (np.arange(self.cols)[:, None] - self.right) * m
+        self.on_grid = (self.j >= 0) & (self.j < v.size)
+        # sum_j n[j] = sum_k d[k] sum(n_0[k m:]); the suffix sums from fsums per cell
+        cells = [math.fsum(v[max(k * m, lo):min(k * m + m, hi + 1)].tolist())
+                 for k in range(lo // m, hi // m + 1)]
+        tails = np.array([math.fsum(cells[i:]) for i in range(len(cells))] + [0.0])
+        self.suffix = np.zeros(self.width)
+        k = np.arange(self.width - self.right)
+        self.suffix[self.right:] = tails[np.clip(k - lo // m, 0, len(cells))]
+        self.start = left * m - lo                      # node 0 in the reversed columns
+
+    def windows(self, W: np.ndarray) -> np.ndarray:
+        """The view V[i, c] = W[i, c:c + Q] of weight rows W, shape (rows, cols, Q)."""
+        return sliding_window_view(W, self.B.shape[0], axis=1)
+
+    def nodes(self, V: np.ndarray, rows: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """n at nodes j for the weight rows `rows` of windows V (rows and j broadcast)."""
+        terms = V[rows, self.right - (j - self.lo) // self.m] * self.B.T[(j - self.lo) % self.m]
+        return terms.cumsum(axis=-1)[..., -1]           # q order, as in `field`
+
+    def field(self, w: np.ndarray) -> np.ndarray:
+        """Every node of the weight row w, by the same kernel as `nodes`."""
+        cols = np.zeros((self.cols, self.m))
+        for q, block in enumerate(self.B):
+            cols += w[q:q + self.cols, None] * block
+        return cols[::-1].ravel()[self.start:self.start + self.n]
+
+    def _screen(self, Vs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Columns `cols` of the screened weight rows `rows`, in units of `scale`, by one
+        matmul; -inf off the grid."""
+        return np.where(self.on_grid[cols], Vs[rows, cols] @ self.Bs, -np.inf)
+
+    def argmax(self, W: np.ndarray) -> np.ndarray:
+        """First index of the largest node of each weight row, as ndarray.argmax.
+
+        Exact: a column is skipped only when its bound U_c falls short of a
+        value some node reaches, and a matmul only screens which nodes are
+        compared with the kernel.  `slack` exceeds what the screen drops plus
+        the rounding of U and of the matmul against the kernel, below Q eps U.
+        """
+        Vs = self.windows(np.where(W < _FLUSH, 0.0, W))
+        U = np.einsum("rcq,q->rc", Vs, self.bound)
+        slack = 8.0 * self.B.shape[0] * np.finfo(float).eps * U.max(axis=1) + 2.0 * self.flush_err
+        floor = self._screen(Vs, np.arange(len(W)), U.argmax(axis=1)).max(axis=1)
+        cand_row, cand_col = np.nonzero(U + slack[:, None] >= floor[:, None])
+        vals = self._screen(Vs, cand_row, cand_col)
+        starts = np.flatnonzero(np.r_[True, cand_row[1:] != cand_row[:-1]])
+        best = np.maximum.reduceat(vals.max(axis=1), starts)
+        near_c, near_r = np.nonzero(vals >= (best - slack)[cand_row, None])
+        row = cand_row[near_c]
+        j = self.j[cand_col[near_c], near_r]
+        order = np.lexsort((j, -self.nodes(self.windows(W), row, j), row))
+        first = np.r_[True, row[order][1:] != row[order][:-1]]
+        return j[order[first]]
 
 
 def _cubic_stencil(n: int, j_lo: int, dy: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +325,11 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     leftmost nodes exceeds _LEAK_TOL times the initial trapezoid mass, since
     mass reaching the left edge would silently break conservation; the
     threshold scales with the data, so the decision does not depend on units.
+
+    The field itself is never stepped: the RK4 shift weights are propagated
+    (module docstring) a chunk of _CHUNK clock steps at a time, and the clock,
+    the records and their probe stencils are built chunk by chunk, so no table
+    is sized by t_end.
     """
     if t_end < 0.0:
         raise DomainError(f"horizon must be nonnegative, got {t_end}")
@@ -213,65 +342,79 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     if snaps and (snaps[0] < 0.0 or snaps[-1] > t_end + 1e-12):
         raise DomainError(f"snapshot times {snaps} fall outside [0, {t_end}]")
 
-    rays = [float(y) for y in probe_rays]
+    rays = np.array([float(y) for y in probe_rays])
     j_lo, dy = grid.j_lo, grid.dy
     n_steps = int(math.floor(t_end / dt + 1e-9))
-    # records sit on the clock, so every probe's stencil is known before stepping;
-    # a probe outside the grid records 0 through all-zero weights
-    rec_t = np.array([i * dt for i in range(0, n_steps + 1, record_every)])
-    pos = rec_t[:, None] * np.array(rays)
-    probe_idx, probe_w = _cubic_stencil(grid.n_nodes, j_lo, dy, pos)
-    probe_w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
-    probe_idx = probe_idx.reshape(rec_t.size, -1)
-    gathered = np.empty(probe_idx.shape)
-    rec_mass: list[float] = []
-    rec_argmax: list[float] = []
-
-    def record(vals: np.ndarray) -> None:
-        j = len(rec_mass)
-        rec_mass.append(grid.trapezoid(vals))
-        rec_argmax.append((j_lo + int(vals.argmax())) * dy)
-        gathered[j] = vals.take(probe_idx[j])
-
+    kernel = _ShiftBlocks(grid)
     leak_tol = _LEAK_TOL * grid.trapezoid(grid.values)
+    # the leftmost nodes, watched by the leak monitor, then the last node
+    fixed = np.r_[np.arange(min(_LEAK_NODES, grid.n_nodes)), grid.n_nodes - 1]
 
-    def check_leak(t: float, vals: np.ndarray) -> None:
-        head_max = float(vals[:_LEAK_NODES].max())
-        if head_max > leak_tol:
+    def check_leak(times: np.ndarray, heads: np.ndarray) -> None:
+        over = np.flatnonzero(heads > leak_tol)
+        if over.size:
+            k = over[np.argmin(times[over])]
             raise MassLeakError(
-                f"mass reached the left grid edge at t = {t:.6g} "
-                f"(max of leftmost {_LEAK_NODES} nodes is {head_max:.3e}, "
+                f"mass reached the left grid edge at t = {times[k]:.6g} "
+                f"(max of leftmost {_LEAK_NODES} nodes is {heads[k]:.3e}, "
                 f"threshold {leak_tol:.3e}); extend y_min")
 
+    rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "argmax": [], "probes": []}
     out_snaps: list[np.ndarray] = []
-    current = grid
-    record(current.values)
+    w = np.zeros(kernel.width)
+    w[kernel.right] = 1.0
     on_clock = 1e-9 * dt       # a snapshot this close to a clock time is taken there
     pending = iter(snaps)
     target = next(pending, None)
-    for i in range(n_steps + 1):
-        t = i * dt
-        if i > 0:
-            current = step(current, dt)
-            check_leak(t, current.values)
-            if i % record_every == 0:
-                record(current.values)
-        t_next = (i + 1) * dt if i < n_steps else math.inf
-        while target is not None and target < t_next - on_clock:
-            if target <= t + on_clock:
-                out_snaps.append(current.values.copy())
-            else:
-                partial = step(current, target - t)
-                check_leak(target, partial.values)
-                out_snaps.append(partial.values)
-            target = next(pending, None)
+    # the clock, its records and their probe stencils are built a chunk at a time
+    for first in range(0, n_steps + 1, _CHUNK):
+        clock = np.arange(first, min(first + _CHUNK, n_steps + 1))
+        W = np.empty((clock.size, kernel.width))
+        taken: list[np.ndarray] = []
+        partial_t: list[float] = []
+        partial_w: list[np.ndarray] = []
+        for s, i in enumerate(clock.tolist()):
+            if i > 0:
+                w = _advance(w, dt)
+            W[s] = w
+            t = i * dt
+            t_next = (i + 1) * dt if i < n_steps else math.inf
+            while target is not None and target < t_next - on_clock:
+                if target <= t + on_clock:
+                    taken.append(w)
+                else:
+                    partial_t.append(target)
+                    partial_w.append(_advance(w, target - t))
+                    taken.append(partial_w[-1])
+                target = next(pending, None)
+        # the leak monitor sees every clock state but the initial one, and every
+        # partial step; `fixed_n` also holds the trapezoid end nodes of the records
+        checked = np.vstack([W, np.reshape(partial_w, (-1, kernel.width))])
+        fixed_n = kernel.nodes(kernel.windows(checked), np.arange(len(checked))[:, None], fixed)
+        watched = np.r_[clock > 0, np.ones(len(partial_t), dtype=bool)]
+        check_leak(np.r_[clock * dt, partial_t][watched], fixed_n[watched, :-1].max(axis=1))
+        out_snaps.extend(kernel.field(x) for x in taken)
 
-    probes = _stencil_sum(probe_w, gathered.reshape(probe_w.shape))
+        on_record = clock % record_every == 0
+        if not on_record.any():
+            continue
+        Wr, t_rec, end = W[on_record], clock[on_record] * dt, fixed_n[:clock.size][on_record]
+        V, rows = kernel.windows(Wr), np.arange(len(Wr))
+        rec["t"].append(t_rec)
+        rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, -1])))
+        rec["argmax"].append((j_lo + kernel.argmax(Wr)) * dy)
+        # a probe outside the grid records 0 through all-zero weights
+        pos = t_rec[:, None] * rays
+        idx, probe_w = _cubic_stencil(grid.n_nodes, j_lo, dy, pos)
+        probe_w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
+        rec["probes"].append(_stencil_sum(probe_w, kernel.nodes(V, rows[:, None, None], idx)))
+
+    probes = np.concatenate(rec["probes"])
     diag = Diagnostics(
-        times=rec_t,
-        mass=np.asarray(rec_mass),
-        argmax_y=np.asarray(rec_argmax),
-        probes={y: probes[:, r].copy() for r, y in enumerate(rays)},
+        times=np.concatenate(rec["t"]),
+        mass=np.concatenate(rec["mass"]),
+        argmax_y=np.concatenate(rec["argmax"]),
+        probes={y: probes[:, r].copy() for r, y in enumerate(rays.tolist())},
     )
     return Trajectory(grid=grid, times=np.asarray(snaps),
                       snapshots=np.asarray(out_snaps), diagnostics=diag)

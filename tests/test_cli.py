@@ -287,6 +287,15 @@ class TestSolve:
         assert code == 3
         assert "left grid edge" in capsys.readouterr().err
 
+    def test_y_min_inside_the_support_exits_2(self, tmp_path, capsys):
+        # the fault is the cut initial data, not mass reaching the edge later
+        code = main(["solve", "--y-min", "-0.5", "--t-end", "1",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "y_min = -0.5" in err and "needs y_min <= -1.2" in err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["solve", "--t-end", "2", "--snapshots", "1,2", "--record-every", "10"]
         main(args + ["--out-dir", str(tmp_path / "a")])

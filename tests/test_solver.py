@@ -2,17 +2,25 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gflab.config import RunConfig
 from gflab.errors import DomainError, MassLeakError
-from gflab.model import Dirac, LogGaussian, LogHeaviside, profile_eval_y
+from gflab.model import Dirac, LogGaussian, LogHeaviside, parse_profile, profile_eval_y
 from gflab.series import eval_n_series, eval_v
 from gflab.solver import (
+    Diagnostics,
     LogGrid,
+    Trajectory,
+    _advance,
     _cubic_stencil,
+    _stencil_sum,
     build_grid,
     solve_n,
     step,
@@ -50,6 +58,11 @@ class TestBuildGrid:
     def test_right_boundary_must_cover_support(self):
         with pytest.raises(DomainError, match="support"):
             build_grid(GAUSS, 2.0, -10.0, 1.0, 64)  # needs mu + 12 sigma = 1.2
+
+    def test_left_boundary_must_cover_support(self):
+        with pytest.raises(DomainError, match=r"y_min = -1.0 .*needs y_min <= -1.2"):
+            build_grid(GAUSS, 2.0, -1.0, 2.0, 64)  # needs mu - 12 sigma = -1.2
+        build_grid(HEAVI, 2.0, -0.2, 1.0, 64)  # the edge itself is fine
 
     def test_dirac_rejected(self):
         with pytest.raises(DomainError):
@@ -332,3 +345,209 @@ class TestVFromGrid:
     def test_unsnapshotted_time_rejected(self, traj2):
         with pytest.raises(DomainError, match="not snapshotted"):
             v_from_grid(traj2, 1.37, 0.5)
+
+
+def _field_solve(grid, t_end, dt, snapshot_times, probe_rays=(), record_every=1):
+    """solve_n's clock, records, snapshots and leak monitor, stepping the whole
+    field with `step`: the oracle of the weight propagator."""
+    snaps = sorted(set(float(t) for t in snapshot_times))
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    rec_t = np.array([i * dt for i in range(0, n_steps + 1, record_every)])
+    leak_tol = 1e-12 * grid.trapezoid(grid.values)
+    mass, argmax_y, gathered = [], [], []
+
+    def record(vals, t):
+        mass.append(grid.trapezoid(vals))
+        argmax_y.append((grid.j_lo + int(vals.argmax())) * grid.dy)
+        pos = t * np.array(probe_rays)
+        idx, w = _cubic_stencil(grid.n_nodes, grid.j_lo, grid.dy, pos)
+        w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
+        gathered.append(_stencil_sum(w, vals[idx]))
+
+    def check_leak(t, vals):
+        if vals[:10].max() > leak_tol:
+            raise MassLeakError(f"mass reached the left grid edge at t = {t:.6g} ")
+
+    out, current = [], grid
+    record(current.values, 0.0)
+    pending = iter(snaps)
+    target = next(pending, None)
+    for i in range(n_steps + 1):
+        t = i * dt
+        if i > 0:
+            current = step(current, dt)
+            check_leak(t, current.values)
+            if i % record_every == 0:
+                record(current.values, t)
+        t_next = (i + 1) * dt if i < n_steps else math.inf
+        while target is not None and target < t_next - 1e-9 * dt:
+            if target <= t + 1e-9 * dt:
+                out.append(current.values.copy())
+            else:
+                partial = step(current, target - t)
+                check_leak(target, partial.values)
+                out.append(partial.values)
+            target = next(pending, None)
+    probes = np.array(gathered).reshape(rec_t.size, -1)
+    diag = Diagnostics(rec_t, np.array(mass), np.array(argmax_y),
+                       {y: probes[:, r] for r, y in enumerate(probe_rays)})
+    return Trajectory(grid, np.array(snaps), np.array(out), diag)
+
+
+def _assert_normal_values_close(got, want, rtol=1e-13):
+    """got == want to rtol at every normal-range value; below 1e-300 only absolutely."""
+    normal = np.abs(want) >= 1e-300
+    np.testing.assert_allclose(got[normal], want[normal], rtol=rtol, atol=0.0)
+    assert np.all(np.abs(got[~normal] - want[~normal]) < 1e-300)
+
+
+_LADDER = tuple(0.5 * k for k in range(1, 21)) + tuple(float(t) for t in range(15, 61, 5))
+_ORACLE_CONFIGS = {
+    "gaussian sigma 0.1": RunConfig(),
+    "heaviside ladder": RunConfig(profile=parse_profile("logheaviside a=-1 b=0 height=1"),
+                                  snapshots=_LADDER),
+    "gaussian sigma 0.5": RunConfig(profile=parse_profile("loggaussian mu=0 sigma=0.5 mass=1")),
+    "dt 0.03 off clock": RunConfig(dt=0.03, record_every=3,
+                                   snapshots=(1.0, 5.0, 7.31, 20.0, 33.3, 60.0)),
+}
+
+
+class TestWeightPropagator:
+    """solve_n propagates the RK4 shift weights; stepping the field is its oracle."""
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_matches_the_field_stepper(self, name):
+        cfg = _ORACLE_CONFIGS[name]
+        g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
+                       cfg.resolved_y_max(), cfg.m)
+        args = (g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), cfg.resolved_rays(),
+                cfg.record_every)
+        got, want = solve_n(*args), _field_solve(*args)
+        assert got.times.tolist() == want.times.tolist()
+        assert got.diagnostics.times.tolist() == want.diagnostics.times.tolist()
+        assert got.diagnostics.argmax_y.tolist() == want.diagnostics.argmax_y.tolist()
+        _assert_normal_values_close(got.diagnostics.mass, want.diagnostics.mass)
+        assert list(got.diagnostics.probes) == list(want.diagnostics.probes)
+        for y, track in want.diagnostics.probes.items():
+            _assert_normal_values_close(got.diagnostics.probes[y], track)
+        scale = np.max(np.abs(want.snapshots), axis=1, keepdims=True)
+        assert np.max(np.abs(got.snapshots - want.snapshots) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("profile, y_min, dt, snapshots", [
+        (GAUSS, -12.0, 0.01, [30.0]),
+        (LogGaussian(0.0, 0.1, 1e-20), -30.0, 0.01, [30.0]),
+        (GAUSS, -10.0, 0.25, [0.3, 0.9, 2.0]),
+        (GAUSS, -10.0, 0.25, [0.3, 1.2, 2.0]),       # the partial step to 1.2 trips first
+        (LogHeaviside(-1.0, 0.0, 1.0), -8.0, 0.05, [20.0]),
+    ])
+    def test_leak_trips_when_the_field_stepper_does(self, profile, y_min, dt, snapshots):
+        g = build_grid(profile, 2.0, y_min, 1.7, 64)
+        trips = []
+        for solve in (solve_n, _field_solve):
+            with pytest.raises(MassLeakError) as info:
+                solve(g, snapshots[-1], dt, snapshots)
+            trips.append(re.search(r"at t = (\S+) ", str(info.value)).group(1))
+        assert trips[0] == trips[1]
+
+    def test_clock_is_built_as_it_advances(self):
+        # 1e7 steps to the horizon, but the monitor trips within the first hundred;
+        # up-front record tables would need some 80 MB per array
+        g = build_grid(GAUSS, 2.0, -10.0, 1.7, 64)
+        rays = RunConfig().resolved_rays()
+        with pytest.raises(MassLeakError) as short:
+            solve_n(g, 10.0, 0.01, probe_rays=rays)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MassLeakError) as long:
+                solve_n(g, 1e5, 0.01, probe_rays=rays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(long.value) == str(short.value)
+        assert peak < 20e6, peak
+
+    def test_weights_are_the_rk4_twin_of_the_poisson_weights(self):
+        # the exact flow e^{t (S - I)} has Poisson(t) weights; RK4's converge to
+        # them at fourth order in dt
+        t, size = 10.0, 200
+        poisson = np.array([math.exp(k * math.log(t) - t - math.lgamma(k + 1.0))
+                            for k in range(size)])
+        errs = []
+        for dt in (0.02, 0.01):
+            d = np.zeros(size)
+            d[0] = 1.0                        # n_0 = S^0 n_0
+            for _ in range(round(t / dt)):
+                d = _advance(d, dt)
+            assert np.all(d >= 0.0)
+            assert abs(math.fsum(d) - 1.0) <= 1e-13
+            errs.append(float(np.sum(np.abs(d - poisson))))
+        assert 12.0 <= errs[0] / errs[1] <= 20.0, errs
+
+
+def _covariance_grid(mu, sigma, mass, shift, m, margin):
+    """A log-gaussian on a grid whose bounds sit on nodes, `margin` left of its
+    support, shifted by `shift` cells."""
+    dy = LOG2 / m
+    lo = -math.ceil((12.0 * sigma + margin) / dy)
+    hi = math.ceil((mu + 12.0 * sigma + 0.3) / dy)
+    return build_grid(LogGaussian(mu + shift * dy, sigma, mass), 2.0,
+                      (lo + shift) * dy, (hi + shift) * dy, m)
+
+
+def _solve_or_trip(grid, t_end, dt):
+    """solve_n to the clock time nearest t_end, with a snapshot at each of about
+    40 records, or the leak trip time."""
+    n_steps = max(1, round(t_end / dt))
+    every = max(1, n_steps // 40)
+    times = [i * dt for i in range(0, n_steps + 1, every)]
+    try:
+        return solve_n(grid, n_steps * dt, dt, snapshot_times=times, record_every=every,
+                       probe_rays=(-2.0 * LOG2, -LOG2, -0.5 * LOG2))
+    except MassLeakError as exc:
+        return re.search(r"at t = (\S+) ", str(exc)).group(1)
+
+
+class TestSolverCovariance:
+    """The equation is linear and shift covariant; the solver keeps both exactly."""
+
+    # a margin of 4 trips the leak monitor within t = 0.5, one of 30 never before t = 8
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.floats(1e-12, 1e12), mu=st.floats(-0.3, 0.3), sigma=st.floats(0.05, 0.3),
+           margin=st.floats(4.0, 30.0), t_end=st.floats(0.5, 8.0),
+           dt=st.sampled_from([0.01, 0.05, 0.1]), m=st.sampled_from([8, 16, 32]))
+    def test_scaling_the_mass_scales_every_value(self, c, mu, sigma, margin, t_end, dt, m):
+        base = _solve_or_trip(_covariance_grid(mu, sigma, 1.0, 0, m, margin), t_end, dt)
+        scaled = _solve_or_trip(_covariance_grid(mu, sigma, c, 0, m, margin), t_end, dt)
+        if isinstance(base, str):             # the leak monitor tripped: at the same time
+            assert scaled == base
+            return
+        d, ds = base.diagnostics, scaled.diagnostics
+        assert ds.argmax_y.tolist() == d.argmax_y.tolist()
+        np.testing.assert_allclose(ds.mass, c * d.mass, rtol=1e-13)
+        np.testing.assert_allclose(scaled.snapshots, c * base.snapshots, rtol=1e-13,
+                                   atol=c * 1e-290)
+        # a probe interpolates nodes with weights of both signs, so it is scaled
+        # to 1e-13 of its stencil's terms: the records are the snapshot times
+        assert d.times.tolist() == base.times.tolist()
+        g = base.grid
+        for y, track in d.probes.items():
+            pos = d.times * y
+            idx, w = _cubic_stencil(g.n_nodes, g.j_lo, g.dy, pos)
+            w[(pos < g.y_min) | (pos > g.y_max)] = 0.0
+            terms = np.abs(w * np.take_along_axis(base.snapshots, idx, axis=1)).sum(axis=1)
+            assert np.all(np.abs(ds.probes[y] - c * track) <= 1e-13 * c * terms + c * 1e-290)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-40, 40), mu=st.floats(-0.3, 0.3), sigma=st.floats(0.05, 0.3),
+           margin=st.floats(4.0, 30.0), t_end=st.floats(0.5, 8.0),
+           m=st.sampled_from([8, 16, 32]))
+    def test_shifting_by_whole_cells_shifts_the_snapshots(self, k, mu, sigma, margin, t_end, m):
+        base = _solve_or_trip(_covariance_grid(mu, sigma, 1.0, 0, m, margin), t_end, 0.05)
+        moved = _solve_or_trip(_covariance_grid(mu, sigma, 1.0, k, m, margin), t_end, 0.05)
+        if isinstance(base, str):
+            assert moved == base
+            return
+        assert moved.grid.j_lo == base.grid.j_lo + k
+        # same node count, each node k cells on: the same values at the same index
+        scale = np.max(np.abs(base.snapshots), axis=1, keepdims=True)
+        assert np.max(np.abs(moved.snapshots - base.snapshots) / scale) <= 1e-13
