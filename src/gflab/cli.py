@@ -4,9 +4,12 @@ Exit-code contract: 0 success, 2 domain/precondition error, 3 numerical guard
 trip (mass leak, truncation, quadrature), 4 analysis threshold violation.
 Data files are deterministic: identical configuration gives byte-identical
 CSV output (fixed summation orders, 17 significant digits, no wall-clock
-content).  CSV tables are streamed to the file one block of rows at a time
-(one block per snapshot for the profile tables), so no whole-file text is
-ever held in memory.
+content).  Float cells are exactly the text of "%.17g" % x: the g17 kernel
+renders a whole column at once, exactly, and falls back to "%.17g" per value
+outside the range where its rounding is proven (zero, non-finite, |x| outside
+[1e-280, 1e280], fractions within 1e-12 of a tie).  CSV tables are streamed
+to the file a bounded number of rows (_ROWS) at a time, so no whole-file or
+whole-block text is ever held in memory.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, config, mellin, series, solver, svg
+from . import analysis, config, g17, mellin, series, solver, svg
 from .errors import DomainError, GFLabError, NumericsError, ThresholdError
 from .model import Dirac, LogGaussian, moment
 
@@ -38,29 +41,75 @@ _FIGURES = {
     "9": ("logheaviside a=-1 b=0 height=1", "profiles"),
     "11": ("logheaviside a=-5 b=0 height=1", "profiles"),
 }
+_ROWS = 2048    # rows of a table laid out as cells at a time
+
+
+def _cells(col, lo: int, hi: int) -> np.ndarray:
+    """Fixed-width cells of rows lo:hi of one column, each ending in a
+    separator column; a float in place of the column gives its one cell.
+
+    NUL bytes are padding.  A column whose first value is a float is rendered
+    by the g17 kernel as "%.17g" would; any other column (text without NUL
+    characters, ints, bools) by str, right-aligned so that its separator too
+    is the last column.
+    """
+    if isinstance(col, float):
+        return g17.cells(np.array([col]))
+    if isinstance(col[0], float):
+        return g17.cells(np.asarray(col[lo:hi], dtype=np.float64))
+    part = col[lo:hi]
+    part = part.tolist() if isinstance(part, np.ndarray) else part
+    text = [str(v).encode() + b"," for v in part]
+    width = max(map(len, text))
+    chars = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in text), dtype=np.uint8)
+    return chars.reshape(len(text), width)
+
+
+def _narrow(cells: np.ndarray) -> np.ndarray:
+    """The same cells right-aligned in the least width, for cells copied to many rows."""
+    shown = cells != 0
+    sizes = shown.sum(axis=1)
+    narrow = np.zeros((len(cells), sizes.max()), dtype=np.uint8)
+    narrow[np.arange(narrow.shape[1]) >= narrow.shape[1] - sizes[:, None]] = cells[shown]
+    return narrow
 
 
 def _write_csv(path: Path | None, header: list[str], blocks) -> None:
-    """Write a CSV table to path (stdout when None), streaming one block of rows at a time.
+    """Write a CSV table to path (stdout when None), streaming _ROWS rows at a time.
 
-    A block is a list of equal-length columns.  A column whose first value is
-    a float is written with 17 significant digits; any other column (text
-    formatted once and shared by blocks, ints, bools) is written with str.
+    A block is a list of equal-length columns; a float in place of a column
+    repeats it on every row of the block.  The cells of each _ROWS rows are
+    laid side by side and their NUL padding dropped (see _cells for how a
+    value is written).  A float, and a column that is the same object as in
+    the previous block (the nodes of a snapshot table), is rendered once.
     """
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
     with (contextlib.nullcontext(sys.stdout) if path is None
           else path.open("w", encoding="utf-8", newline="\n")) as out:
         out.write(",".join(header) + "\n")
+        prev, memo = [], {}
         for block in blocks:
-            n_rows = len(block[0]) if block else 0
-            if not n_rows:
-                continue
-            cells = [None] * (n_rows * len(block))
-            for j, col in enumerate(block):
-                cells[j::len(block)] = col.tolist() if isinstance(col, np.ndarray) else col
-            row = ",".join("%.17g" if isinstance(col[0], float) else "%s" for col in block)
-            out.write(((row + "\n") * n_rows) % tuple(cells))
+            once = [isinstance(col, float) or (j < len(prev) and col is prev[j])
+                    for j, col in enumerate(block)]
+            memo = {(j, lo): cells for (j, lo), cells in memo.items()
+                    if j < len(block) and block[j] is prev[j]}
+            prev = block
+            n_rows = max((len(col) for col in block if not isinstance(col, float)), default=0)
+            for lo in range(0, n_rows, _ROWS):
+                hi = min(lo + _ROWS, n_rows)
+                parts = []
+                for j, col in enumerate(block):
+                    if not once[j]:
+                        parts.append(_cells(col, lo, hi))
+                        continue
+                    key = (j, 0 if isinstance(col, float) else lo)
+                    if key not in memo:
+                        memo[key] = _narrow(_cells(col, lo, hi))
+                    parts.append(np.broadcast_to(memo[key], (hi - lo, memo[key].shape[1])))
+                chars = np.concatenate(parts, axis=1)
+                chars[:, -1] = ord("\n")
+                out.write(chars.tobytes().translate(None, b"\0").decode("utf-8"))
     if path is not None:
         print(f"wrote {path}")
 
@@ -78,9 +127,7 @@ def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str, formats)
     ys = traj.grid.y_nodes()
     times = traj.times.tolist()
     if "csv" in formats:
-        y_text = ["%.17g" % y for y in ys.tolist()]
-        blocks = ([["%.17g" % t] * ys.size, y_text, snap, math.sqrt(t) * snap]
-                  for t, snap in zip(times, traj.snapshots))
+        blocks = ([t, ys, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
         _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
     if "svg" in formats:
         keep = slice(None, None, max(1, ys.size // 2000))
@@ -190,8 +237,8 @@ def cmd_analyze(args) -> int:
     # period law along each tracked ray
     period_rows = []
     for y in cfg.resolved_rays():
+        probe = analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)  # refuses y >= 0
         expected = -la / y
-        probe = analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)
         est = analysis.estimate_period(probe, expected_period=expected,
                                        amp_threshold=cfg.amp_threshold)
         period_rows.append((y, expected, est.period, est.amplitude,

@@ -68,6 +68,7 @@ _LEAK_TOL = 1e-12       # left-edge monitor threshold, relative to the initial m
 _LEAK_NODES = 10
 _CHUNK = 64             # clock steps per propagator chunk
 _FLUSH = 2.0 ** -500    # argmax screen: smaller weights and scaled data count as 0
+_MAX_NODES = 10**7      # largest grid build_grid allocates; the default grid has about 10^4
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,12 @@ def build_grid(p: InitialProfile, alpha: float, y_min: float, y_max: float, m: i
     dy = math.log(alpha) / m
     j_lo = int(math.floor(y_min / dy + 1e-12))
     j_hi = int(math.ceil(y_max / dy - 1e-12))
-    values = profile_eval_y(p, (j_lo + np.arange(j_hi - j_lo + 1)) * dy)
+    nodes = j_hi - j_lo + 1
+    if nodes > _MAX_NODES:
+        raise DomainError(
+            f"grid of {nodes} nodes for alpha = {alpha}, m = {m} over y in [{y_min}, {y_max}] "
+            f"exceeds the limit of {_MAX_NODES} nodes")
+    values = profile_eval_y(p, (j_lo + np.arange(nodes)) * dy)
     return LogGrid(alpha=alpha, m=m, dy=dy, j_lo=j_lo, values=values)
 
 

@@ -5,13 +5,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import gflab
-from gflab import analysis, cli, config, svg
+from gflab import analysis, cli, config, solver, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
 from gflab.errors import DomainError
@@ -226,6 +227,8 @@ class TestRefusals:
         (["evaluate", "--method", "series", "--t", "1", "--x", "inf"], None, "--x"),
         (["compare", "--t", "1,abc"], None, "--t"),
         (["compare", "--x", "0.5,-inf"], None, "--x"),
+        (["analyze", "--t-end", "5", "--probe-y", "0"], None, "rays y < 0, got 0.0"),
+        (["analyze", "--t-end", "5", "--probe-y=-0.0"], None, "rays y < 0, got -0.0"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -234,6 +237,14 @@ class TestRefusals:
             extra += ["--config", str(tmp_path / "run.cfg")]
         assert main(args + extra) == 2
         assert names in capsys.readouterr().err
+
+    def test_grid_past_the_node_limit(self, tmp_path, capsys, monkeypatch):
+        # the limit lowered, so that no run of this test can ask for the 3e9 nodes
+        monkeypatch.setattr(solver, "_MAX_NODES", 10**5)
+        assert main(["analyze", "--t-end", "5", "--alpha", "1.0000001",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert ("grid of 3136000157 nodes for alpha = 1.0000001, m = 64 over y in [-3.2, "
+                in capsys.readouterr().err)
 
     def test_snapshot_past_the_horizon(self, tmp_path, capsys):
         assert main(["solve", "--t-end", "5", "--snapshots", "7",
@@ -394,6 +405,30 @@ class TestWriters:
         capsys.readouterr()
         assert (tmp_path / "mixed.csv").read_bytes() == oracle_csv(header, rows)
         assert (tmp_path / "empty.csv").read_bytes() == oracle_csv(header, [])
+
+    def test_rows_in_flight_are_bounded(self, tmp_path, capsys):
+        # 30 blocks of 10k rows shaped like a snapshot table: 4 float columns,
+        # 56-byte cells.  Whole blocks as cells peak at about 6.9 MB; chunks of
+        # cli._ROWS = 2048 rows at about 1.4 MB.
+        rng = np.random.default_rng(3)
+        ys = np.linspace(-40.0, 0.0, 10_000)
+        blocks = []
+        for k in range(30):
+            n = rng.random(10_000) ** 40
+            blocks.append([0.5 * (k + 1), ys, n, math.sqrt(0.5 * (k + 1)) * n])
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 2e6, peak
+        rows = [(b[0], float(y), float(n), float(s)) for b in blocks[::29]
+                for y, n, s in zip(*b[1:])]
+        text = (tmp_path / "big.csv").read_bytes().split(b"\n")
+        assert (b"\n".join(text[:10_001] + text[-10_001:])
+                == oracle_csv(["t", "y", "n", "sqrt_t_n"], rows))
 
     @pytest.mark.parametrize("method", ["series", "asymp-theta"])
     def test_evaluate_stdout_matches_row_oracle(self, method, capsys):

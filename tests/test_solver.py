@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gflab.config import RunConfig
 from gflab.errors import DomainError, MassLeakError
 from gflab.model import Dirac, LogGaussian, LogHeaviside, parse_profile, profile_eval_y
+from gflab import solver
 from gflab.series import eval_n_series, eval_v
 from gflab.solver import (
     Diagnostics,
@@ -63,6 +64,15 @@ class TestBuildGrid:
         with pytest.raises(DomainError, match=r"y_min = -1.0 .*needs y_min <= -1.2"):
             build_grid(GAUSS, 2.0, -1.0, 2.0, 64)  # needs mu - 12 sigma = -1.2
         build_grid(HEAVI, 2.0, -0.2, 1.0, 64)  # the edge itself is fine
+
+    def test_node_count_is_checked_before_allocating(self, monkeypatch):
+        size = build_grid(GAUSS, 2.0, -30.0, 2.0, 64).values.size
+        monkeypatch.setattr(solver, "_MAX_NODES", size)
+        build_grid(GAUSS, 2.0, -30.0, 2.0, 64)
+        monkeypatch.setattr(solver, "_MAX_NODES", size - 1)
+        with pytest.raises(DomainError, match=rf"grid of {size} nodes for alpha = 2.0, m = 64 "
+                                              r"over y in \[-30.0, 2.0\]"):
+            build_grid(GAUSS, 2.0, -30.0, 2.0, 64)
 
     def test_dirac_rejected(self):
         with pytest.raises(DomainError):
