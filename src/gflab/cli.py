@@ -7,9 +7,12 @@ CSV output (fixed summation orders, 17 significant digits, no wall-clock
 content).  Float cells are exactly the text of "%.17g" % x: the g17 kernel
 renders a whole column at once, exactly, and falls back to "%.17g" per value
 outside the range where its rounding is proven (zero, non-finite, |x| outside
-[1e-280, 1e280], fractions within 1e-12 of a tie).  CSV tables are streamed
-to the file a bounded number of rows (_ROWS) at a time, so no whole-file or
-whole-block text is ever held in memory.
+[1e-280, 1e280], fractions within 1e-12 of a tie).  A run of equal bit
+patterns in a float column is rendered once and its text repeated, which is
+exact because the text is a function of the bits; on piecewise constant data
+the solver's nodes between two breakpoints are such runs.  CSV tables are
+streamed to the file a bounded number of rows (_ROWS) at a time, so no
+whole-file or whole-block text is ever held in memory.
 """
 
 from __future__ import annotations
@@ -49,14 +52,25 @@ def _cells(col, lo: int, hi: int) -> np.ndarray:
     separator column; a float in place of the column gives its one cell.
 
     NUL bytes are padding.  A column whose first value is a float is rendered
-    by the g17 kernel as "%.17g" would; any other column (text without NUL
-    characters, ints, bools) by str, right-aligned so that its separator too
-    is the last column.
+    by the g17 kernel as "%.17g" would, once per run of equal bit patterns:
+    equal bits give equal text, and bits (not ==) keep -0.0 apart from 0.0.
+    Any other column (text without NUL characters, ints, bools) is rendered
+    by str, right-aligned so that its separator too is the last column.
     """
     if isinstance(col, float):
         return g17.cells(np.array([col]))
     if isinstance(col[0], float):
-        return g17.cells(np.asarray(col[lo:hi], dtype=np.float64))
+        x = np.asarray(col[lo:hi], dtype=np.float64)
+        bits = x.view(np.int64)
+        repeats = bits[1:] == bits[:-1]
+        if not np.count_nonzero(repeats):
+            return g17.cells(x)
+        # the widest cell's width, not the least, keeps the chunks one size, so the
+        # allocator reuses their memory (the least width grew the peak RSS of the
+        # dense heaviside solve by 3 MB)
+        heads = np.flatnonzero(np.r_[True, ~repeats])
+        cells = _narrow(g17.cells(x[heads]), g17.TEXT)
+        return np.repeat(cells, np.diff(np.r_[heads, x.size]), axis=0)
     part = col[lo:hi]
     part = part.tolist() if isinstance(part, np.ndarray) else part
     text = [str(v).encode() + b"," for v in part]
@@ -65,11 +79,12 @@ def _cells(col, lo: int, hi: int) -> np.ndarray:
     return chars.reshape(len(text), width)
 
 
-def _narrow(cells: np.ndarray) -> np.ndarray:
-    """The same cells right-aligned in the least width, for cells copied to many rows."""
+def _narrow(cells: np.ndarray, width: int | None = None) -> np.ndarray:
+    """The same cells right-aligned in `width` columns (by default the least
+    width), for cells copied to many rows."""
     shown = cells != 0
     sizes = shown.sum(axis=1)
-    narrow = np.zeros((len(cells), sizes.max()), dtype=np.uint8)
+    narrow = np.zeros((len(cells), width or sizes.max()), dtype=np.uint8)
     narrow[np.arange(narrow.shape[1]) >= narrow.shape[1] - sizes[:, None]] = cells[shown]
     return narrow
 

@@ -11,7 +11,8 @@ Boundaries: n is identically zero to the right of the initial support,
 because a node at y is fed only from y + log alpha (so the zero right
 boundary is exact once y_max covers the support).  On the left the domain
 must simply be large enough that mass never arrives; a monitor errors out if
-the leftmost nodes exceed a threshold proportional to the initial mass.
+any of the leftmost m nodes, one per residue class mod m (the classes the
+shift keeps apart), exceeds a threshold proportional to the initial mass.
 
 Time stepping is the classical explicit fourth-order scheme.  The
 semi-discrete operator is S - I, with S the shift by m nodes (zero past the
@@ -44,7 +45,11 @@ one node kernel
     n[j] = sum_q d[p + q] B_q[r],    j = lo + r - p m,  0 <= r < m,
 
 summed in fixed q order, so a probe node and the same node of a snapshot
-are the same floating-point number.  `step` stays the oracle the
+are the same floating-point number.  For the same reason, two residues r
+whose block columns B_.[r] are bitwise equal give the same float at every
+node of a block column (same products, same order); data piecewise constant
+in y, such as the heaviside profiles, has few distinct columns, and the
+argmax screens each distinct one once.  `step` stays the oracle the
 propagator is tested against; the weights come only from the RK4
 coefficients, never from the series, so the solver stays an independent
 route.
@@ -65,7 +70,6 @@ from .model import Dirac, InitialProfile, profile_eval_y, support_y
 
 MAX_STEP = 0.5          # positivity-preserving cap for the explicit scheme
 _LEAK_TOL = 1e-12       # left-edge monitor threshold, relative to the initial mass
-_LEAK_NODES = 10
 _CHUNK = 64             # clock steps per propagator chunk
 _FLUSH = 2.0 ** -500    # argmax screen: smaller weights and scaled data count as 0
 _MAX_NODES = 10**7      # largest grid build_grid allocates; the default grid has about 10^4
@@ -200,8 +204,20 @@ class _ShiftBlocks:
         self.Bs[np.abs(self.Bs) < _FLUSH] = 0.0
         self.bound = np.abs(self.Bs).max(axis=1)
         self.flush_err = (q + 2) * _FLUSH
-        self.j = lo + np.arange(m) - (np.arange(self.cols)[:, None] - self.right) * m
-        self.on_grid = (self.j >= 0) & (self.j < v.size)
+        self.top = np.abs(self.B).max(axis=1)          # unscaled, for the leak monitor
+        # residues whose columns B[:, r] are bitwise equal give one float at every
+        # node of a block column, so argmax screens one residue per group: j[c, g]
+        # is the lowest on-grid node of group g in column c (-1 if none)
+        _, first, group = np.unique(self.B.view(np.int64).T, axis=0,
+                                    return_index=True, return_inverse=True)
+        group = group.ravel()
+        self.Bs = self.Bs[:, first]
+        j = lo + np.arange(m) - (np.arange(self.cols)[:, None] - self.right) * m
+        col, r = np.nonzero((j >= 0) & (j < v.size))    # r ascending in each column
+        keys, lowest = np.unique(col * first.size + group[r], return_index=True)
+        self.j = np.full((self.cols, first.size), -1)
+        self.j.flat[keys] = j[col[lowest], r[lowest]]
+        self.on_grid = self.j >= 0
         # sum_j n[j] = sum_k d[k] sum(n_0[k m:]); the suffix sums from fsums per cell
         cells = [math.fsum(v[max(k * m, lo):min(k * m + m, hi + 1)].tolist())
                  for k in range(lo // m, hi // m + 1)]
@@ -227,9 +243,19 @@ class _ShiftBlocks:
             cols += w[q:q + self.cols, None] * block
         return cols[::-1].ravel()[self.start:self.start + self.n]
 
+    def head_bound(self, W: np.ndarray, n: int) -> np.ndarray:
+        """For each weight row of W, a bound on |n[j]| over the nodes j < n: the
+        largest column sum sum_q w[c + q] max_r |B[q, r]| over their columns,
+        raised by more than the rounding of the kernel's and the sum's Q
+        products and additions (and their underflow) can move either."""
+        Q = self.B.shape[0]
+        first = self.cols - 1 - (self.start + n - 1) // self.m     # the column of node n - 1
+        U = (self.windows(W)[:, first:] @ self.top).max(axis=1)
+        return U * (1.0 + 4.0 * Q * np.finfo(float).eps) + Q * np.finfo(float).smallest_subnormal
+
     def _screen(self, Vs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Columns `cols` of the screened weight rows `rows`, in units of `scale`, by one
-        matmul; -inf off the grid."""
+        """The residue groups of columns `cols` of the screened weight rows `rows`, in
+        units of `scale`, by one matmul; -inf off the grid."""
         return np.where(self.on_grid[cols], Vs[rows, cols] @ self.Bs, -np.inf)
 
     def argmax(self, W: np.ndarray) -> np.ndarray:
@@ -239,6 +265,8 @@ class _ShiftBlocks:
         value some node reaches, and a matmul only screens which nodes are
         compared with the kernel.  `slack` exceeds what the screen drops plus
         the rounding of U and of the matmul against the kernel, below Q eps U.
+        A residue group stands for its lowest on-grid node: the other nodes of
+        the group in that column hold the same float at higher indices.
         """
         Vs = self.windows(np.where(W < _FLUSH, 0.0, W))
         U = np.einsum("rcq,q->rc", Vs, self.bound)
@@ -248,9 +276,9 @@ class _ShiftBlocks:
         vals = self._screen(Vs, cand_row, cand_col)
         starts = np.flatnonzero(np.r_[True, cand_row[1:] != cand_row[:-1]])
         best = np.maximum.reduceat(vals.max(axis=1), starts)
-        near_c, near_r = np.nonzero(vals >= (best - slack)[cand_row, None])
+        near_c, near_g = np.nonzero(vals >= (best - slack)[cand_row, None])
         row = cand_row[near_c]
-        j = self.j[cand_col[near_c], near_r]
+        j = self.j[cand_col[near_c], near_g]
         order = np.lexsort((j, -self.nodes(self.windows(W), row, j), row))
         first = np.r_[True, row[order][1:] != row[order][:-1]]
         return j[order[first]]
@@ -328,9 +356,11 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     is a copy of the clock state; one that falls inside a step (or past the
     last full step) is reached by one partial step from a copy, and the clock
     continues unchanged.  A MassLeakError is raised as soon as any of the
-    leftmost nodes exceeds _LEAK_TOL times the initial trapezoid mass, since
-    mass reaching the left edge would silently break conservation; the
-    threshold scales with the data, so the decision does not depend on units.
+    leftmost m nodes, one per residue class mod m, exceeds _LEAK_TOL times the
+    initial trapezoid mass, since mass reaching the left edge would silently
+    break conservation; the threshold scales with the data, so the decision
+    does not depend on units.  The shift by m nodes never mixes the classes,
+    so each one carries its mass to the edge at its own leftmost node.
 
     The field itself is never stepped: the RK4 shift weights are propagated
     (module docstring) a chunk of _CHUNK clock steps at a time, and the clock,
@@ -353,8 +383,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     n_steps = int(math.floor(t_end / dt + 1e-9))
     kernel = _ShiftBlocks(grid)
     leak_tol = _LEAK_TOL * grid.trapezoid(grid.values)
-    # the leftmost nodes, watched by the leak monitor, then the last node
-    fixed = np.r_[np.arange(min(_LEAK_NODES, grid.n_nodes)), grid.n_nodes - 1]
+    watch = min(grid.m, grid.n_nodes)      # the leak monitor's nodes, one per residue class
 
     def check_leak(times: np.ndarray, heads: np.ndarray) -> None:
         over = np.flatnonzero(heads > leak_tol)
@@ -362,7 +391,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
             k = over[np.argmin(times[over])]
             raise MassLeakError(
                 f"mass reached the left grid edge at t = {times[k]:.6g} "
-                f"(max of leftmost {_LEAK_NODES} nodes is {heads[k]:.3e}, "
+                f"(max of the leftmost {watch} nodes, one per residue class, is {heads[k]:.3e}, "
                 f"threshold {leak_tol:.3e}); extend y_min")
 
     rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "argmax": [], "probes": []}
@@ -394,20 +423,23 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
                     taken.append(partial_w[-1])
                 target = next(pending, None)
         # the leak monitor sees every clock state but the initial one, and every
-        # partial step; `fixed_n` also holds the trapezoid end nodes of the records
-        checked = np.vstack([W, np.reshape(partial_w, (-1, kernel.width))])
-        fixed_n = kernel.nodes(kernel.windows(checked), np.arange(len(checked))[:, None], fixed)
+        # partial step; the kernel runs on its nodes only where a bound cannot clear them
         watched = np.r_[clock > 0, np.ones(len(partial_t), dtype=bool)]
-        check_leak(np.r_[clock * dt, partial_t][watched], fixed_n[watched, :-1].max(axis=1))
+        checked = np.vstack([W, np.reshape(partial_w, (-1, kernel.width))])[watched]
+        if (kernel.head_bound(checked, watch) > leak_tol).any():
+            heads = kernel.nodes(kernel.windows(checked), np.arange(len(checked))[:, None],
+                                 np.arange(watch))
+            check_leak(np.r_[clock * dt, partial_t][watched], heads.max(axis=1))
         out_snaps.extend(kernel.field(x) for x in taken)
 
         on_record = clock % record_every == 0
         if not on_record.any():
             continue
-        Wr, t_rec, end = W[on_record], clock[on_record] * dt, fixed_n[:clock.size][on_record]
+        Wr, t_rec = W[on_record], clock[on_record] * dt
         V, rows = kernel.windows(Wr), np.arange(len(Wr))
+        end = kernel.nodes(V, rows[:, None], np.array([0, grid.n_nodes - 1]))
         rec["t"].append(t_rec)
-        rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, -1])))
+        rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, 1])))
         rec["argmax"].append((j_lo + kernel.argmax(Wr)) * dy)
         # a probe outside the grid records 0 through all-zero weights
         pos = t_rec[:, None] * rays

@@ -2,6 +2,11 @@
 
 Deliberately spartan: anything fancier than a quick look at the curves should
 be produced by external tools reading the CSV files.
+
+Point text is "%.6g" of the screen coordinates.  It is a function of the bits
+of a coordinate, so each run of equal coordinates is formatted once, and the
+x text once for consecutive curves with bitwise equal finite x (the profile
+and probe figures share theirs); the document is the same byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +21,16 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _texts(v: np.ndarray) -> list[str]:
+    """_fmt of every value of v, formatted once per run of equal bit patterns."""
+    bits = v.view(np.int64)
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = bits[1:] != bits[:-1]
+    heads = np.flatnonzero(new)
+    text = np.array(list(map(_fmt, v[heads].tolist())), dtype=object)
+    return np.repeat(text, np.diff(np.r_[heads, v.size])).tolist()
 
 
 def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
@@ -101,10 +116,14 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
         e.set("transform", f"rotate(-90 14 {margin_t + plot_h // 2})")
         e.text = ylabel
 
+    prev_x, x_text = np.empty(0), []
     for idx, (label, xs, ys) in enumerate(curves):
         color = _COLORS[idx % len(_COLORS)]
         ok = np.isfinite(xs) & np.isfinite(ys)
-        pts = list(map("{:.6g},{:.6g}".format, sx(xs[ok]).tolist(), sy(ys[ok]).tolist()))
+        px = sx(xs[ok])
+        if not np.array_equal(px.view(np.int64), prev_x.view(np.int64)):
+            prev_x, x_text = px, _texts(px)
+        pts = list(map("{},{}".format, x_text, _texts(sy(ys[ok]))))
         # a non-finite point ends a polyline: cut where the finite indices jump
         jumps = np.flatnonzero(np.diff(np.flatnonzero(ok)) > 1) + 1
         cuts = [0, *jumps.tolist(), len(pts)]

@@ -298,6 +298,14 @@ class TestSolve:
         assert code == 3
         assert "left grid edge" in capsys.readouterr().err
 
+    def test_leak_in_a_residue_class_right_of_the_first_ten_nodes_exits_3(self, tmp_path, capsys):
+        # the diagnostics mass of this run fell from 0.2058 to 0.0044 while the
+        # leftmost 10 nodes alone stayed below the threshold
+        code = main(["solve", "--profile", "logheaviside a=-0.2 b=0 height=1", "--y-min", "-8",
+                     "--t-end", "20", "--snapshots", "20", "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert "leftmost 64 nodes, one per residue class" in capsys.readouterr().err
+
     def test_y_min_inside_the_support_exits_2(self, tmp_path, capsys):
         # the fault is the cut initial data, not mass reaching the edge later
         code = main(["solve", "--y-min", "-0.5", "--t-end", "1",
@@ -406,6 +414,35 @@ class TestWriters:
         assert (tmp_path / "mixed.csv").read_bytes() == oracle_csv(header, rows)
         assert (tmp_path / "empty.csv").read_bytes() == oracle_csv(header, [])
 
+    def test_float_runs_match_row_oracle(self, tmp_path, capsys):
+        # a run of equal bit patterns is rendered once: runs across the _ROWS
+        # boundaries, whole-chunk runs and runs of length 1, -0.0 next to 0.0,
+        # runs of nan (two bit patterns), +-inf and subnormals, in a column
+        # shared by two blocks as well as in ordinary columns
+        assert cli._ROWS == 2048
+        rng = np.random.default_rng(5)
+        n = 3 * 2048 + 5
+        pool = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                1e-300, 0.1, 1.0 / 3.0, -7.25, 123456789.0, 1e-5, 1e300]
+        runs = []
+        while sum(map(len, runs)) < n:
+            runs.append([pool[rng.integers(len(pool))]] * int(rng.choice([1, 1, 2, 3, 17, 900])))
+        mixed = np.concatenate(runs)[:n]
+        mixed[2040:2056] = math.inf                 # across the first boundary
+        mixed[4090:4100] = 5e-324                   # across the second
+        whole = np.r_[np.full(2048, 1.5), np.full(2048, -0.0), rng.random(n - 4096)]
+        signed = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        nans = np.where(np.arange(n) % 7 < 4, math.nan, -math.inf)
+        ints = rng.integers(-5, 5, n).tolist()
+        blocks = [[2.0, mixed, whole, signed, ints], [-0.0, mixed, nans, whole[::-1].copy(), ints]]
+        header = ["t", "mixed", "a", "b", "i"]
+        cli._write_csv(tmp_path / "runs.csv", header, blocks)
+        capsys.readouterr()
+        rows = [(b[0], *values) for b in blocks
+                for values in zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                                    for col in b[1:]))]
+        assert (tmp_path / "runs.csv").read_bytes() == oracle_csv(header, rows)
+
     def test_rows_in_flight_are_bounded(self, tmp_path, capsys):
         # 30 blocks of 10k rows shaped like a snapshot table: 4 float columns,
         # 56-byte cells.  Whole blocks as cells peak at about 6.9 MB; chunks of
@@ -474,6 +511,36 @@ class TestWriters:
                 expected.append(" ".join(pts))
         assert got == expected
         assert len(got) == 5
+
+    def test_svg_runs_and_shared_x_like_point_oracle(self):
+        # runs of equal y (and so of equal screen y) are formatted once, and the
+        # x text once for consecutive curves with equal finite x: "b" shares
+        # "a"'s x, "c" too but with a nan that drops one x, "d" has "c"'s x again
+        xs = np.linspace(-2.0, 3.0, 60)
+        steps = np.repeat([0.0, 1.5, 1.5, -0.5, 2.0, 0.0], 10)
+        holed = steps.copy()
+        holed[23] = np.nan
+        curves = [("a", xs, steps), ("b", xs, 2.0 * steps), ("c", xs, holed),
+                  ("d", xs, holed[::-1].copy()), ("e", xs, np.zeros(60))]
+        doc = ET.fromstring(svg.line_plot(curves).split("\n", 1)[1])
+        got = [pl.get("points") for pl in doc.iter("{http://www.w3.org/2000/svg}polyline")]
+        fy = np.concatenate([cy[np.isfinite(cy)] for _, _, cy in curves])
+        pad = 0.05 * (fy.max() - fy.min())
+        y_lo, y_hi = float(fy.min()) - pad, float(fy.max()) + pad
+        expected = []
+        for _, cx, cy in curves:
+            pts = []
+            for x, y in zip(cx.tolist(), cy.tolist()):
+                if math.isfinite(y):
+                    px = 64 + (x + 2.0) / 5.0 * 640
+                    py = 28 + (y_hi - y) / (y_hi - y_lo) * 408
+                    pts.append(f"{px:.6g},{py:.6g}")
+                    continue
+                expected.append(" ".join(pts))
+                pts = []
+            expected.append(" ".join(pts))
+        assert got == expected
+        assert len(got) == 7
 
     def test_profile_figure_and_solve_share_one_writer(self, tmp_path, capsys):
         ladder = ["--t-end", "2", "--snapshots", "0.5,1,2"]

@@ -219,6 +219,15 @@ class TestConservationAndPositivity:
             trips.append(float(re.search(r"at t = (\S+) ", str(info.value)).group(1)))
         assert max(trips) - min(trips) <= 0.01 + 1e-9, trips
 
+    def test_leak_monitor_watches_one_node_per_residue_class(self):
+        # the shift by m nodes never mixes residue classes mod m: here the mass
+        # of this narrow heaviside reaches the edge in classes that the
+        # leftmost 10 nodes do not hold, while the recorded mass drains away
+        cfg = RunConfig(profile=HEAVI, y_min=-8.0, t_end=20.0, snapshots=(20.0,))
+        g = build_grid(HEAVI, 2.0, cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
+        with pytest.raises(MassLeakError, match="leftmost 64 nodes, one per residue class"):
+            solve_n(g, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots())
+
 
 class TestSolveBookkeeping:
     def test_zero_horizon_yields_initial_snapshot(self):
@@ -235,7 +244,7 @@ class TestSolveBookkeeping:
     def test_records_keep_the_clock_when_snapshots_fall_between_steps(self):
         # 1 and 5 are not multiples of dt = 0.03: each is reached by a partial
         # step from a copy, and the clock (so every record) stays at j * 2 * dt
-        g = build_grid(GAUSS, 2.0, -22.0, 1.7, 64)
+        g = build_grid(GAUSS, 2.0, -25.0, 1.7, 64)
         traj = solve_n(g, 6.0, 0.03, snapshot_times=[1.0, 5.0, 6.0], probe_rays=[-LOG2],
                        record_every=2)
         times = traj.diagnostics.times
@@ -375,7 +384,7 @@ def _field_solve(grid, t_end, dt, snapshot_times, probe_rays=(), record_every=1)
         gathered.append(_stencil_sum(w, vals[idx]))
 
     def check_leak(t, vals):
-        if vals[:10].max() > leak_tol:
+        if vals[:grid.m].max() > leak_tol:    # one node per residue class
             raise MassLeakError(f"mass reached the left grid edge at t = {t:.6g} ")
 
     out, current = [], grid
@@ -447,7 +456,7 @@ class TestWeightPropagator:
         (GAUSS, -12.0, 0.01, [30.0]),
         (LogGaussian(0.0, 0.1, 1e-20), -30.0, 0.01, [30.0]),
         (GAUSS, -10.0, 0.25, [0.3, 0.9, 2.0]),
-        (GAUSS, -10.0, 0.25, [0.3, 1.2, 2.0]),       # the partial step to 1.2 trips first
+        (GAUSS, -10.0, 0.25, [0.3, 0.95, 2.0]),      # the partial step to 0.95 trips first
         (LogHeaviside(-1.0, 0.0, 1.0), -8.0, 0.05, [20.0]),
     ])
     def test_leak_trips_when_the_field_stepper_does(self, profile, y_min, dt, snapshots):
@@ -492,6 +501,49 @@ class TestWeightPropagator:
             assert abs(math.fsum(d) - 1.0) <= 1e-13
             errs.append(float(np.sum(np.abs(d - poisson))))
         assert 12.0 <= errs[0] / errs[1] <= 20.0, errs
+
+
+@pytest.fixture(scope="module", params=[
+    (LogHeaviside(-1.0, 0.0, 1.0), -20.3, 2),   # constant data: two distinct columns
+    (GAUSS, -15.1, 64),
+], ids=["heaviside", "gaussian"])
+def weight_rows(request):
+    """A kernel whose leftmost block column is partly off the grid, its number of
+    distinct block columns, and 800 weight rows to t = 40, past the left edge."""
+    profile, y_min, groups = request.param
+    kernel = solver._ShiftBlocks(build_grid(profile, 2.0, y_min, 1.7, 64))
+    w = np.zeros(kernel.width)
+    w[kernel.right] = 1.0
+    rows = []
+    for _ in range(800):
+        w = _advance(w, 0.05)
+        rows.append(w)
+    return kernel, groups, np.array(rows)
+
+
+class TestKernelScreens:
+    """The argmax screen and the leak monitor's bound, against the field."""
+
+    def test_argmax_is_the_first_index_of_the_field_maximum(self, weight_rows):
+        # argmax screens one residue per group of bitwise equal block columns
+        kernel, groups, W = weight_rows
+        assert kernel.j.shape[1] == groups
+        # node 0 is not a block boundary: the leftmost column is partly off the grid,
+        # so some group is off the grid there or stands for another residue
+        assert kernel.lo % kernel.m != 0
+        residue = (kernel.j - kernel.lo) % kernel.m
+        assert (kernel.j[-1] == -1).any() or (residue[-1] != residue[1]).any()
+        want = [int(kernel.field(row).argmax()) for row in W]
+        assert kernel.argmax(W).tolist() == want
+        assert want[-1] < kernel.m                # the maximum reached the leftmost nodes
+
+    def test_head_bound_covers_the_leftmost_nodes(self, weight_rows):
+        kernel, groups, W = weight_rows
+        heads = np.array([kernel.field(row)[:kernel.m] for row in W])
+        bound = kernel.head_bound(W, kernel.m)
+        assert np.all(bound >= np.abs(heads).max(axis=1))
+        if groups == 2:    # constant data: some node of a column is its bound
+            assert np.any(bound <= np.abs(heads).max(axis=1) * (1.0 + 1e-12))
 
 
 def _covariance_grid(mu, sigma, mass, shift, m, margin):
