@@ -167,11 +167,14 @@ def _load_config(args) -> config.RunConfig:
     return config.with_texts(cfg, texts)
 
 
-def _solve_run(cfg: config.RunConfig) -> solver.Trajectory:
+def _solve_run(cfg: config.RunConfig, *, argmax: bool = False) -> solver.Trajectory:
+    """Solve the configured run; the argmax track is recorded only when asked,
+    for `solve`, the one command that writes it."""
     grid = solver.build_grid(cfg.profile, cfg.params.alpha,
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
     return solver.solve_n(grid, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
-                          probe_rays=cfg.resolved_rays(), record_every=cfg.record_every)
+                          probe_rays=cfg.resolved_rays(),
+                          record_every=cfg.record_every, argmax=argmax)
 
 
 def _flag_floats(flag: str, text: str) -> tuple[float, ...]:
@@ -200,7 +203,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    traj = _solve_run(cfg)
+    traj = _solve_run(cfg, argmax=True)
     out_dir = Path(cfg.directory)
     _write_snapshots(traj, out_dir, "snapshots", cfg.formats)
     if "csv" in cfg.formats:

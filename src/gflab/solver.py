@@ -38,9 +38,9 @@ convolution per step) instead of the field: the same finite sums in another
 order, not an approximation.  Only the entries of d that can reach the
 nonzero range [lo, hi] of n_0 from a grid node are kept; a convolution moves
 weight only to higher k, so dropping the rest changes no kept entry.  Every
-value the solver emits (probe stencil nodes, leak monitor, mass, argmax,
-snapshots) comes from d and the m-blocks B_q[r] = n_0[lo + q m + r] through
-one node kernel
+value the solver emits (probe stencil nodes, leak monitor, mass, argmax when
+asked for, snapshots) comes from d and the m-blocks B_q[r] = n_0[lo + q m + r]
+through one node kernel
 
     n[j] = sum_q d[p + q] B_q[r],    j = lo + r - p m,  0 <= r < m,
 
@@ -313,11 +313,16 @@ def _stencil_sum(w: np.ndarray, node_values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Diagnostics:
-    """Per-record scalars collected while stepping."""
+    """Per-record scalars collected while stepping.
+
+    `argmax_y` is None when the solve was asked not to track it (solve_n's
+    `argmax=False`), so a reader of a track that was never recorded fails
+    instead of reading an empty one.
+    """
 
     times: np.ndarray
     mass: np.ndarray                      # trapezoid integral of n over the grid
-    argmax_y: np.ndarray                  # node location of the current maximum
+    argmax_y: np.ndarray | None           # node location of the current maximum
     probes: dict[float, np.ndarray]       # ray y -> n(t, y t) samples
 
 
@@ -346,7 +351,8 @@ class Trajectory:
 
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
-            snapshot_times=None, probe_rays=(), record_every: int = 1) -> Trajectory:
+            snapshot_times=None, probe_rays=(), record_every: int = 1,
+            argmax: bool = True) -> Trajectory:
     """March the shift-coupled system to t_end on the fixed clock t_i = i * dt.
 
     Diagnostics (mass, argmax location, and the tracked line values n(t, y t)
@@ -361,6 +367,12 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     break conservation; the threshold scales with the data, so the decision
     does not depend on units.  The shift by m nodes never mixes the classes,
     so each one carries its mass to the edge at its own leftmost node.
+
+    The caller chooses the tracks it reads: the probes through `probe_rays`,
+    the argmax through `argmax` (off, the argmax is never evaluated and
+    `argmax_y` is None).  Neither choice changes any other value: the mass,
+    the probes, the snapshots and the leak monitor come out bit for bit the
+    same.
 
     The field itself is never stepped: the RK4 shift weights are propagated
     (module docstring) a chunk of _CHUNK clock steps at a time, and the clock,
@@ -440,7 +452,8 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         end = kernel.nodes(V, rows[:, None], np.array([0, grid.n_nodes - 1]))
         rec["t"].append(t_rec)
         rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, 1])))
-        rec["argmax"].append((j_lo + kernel.argmax(Wr)) * dy)
+        if argmax:
+            rec["argmax"].append((j_lo + kernel.argmax(Wr)) * dy)
         # a probe outside the grid records 0 through all-zero weights
         pos = t_rec[:, None] * rays
         idx, probe_w = _cubic_stencil(grid.n_nodes, j_lo, dy, pos)
@@ -451,7 +464,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     diag = Diagnostics(
         times=np.concatenate(rec["t"]),
         mass=np.concatenate(rec["mass"]),
-        argmax_y=np.concatenate(rec["argmax"]),
+        argmax_y=np.concatenate(rec["argmax"]) if argmax else None,
         probes={y: probes[:, r].copy() for r, y in enumerate(rays.tolist())},
     )
     return Trajectory(grid=grid, times=np.asarray(snaps),

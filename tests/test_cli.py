@@ -306,6 +306,41 @@ class TestSolve:
         assert code == 3
         assert "leftmost 64 nodes, one per residue class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, trip", [
+        (["analyze"], "0.36"),
+        (["compare"], "0.36"),
+        (["figures", "--id", "1"], "0.37"),     # a probe figure, on its own profile
+        (["figures", "--id", "2"], "0.37"),     # a profile figure, no tracks at all
+    ])
+    def test_leak_exits_3_whatever_the_command_tracks(self, command, trip, tmp_path, capsys):
+        # the run above: commands that record no argmax trip the same monitor
+        code = main(command + ["--profile", "logheaviside a=-0.2 b=0 height=1", "--y-min", "-8",
+                               "--t-end", "20", "--snapshots", "20",
+                               "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"left grid edge at t = {trip} " in err
+        assert "leftmost 64 nodes, one per residue class" in err
+
+    @pytest.mark.parametrize("command, argmax", [
+        (["solve"], True),
+        (["analyze"], False),
+        (["figures", "--id", "1"], False),
+        (["figures", "--id", "2"], False),
+        (["compare", "--t", "1"], False),
+    ])
+    def test_only_solve_records_the_argmax(self, command, argmax, tmp_path, capsys, monkeypatch):
+        runs, solve_n = [], solver.solve_n
+
+        def spy(*args, **kwargs):
+            runs.append(solve_n(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "solve_n", spy)
+        main(command + ["--t-end", "2", "--snapshots", "1,2", "--out-dir", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert (runs[0].diagnostics.argmax_y is not None) == argmax
+
     def test_y_min_inside_the_support_exits_2(self, tmp_path, capsys):
         # the fault is the cut initial data, not mass reaching the edge later
         code = main(["solve", "--y-min", "-0.5", "--t-end", "1",

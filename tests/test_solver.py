@@ -228,6 +228,19 @@ class TestConservationAndPositivity:
         with pytest.raises(MassLeakError, match="leftmost 64 nodes, one per residue class"):
             solve_n(g, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots())
 
+    def test_leak_trip_does_not_depend_on_the_argmax(self):
+        # the narrow heaviside above: the same trip, at the same time, with the argmax off
+        cfg = RunConfig(profile=HEAVI, y_min=-8.0, t_end=20.0, snapshots=(20.0,))
+        g = build_grid(HEAVI, 2.0, cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
+        trips = []
+        for argmax in (True, False):
+            with pytest.raises(MassLeakError) as info:
+                solve_n(g, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
+                        argmax=argmax)
+            trips.append(str(info.value))
+        assert "at t = 0.36 " in trips[0]
+        assert trips[1] == trips[0]
+
 
 class TestSolveBookkeeping:
     def test_zero_horizon_yields_initial_snapshot(self):
@@ -451,6 +464,24 @@ class TestWeightPropagator:
             _assert_normal_values_close(got.diagnostics.probes[y], track)
         scale = np.max(np.abs(want.snapshots), axis=1, keepdims=True)
         assert np.max(np.abs(got.snapshots - want.snapshots) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_argmax_off_leaves_every_other_record_bitwise(self, name):
+        cfg = _ORACLE_CONFIGS[name]
+        g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
+                       cfg.resolved_y_max(), cfg.m)
+        args = (g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), cfg.resolved_rays(),
+                cfg.record_every)
+        got, want = solve_n(*args, argmax=False), solve_n(*args)
+        assert got.diagnostics.argmax_y is None
+        assert want.diagnostics.argmax_y is not None
+        for a, b in [(got.times, want.times), (got.snapshots, want.snapshots),
+                     (got.diagnostics.times, want.diagnostics.times),
+                     (got.diagnostics.mass, want.diagnostics.mass)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert list(got.diagnostics.probes) == list(want.diagnostics.probes)
+        for y, track in want.diagnostics.probes.items():
+            assert got.diagnostics.probes[y].tobytes() == track.tobytes()
 
     @pytest.mark.parametrize("profile, y_min, dt, snapshots", [
         (GAUSS, -12.0, 0.01, [30.0]),
