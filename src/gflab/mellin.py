@@ -18,7 +18,7 @@ value.  By Poisson summation a trapezoid step h aliases that density from
 2 pi / h away, so the step comes from the width of the density (a Poisson
 comb of gaussians), not from a heuristic (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  The
-guard is relative: the error estimate must stay below err_tol * |v|.
+guard is relative: the error estimate must stay below ERR_TOL * |v|.
 
 Large-time behaviour along rays x = e^{yt} (y < 0) is governed by the real
 saddle abscissa s_plus(t, x) and its vertical lattice of translates
@@ -42,6 +42,8 @@ from .model import InitialProfile, LogGaussian, density_from_log_x, dilation_win
 # exp(-z^2 / 2) dips below 1e-16 past this many widths.
 _DECAY_WIDTHS = math.sqrt(-2.0 * math.log(1e-16))
 _EPS = float(np.finfo(float).eps)
+ERR_TOL = 1e-8        # relative error bound of inverse_mellin_v
+THETA_K_CAP = 512     # most theta-sum terms default_theta_k_max asks for
 
 
 def K_of_s(alpha: float, s):
@@ -244,7 +246,7 @@ def _tail_bound(p: LogGaussian, alpha: float, t: float, log_x: float,
 
 
 def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
-                     cq: ContourQuad | None = None, err_tol: float = 1e-8) -> float:
+                     cq: ContourQuad | None = None) -> float:
     """v(t, x) by trapezoid quadrature of the inverse Mellin contour integral.
 
     Only log-gaussian data gives an integrand that decays along the contour
@@ -254,7 +256,7 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     by Poisson summation (ContourQuad.for_gaussian).  The result is checked
     against a half-resolution pass: if the difference, plus the bound on the
     truncated tails and the rounding estimate of the sum, exceeds
-    err_tol * |value|, a QuadratureError carrying that estimate is raised, so
+    ERR_TOL * |value|, a QuadratureError carrying that estimate is raised, so
     a small value is held to the same relative accuracy as a large one.
     """
     if not isinstance(p, LogGaussian):
@@ -272,7 +274,7 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     coarse = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, max(2, cq.n_nodes // 2))[0]
     estimate = (abs(value - coarse) + rounding
                 + _tail_bound(p, alpha, t, log_x, cq.nu, cq.tau_max))
-    if not estimate <= err_tol * abs(value):
+    if not estimate <= ERR_TOL * abs(value):
         raise QuadratureError("contour quadrature did not converge", estimate)
     return value
 
@@ -292,15 +294,14 @@ class AsympTruncation:
             raise DomainError(f"dilation-sum window must contain 0, got {self.n_range}")
 
 
-def default_theta_k_max(p: InitialProfile, alpha: float, s_plus_value: float,
-                        cap: int = 512) -> int:
+def default_theta_k_max(p: InitialProfile, alpha: float, s_plus_value: float) -> int:
     """Smallest k with |U0(s_k)| below 1e-16 |U0(s_plus)|, capped for slowly decaying transforms."""
     ref = abs(mellin_U0(p, complex(s_plus_value)))
     la = math.log(alpha)
-    for k in range(1, cap + 1):
+    for k in range(1, THETA_K_CAP + 1):
         if abs(mellin_U0(p, complex(s_plus_value, -2.0 * math.pi * k / la))) < 1e-16 * ref:
             return k
-    return cap
+    return THETA_K_CAP
 
 
 def default_poisson_range(p: InitialProfile, alpha: float, x: float) -> tuple[int, int]:

@@ -1,7 +1,12 @@
-"""Minimal SVG line plots (polylines plus axes), built with the stdlib XML tree.
+"""Minimal SVG line plots (polylines plus axes), written as text.
 
 Deliberately spartan: anything fancier than a quick look at the curves should
 be produced by external tools reading the CSV files.
+
+Each element is written as the stdlib ElementTree would serialise it, without
+holding a tree: attributes in order, text escaped for & < > only, and an
+element without text closed as <tag ... />.  Attribute values are numbers or
+fixed strings made here, so they need no escaping.
 
 Point text is "%.6g" of the screen coordinates.  It is a function of the bits
 of a coordinate, so each run of equal coordinates is formatted once, and the
@@ -11,10 +16,9 @@ and probe figures share theirs); the document is the same byte for byte.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 import numpy as np
 
+WIDTH, HEIGHT = 720, 480
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2")
 
@@ -33,16 +37,24 @@ def _texts(v: np.ndarray) -> list[str]:
     return np.repeat(text, np.diff(np.r_[heads, v.size])).tolist()
 
 
-def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 720, height: int = 480) -> str:
+def _el(tag: str, text: str = "", **attrs) -> str:
+    """One element without children; `_` in an attribute name is written as `-`."""
+    head = "<" + tag + "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
+    if not text:
+        return head + " />"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"{head}>{text}</{tag}>"
+
+
+def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render labelled (xs, ys) curves into a standalone SVG document string.
 
     curves: iterable of (label, xs, ys).  Non-finite points break the polyline.
     """
     curves = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float)) for lbl, xs, ys in curves]
     margin_l, margin_r, margin_t, margin_b = 64, 16, 28, 44
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = HEIGHT - margin_t - margin_b
 
     finite_x = np.concatenate([xs[np.isfinite(xs) & np.isfinite(ys)] for _, xs, ys in curves]) \
         if curves else np.array([0.0, 1.0])
@@ -67,54 +79,38 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
     def sy(y):
         return margin_t + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
-                      width=str(width), height=str(height),
-                      viewBox=f"0 0 {width} {height}")
-    ET.SubElement(root, "rect", x="0", y="0", width=str(width), height=str(height),
-                  fill="white")
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+           _el("rect", x=0, y=0, width=WIDTH, height=HEIGHT, fill="white")]
     if title:
-        t = ET.SubElement(root, "text", x=str(width // 2), y="18",
-                          fill="black")
-        t.set("text-anchor", "middle")
-        t.set("font-size", "14")
-        t.text = title
+        out.append(_el("text", title, x=WIDTH // 2, y=18, fill="black",
+                       text_anchor="middle", font_size=14))
 
     # axes box and ticks
-    ET.SubElement(root, "rect", x=str(margin_l), y=str(margin_t),
-                  width=str(plot_w), height=str(plot_h),
-                  fill="none", stroke="black")
+    out.append(_el("rect", x=margin_l, y=margin_t, width=plot_w, height=plot_h,
+                   fill="none", stroke="black"))
     n_ticks = 5
     for i in range(n_ticks):
         fx = x_lo + i * (x_hi - x_lo) / (n_ticks - 1)
-        px = sx(fx)
-        ET.SubElement(root, "line", x1=_fmt(px), y1=_fmt(margin_t + plot_h),
-                      x2=_fmt(px), y2=_fmt(margin_t + plot_h + 4), stroke="black")
-        lab = ET.SubElement(root, "text", x=_fmt(px), y=_fmt(margin_t + plot_h + 16),
-                            fill="black")
-        lab.set("text-anchor", "middle")
-        lab.set("font-size", "10")
-        lab.text = _fmt(fx)
+        px = _fmt(sx(fx))
+        out.append(_el("line", x1=px, y1=_fmt(margin_t + plot_h),
+                       x2=px, y2=_fmt(margin_t + plot_h + 4), stroke="black"))
+        out.append(_el("text", _fmt(fx), x=px, y=_fmt(margin_t + plot_h + 16),
+                       fill="black", text_anchor="middle", font_size=10))
         fy = y_lo + i * (y_hi - y_lo) / (n_ticks - 1)
         py = sy(fy)
-        ET.SubElement(root, "line", x1=_fmt(margin_l - 4), y1=_fmt(py),
-                      x2=_fmt(margin_l), y2=_fmt(py), stroke="black")
-        lab = ET.SubElement(root, "text", x=_fmt(margin_l - 6), y=_fmt(py + 3),
-                            fill="black")
-        lab.set("text-anchor", "end")
-        lab.set("font-size", "10")
-        lab.text = _fmt(fy)
+        out.append(_el("line", x1=_fmt(margin_l - 4), y1=_fmt(py),
+                       x2=_fmt(margin_l), y2=_fmt(py), stroke="black"))
+        out.append(_el("text", _fmt(fy), x=_fmt(margin_l - 6), y=_fmt(py + 3),
+                       fill="black", text_anchor="end", font_size=10))
     if xlabel:
-        e = ET.SubElement(root, "text", x=str(margin_l + plot_w // 2),
-                          y=str(height - 8), fill="black")
-        e.set("text-anchor", "middle")
-        e.set("font-size", "12")
-        e.text = xlabel
+        out.append(_el("text", xlabel, x=margin_l + plot_w // 2, y=HEIGHT - 8,
+                       fill="black", text_anchor="middle", font_size=12))
     if ylabel:
-        e = ET.SubElement(root, "text", x="14", y=str(margin_t + plot_h // 2), fill="black")
-        e.set("text-anchor", "middle")
-        e.set("font-size", "12")
-        e.set("transform", f"rotate(-90 14 {margin_t + plot_h // 2})")
-        e.text = ylabel
+        mid = margin_t + plot_h // 2
+        out.append(_el("text", ylabel, x=14, y=mid, fill="black", text_anchor="middle",
+                       font_size=12, transform=f"rotate(-90 14 {mid})"))
 
     prev_x, x_text = np.empty(0), []
     for idx, (label, xs, ys) in enumerate(curves):
@@ -129,12 +125,8 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "",
         cuts = [0, *jumps.tolist(), len(pts)]
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo >= 2:
-                ET.SubElement(root, "polyline", points=" ".join(pts[lo:hi]),
-                              fill="none", stroke=color)
-        leg = ET.SubElement(root, "text", x=str(margin_l + 8),
-                            y=str(margin_t + 14 + 13 * idx), fill=color)
-        leg.set("font-size", "11")
-        leg.text = label
-
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+                out.append(_el("polyline", points=" ".join(pts[lo:hi]), fill="none", stroke=color))
+        out.append(_el("text", label, x=margin_l + 8, y=margin_t + 14 + 13 * idx, fill=color,
+                       font_size=11))
+    out.append("</svg>\n")
+    return "".join(out)

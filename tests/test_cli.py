@@ -5,11 +5,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gflab
 from gflab import analysis, cli, config, solver, svg
@@ -712,3 +715,54 @@ class TestImportCost:
         code = "import sys, gflab; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_cli_import_leaves_xml_unloaded(self):
+        # the SVG writer writes its elements as text
+        code = "import sys, gflab.cli; sys.exit(any(m.startswith('xml') for m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+_PROFILES = st.one_of(
+    st.builds("loggaussian mu={!r} sigma={!r} mass={!r}".format,
+              st.floats(-1.0, 1.0), st.floats(0.05, 1.0), st.floats(0.1, 10.0)),
+    st.builds(lambda a, w, h: f"logheaviside a={a!r} b={a + w!r} height={h!r}",
+              st.floats(-2.0, 0.0), st.floats(0.05, 2.0), st.floats(0.1, 10.0)),
+    st.builds("dirac x0={!r} weight={!r}".format, st.floats(0.2, 5.0), st.floats(0.1, 10.0)))
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line with a small horizon and grid; the default formats write
+    both csv and svg."""
+    command = draw(st.sampled_from(["solve", "figures", "analyze", "compare"]))
+    argv = [command, "--profile", draw(_PROFILES),
+            "--alpha", repr(draw(st.floats(1.2, 4.0))),
+            "--m", str(draw(st.sampled_from([1, 2, 4, 8]))),
+            "--t-end", repr(draw(st.floats(0.0, 2.5))),
+            "--dt", repr(draw(st.floats(1e-3, 0.7))),
+            "--record-every", str(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        times = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4))
+        argv += ["--snapshots", ",".join(map(repr, times))]
+    if draw(st.booleans()):
+        argv.append(f"--y-min={draw(st.floats(-40.0, 0.0))!r}")
+    if draw(st.booleans()):
+        argv.append(f"--probe-y={draw(st.floats(-3.0, -0.05))!r}")
+    if draw(st.booleans()):
+        argv += ["--t-min", repr(draw(st.floats(0.0, 2.5)))]
+    if command == "figures":
+        argv += ["--id", str(draw(st.integers(1, 11)))]
+    return argv
+
+
+class TestRandomConfigs:
+    @settings(max_examples=80, deadline=None)
+    @given(argv=cli_argv())
+    def test_exit_code_and_valid_svg(self, argv):
+        # a config works (0), names its fault (2), trips a numerical guard (3)
+        # or fails a check (4); it never ends in a traceback
+        with tempfile.TemporaryDirectory() as out:
+            assert main([*argv, "--out-dir", out]) in (0, 2, 3, 4)
+            for path in pathlib.Path(out).glob("*.svg"):
+                ET.parse(path)
