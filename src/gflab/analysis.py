@@ -358,7 +358,11 @@ class ComparisonRow:
     val_a: float
     val_b: float
     rel_err: float
-    flagged: bool
+    tol: float      # the pair's tolerance
+
+    @property
+    def flagged(self) -> bool:
+        return self.rel_err > self.tol     # a NaN cell is never flagged
 
 
 @dataclass
@@ -453,10 +457,8 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
         if "pde" in (a, b):
             return 2e-3            # off-node points carry cubic interpolation error
         return 1e-6
-    default_tol = {frozenset({a, b}): _default_pair_tol(a, b)
-                   for a, b in combinations(methods, 2)}
-    if tol:
-        default_tol.update(tol)
+    pair_tol = {frozenset({a, b}): _default_pair_tol(a, b) for a, b in combinations(methods, 2)}
+    pair_tol.update(tol or {})
 
     rows: list[ComparisonRow] = []
     for t in t_list:
@@ -465,6 +467,6 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
             for a, b in combinations(methods, 2):
                 va, vb = vals[a], vals[b]
                 err = math.nan if (math.isnan(va) or math.isnan(vb)) else _rel_err(va, vb)
-                flag = (not math.isnan(err)) and err > default_tol[frozenset({a, b})]
-                rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err, flag))
+                rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err,
+                                          pair_tol[frozenset({a, b})]))
     return MethodComparison(rows=rows)

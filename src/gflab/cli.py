@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, solve, figures, analyze, compare.
 
 Exit-code contract: 0 success, 2 domain/precondition error, 3 numerical guard
-trip (mass leak, truncation, quadrature), 4 analysis threshold violation.
+trip (mass leak, truncation, quadrature), 4 a failed analyze check (measured
+value above its tolerance or not a number; flagged route-table cells fail too).
 Data files are deterministic: identical configuration gives byte-identical
 CSV output (fixed summation orders, 17 significant digits, no wall-clock
 content).  Float cells are exactly the text of "%.17g" % x: the g17 kernel
@@ -245,9 +246,9 @@ def cmd_analyze(args) -> int:
     p, params = cfg.profile, cfg.params
     if isinstance(p, Dirac):
         raise DomainError("analysis runs need a density profile, not a dirac atom")
-    la = params.log_alpha
-    violations: list[str] = []
-    report: list[str] = []
+    # each check is (report line or None, measured, tolerance, violation); one without
+    # a tolerance only reports, the others pass only if measured <= tolerance (NaN fails)
+    checks: list[tuple] = []
     traj = _solve_run(cfg)
     src = analysis.GridSource(traj)
     u0_mass = moment(p, 1.0)
@@ -256,95 +257,91 @@ def cmd_analyze(args) -> int:
     period_rows = []
     for y in cfg.resolved_rays():
         probe = analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)  # refuses y >= 0
-        expected = -la / y
+        expected = -params.log_alpha / y
         est = analysis.estimate_period(probe, expected_period=expected,
                                        amp_threshold=cfg.amp_threshold)
         period_rows.append((y, expected, est.period, est.amplitude,
                             est.confidence, est.n_cycles, est.oscillating))
         if est.oscillating:
             err = abs(est.period - expected) / expected
-            report.append(f"ray y={y:.6g}: period {est.period:.4f} "
-                          f"(law {expected:.4f}, rel err {err:.2e}, amp {est.amplitude:.3e})")
-            if err > cfg.period_tol:
-                violations.append(
-                    f"period law violated on ray y={y:.6g}: measured {est.period:.4f}, "
-                    f"law {expected:.4f}, tolerance {cfg.period_tol}")
+            checks.append((f"ray y={y:.6g}: period {est.period:.4f} (law {expected:.4f}, "
+                           f"rel err {err:.2e}, amp {est.amplitude:.3e})", err, cfg.period_tol,
+                           f"period law violated on ray y={y:.6g}: measured {est.period:.4f}, "
+                           f"law {expected:.4f}, tolerance {cfg.period_tol}"))
         else:
-            report.append(f"ray y={y:.6g}: no oscillation (amplitude {est.amplitude:.3e})")
+            checks.append((f"ray y={y:.6g}: no oscillation (amplitude {est.amplitude:.3e})",
+                           math.nan, None, ""))
 
     # mass functional; absolute for smooth data, drift for sampled jumps
-    diag = traj.diagnostics
-    if isinstance(p, LogGaussian):
-        mass_err = float(np.max(np.abs(diag.mass - u0_mass))) / u0_mass
-    else:
-        mass_err = float(np.max(np.abs(diag.mass - diag.mass[0]))) / u0_mass
-    report.append(f"mass functional: max relative deviation {mass_err:.3e}")
-    if mass_err > cfg.mass_tol:
-        violations.append(f"mass conservation violated: {mass_err:.3e} > {cfg.mass_tol}")
+    mass = traj.diagnostics.mass
+    ref = u0_mass if isinstance(p, LogGaussian) else mass[0]
+    mass_err = float(np.max(np.abs(mass - ref))) / u0_mass
+    checks.append((f"mass functional: max relative deviation {mass_err:.3e}", mass_err,
+                   cfg.mass_tol, f"mass conservation violated: {mass_err:.3e} > {cfg.mass_tol}"))
 
     # weak limit against cos (smooth data only)
     weak_rows = []
     if isinstance(p, LogGaussian):
         t_w = float(traj.times[-1])
         val = analysis.weak_test(src, math.cos, t_w)
-        target = u0_mass * math.cos(la)
+        target = u0_mass * math.cos(params.log_alpha)
         weak_err = abs(val - target) / abs(target)
         weak_rows.append((t_w, val, target, weak_err))
-        report.append(f"weak cos functional at t={t_w:g}: {val:.6f} "
-                      f"(limit {target:.6f}, rel err {weak_err:.2e})")
-        if weak_err > cfg.weak_tol:
-            violations.append(
-                f"weak limit violated: cos functional off by {weak_err:.3e} > {cfg.weak_tol}")
+        checks.append((f"weak cos functional at t={t_w:g}: {val:.6f} (limit {target:.6f}, "
+                       f"rel err {weak_err:.2e})", weak_err, cfg.weak_tol,
+                       f"weak limit violated: cos functional off by {weak_err:.3e} > "
+                       f"{cfg.weak_tol}"))
 
     # route agreement: solver vs series on the grid nodes themselves (no
     # interpolation in the comparison), contour inversion pointwise
     t_cmp = [float(t) for t in traj.times if 0.5 <= t <= 10.0] or [float(traj.times[-1])]
     ys = traj.grid.y_nodes()
-    pde_err = 0.0
+    node_errs = []
     for t in t_cmp:
-        exact = series.eval_n_series(p, params.alpha, float(t), ys)
-        snap = traj.snapshots[traj.snapshot_index(float(t))]
-        pde_err = max(pde_err, float(np.max(np.abs(snap - exact)) / np.max(np.abs(exact))))
-    report.append(f"solver vs series on nodes at t in {t_cmp}: max scaled error {pde_err:.3e}")
-    if pde_err > cfg.pde_tol:
-        violations.append(f"series vs solver mismatch {pde_err:.3e} > {cfg.pde_tol}")
+        exact = series.eval_n_series(p, params.alpha, t, ys)
+        snap = traj.snapshots[traj.snapshot_index(t)]
+        node_errs.append(np.max(np.abs(snap - exact)) / np.max(np.abs(exact)))
+    pde_err = float(np.max(node_errs))  # np.max, unlike max(), keeps a NaN
+    checks.append((f"solver vs series on nodes at t in {t_cmp}: max scaled error {pde_err:.3e}",
+                   pde_err, cfg.pde_tol,
+                   f"series vs solver mismatch {pde_err:.3e} > {cfg.pde_tol}"))
     cmp_tbl = analysis.compare_methods(
         p, params, t_cmp, (0.25, 0.5, 0.75), traj=traj,
         tol={frozenset({"series", "mellin"}): cfg.mellin_tol})
-    report.append(cmp_tbl.summary())
-    err = cmp_tbl.max_rel_err("series", "mellin")
-    if not math.isnan(err) and err > cfg.mellin_tol:
-        violations.append(f"series vs contour inversion mismatch {err:.3e} > {cfg.mellin_tol}")
+    checks.append((cmp_tbl.summary(), math.nan, None, ""))
+    for (a, b), tol in {(r.method_a, r.method_b): r.tol for r in cmp_tbl.rows}.items():
+        err = cmp_tbl.max_rel_err(a, b)  # NaN, and only reported, if no cell evaluates
+        pair = "series vs contour inversion" if (a, b) == ("series", "mellin") else f"{a} vs {b}"
+        checks.append((None, err, None if math.isnan(err) else tol,
+                       f"{pair} mismatch {err:.3e} > {tol}"))
 
-    # asymptotics on the concentration line (smooth data only)
+    # asymptotics on the concentration line (smooth data only), at unit mass:
+    # by linearity the relative error does not depend on it, and v cannot overflow
     if isinstance(p, LogGaussian):
-        errs = []
-        for t in (10.0, 15.0, 20.0, 25.0, 30.0):
-            x = params.alpha ** (-t)
-            exact = series.eval_v(p, params.alpha, t, x)
-            approx = mellin.asymp_v_poisson(p, params.alpha, t, x)
-            errs.append(abs(approx - exact) / abs(exact))
-        report.append("asymptotic relative error on x = alpha^-t at t = 10..30: "
-                      + ", ".join(f"{e:.3e}" for e in errs))
-        if errs[3] > cfg.asymp_tol:
-            violations.append(
-                f"asymptotics violated: relative error {errs[3]:.3e} at t=25 > {cfg.asymp_tol}")
-        if any(errs[i + 1] > errs[i] * (1.0 + 1e-9) for i in range(len(errs) - 1)):
-            violations.append("asymptotics violated: error not monotone non-increasing")
+        unit = dataclasses.replace(p, mass=1.0)
+        tx = [(t, params.alpha ** (-t)) for t in (10.0, 15.0, 20.0, 25.0, 30.0)]
+        exact = np.array([series.eval_v(unit, params.alpha, t, x) for t, x in tx])
+        approx = np.array([mellin.asymp_v_poisson(unit, params.alpha, t, x) for t, x in tx])
+        errs = np.abs(approx - exact) / np.abs(exact)
+        checks.append(("asymptotic relative error on x = alpha^-t at t = 10..30: "
+                       + ", ".join(f"{e:.3e}" for e in errs), errs[3], cfg.asymp_tol,
+                       f"asymptotics violated: relative error {errs[3]:.3e} at t=25 > "
+                       f"{cfg.asymp_tol}"))
+        checks.append((None, np.max(errs[1:] - errs[:-1] * (1.0 + 1e-9)), 0.0,
+                       "asymptotics violated: error not monotone non-increasing"))
 
     out_dir = Path(cfg.directory)
     if "csv" in cfg.formats:
-        _write_csv(out_dir / "periods.csv",
-                   ["y", "expected", "period", "amplitude", "confidence",
-                    "n_cycles", "oscillating"],
-                   [list(zip(*period_rows))])
+        _write_csv(out_dir / "periods.csv", ["y", "expected", "period", "amplitude", "confidence",
+                                             "n_cycles", "oscillating"], [list(zip(*period_rows))])
         if weak_rows:
             _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"],
                        [list(zip(*weak_rows))])
         _write_compare(out_dir / "compare.csv", cmp_tbl)
-    print("\n".join(report))
-    if violations:
-        raise ThresholdError("; ".join(violations))
+    print("\n".join(line for line, *_ in checks if line is not None))
+    failed = [why for _, measured, tol, why in checks if tol is not None and not measured <= tol]
+    if failed:
+        raise ThresholdError("; ".join(failed))
     print("all checks passed")
     return 0
 

@@ -347,6 +347,15 @@ class TestCompareMethods:
                               tol={frozenset({"series", "pde"}): 1e-16})
         assert tbl.flagged
 
+    def test_rows_carry_their_pair_tolerance(self, traj_g01):
+        # each row holds the tolerance it was judged by: the override or the default
+        tbl = compare_methods(GAUSS, ModelParams(alpha=2.0), [5.0], [0.5, 0.6], traj=traj_g01,
+                              tol={frozenset({"series", "pde"}): 1e-16})
+        tols = {(r.method_a, r.method_b): r.tol for r in tbl.rows}
+        assert tols == {("series", "pde"): 1e-16, ("series", "mellin"): 1e-6,
+                        ("pde", "mellin"): 2e-3}
+        assert all(r.flagged == (r.rel_err > r.tol) for r in tbl.rows)
+
     def test_asymptotic_methods_and_domain_gaps(self):
         tbl = compare_methods(GAUSS, ModelParams(alpha=2.0), [20.0], [2.0**-20, 1.5],
                               methods=["series", "asymp-poisson"])

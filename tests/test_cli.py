@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gflab
-from gflab import analysis, cli, config, solver, svg
+from gflab import analysis, cli, config, series, solver, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
 from gflab.errors import DomainError
@@ -702,6 +702,66 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "all checks passed" in captured.out
+
+    @pytest.mark.parametrize("argv, config_text, check", [
+        (["--period-tol", "1e-9"], None, "period law violated on ray"),
+        (["--mass-tol", "1e-20"], None, "mass conservation violated"),
+        (["--weak-tol", "1e-9"], None, "weak limit violated"),
+        ([], "[analyze]\npde_tol = 1e-20\n", "series vs solver mismatch"),
+        ([], "[analyze]\nmellin_tol = 1e-20\n", "series vs contour inversion mismatch"),
+    ], ids=["period_tol", "mass_tol", "weak_tol", "pde_tol", "mellin_tol"])
+    def test_each_threshold_exits_4_naming_its_check(self, tmp_path, capsys,
+                                                      argv, config_text, check):
+        if config_text is not None:
+            (tmp_path / "run.cfg").write_text(config_text)
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        assert main(["analyze", "--t-end", "40", *argv, "--out-dir", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: ")
+        violations = err.removeprefix("check failed: ").rstrip("\n").split("; ")
+        assert all(v.startswith(check) for v in violations), err
+
+    def test_asymptotics_verdict_does_not_depend_on_the_mass(self, tmp_path, capsys):
+        # at mass 1e300 v itself overflows to inf; the check runs at unit mass
+        codes, lines = [], set()
+        for mass in ("1", "1e300"):
+            for tol in ("0.1", "1e-12"):
+                codes.append(main(["analyze", "--t-end", "40", "--asymp-tol", tol,
+                                   "--profile", f"loggaussian mu=0 sigma=0.1 mass={mass}",
+                                   "--out-dir", str(tmp_path / "o")]))
+                lines |= {line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("asymptotic relative error")}
+        assert codes == [0, 4, 0, 4]
+        assert len(lines) == 1 and "nan" not in lines.pop()
+
+    def test_flagged_route_cells_fail(self, tmp_path, capsys):
+        # at m = 8 the solver's off-node values miss the pde pair tolerance 2e-3
+        assert main(["analyze", "--t-end", "40", "--m", "8",
+                     "--out-dir", str(tmp_path / "o")]) == 4
+        captured = capsys.readouterr()
+        assert "6 cell(s) above tolerance" in captured.out
+        assert "all checks passed" not in captured.out
+        assert captured.err == ("check failed: series vs pde mismatch 6.758e-01 > 0.002; "
+                                "pde vs mellin mismatch 6.758e-01 > 0.002\n")
+
+    def test_nan_node_error_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN at one comparison time must not be dropped by the maximum over times
+        eval_n_series = series.eval_n_series
+        monkeypatch.setattr(series, "eval_n_series", lambda p, alpha, t, ys: (
+            np.full_like(ys, np.nan) if t == 5.0 else eval_n_series(p, alpha, t, ys)))
+        assert main(["analyze", "--t-end", "40", "--out-dir", str(tmp_path / "o")]) == 4
+        captured = capsys.readouterr()
+        assert "max scaled error nan" in captured.out
+        assert captured.err == "check failed: series vs solver mismatch nan > 1e-07\n"
+
+    def test_unevaluable_route_pair_only_reports(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise DomainError("contour refused")
+        monkeypatch.setattr(analysis, "inverse_mellin_v", refuse)
+        assert main(["analyze", "--t-end", "40", "--out-dir", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "  series vs mellin: nan" in out and "  pde vs mellin: nan" in out
+        assert "all checks passed" in out
 
     def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
         # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt
