@@ -13,79 +13,40 @@ here quantify that: probes sample f_y, the period estimator detrends a probe
 and reads the first dominant autocorrelation peak, and weak limits are tested
 only through integrated functionals (pointwise limits do not exist).
 
-Everything reads values through a small source interface so the same
-instrument runs on the series, the contour inversion, or a solved grid
-trajectory.
+The instruments read n from one of two sources, the explicit series or a
+solved grid trajectory; the pointwise v-routes are named in ROUTES.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, QuadratureError
+from .errors import DomainError, NumericsError
 from .mellin import asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
-from .model import InitialProfile, LogGaussian, ModelParams, moment, support_y
-from .series import (
-    DEFAULT_TRUNCATION,
-    SeriesTruncation,
-    eval_n,
-    eval_v,
-    integrate_n,
-    poisson_cutoff,
-)
+from .model import InitialProfile, LogGaussian, ModelParams, moment
+from .series import eval_n, eval_v, integrate_n
 from .solver import Trajectory, v_from_grid
 
 
-class VSource(Protocol):
-    """Anything that can evaluate the pure-fragmentation solution."""
-
-    alpha: float
-
-    def v(self, t: float, x: float) -> float: ...
-
-    def n(self, t: float, y: float) -> float: ...
-
-
 class SeriesSource:
-    """Evaluate v and n through the explicit series.
+    """Evaluate n through the explicit series.
 
-    Both go through the one pointwise kernel of `series` (n works on n(0, .)
+    n goes through the one pointwise kernel of `series` (it works on n(0, .)
     directly and never forms e^y); weak_test integrates the series term by
     term instead of sampling it.
     """
-
-    def __init__(self, profile: InitialProfile, alpha: float,
-                 trunc: SeriesTruncation = DEFAULT_TRUNCATION):
-        self.profile = profile
-        self.alpha = alpha
-        self.trunc = trunc
-
-    def v(self, t: float, x: float) -> float:
-        return eval_v(self.profile, self.alpha, t, x, self.trunc)
-
-    def n(self, t: float, y: float) -> float:
-        return eval_n(self.profile, self.alpha, t, y, self.trunc)
-
-
-class MellinSource:
-    """Evaluate v and n through the contour inversion (log-gaussian data only),
-    each point on its own real saddle line as inverse_mellin_v chooses it."""
 
     def __init__(self, profile: InitialProfile, alpha: float):
         self.profile = profile
         self.alpha = alpha
 
-    def v(self, t: float, x: float) -> float:
-        return inverse_mellin_v(self.profile, self.alpha, t, x)
-
     def n(self, t: float, y: float) -> float:
-        return math.exp(2.0 * y) * self.v(t, math.exp(y))
+        return eval_n(self.profile, self.alpha, t, y)
 
 
 class GridSource:
@@ -94,9 +55,6 @@ class GridSource:
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self.alpha = traj.grid.alpha
-
-    def v(self, t: float, x: float) -> float:
-        return v_from_grid(self.traj, t, x)
 
     def n(self, t: float, y: float) -> float:
         return self.traj.n_at(t, y)
@@ -109,14 +67,14 @@ class GridSource:
                           f"(tracked: {sorted(self.traj.diagnostics.probes)})")
 
 
-def r_of(source: VSource, t: float, y: float) -> float:
+def r_of(source: SeriesSource | GridSource, t: float, y: float) -> float:
     """Rescaled line value r(t, y) = t e^{2ty} v(t, e^{yt}) = t n(t, t y)."""
     if not t > 0.0:
         raise DomainError(f"rescaling needs t > 0, got {t}")
     return t * source.n(t, t * y)
 
 
-def r_tilde_of(source: VSource, t: float, z: float) -> float:
+def r_tilde_of(source: SeriesSource | GridSource, t: float, z: float) -> float:
     """Gaussian-window rescaling of r around y0 = -log alpha with sigma = log alpha."""
     if not t > 0.0:
         raise DomainError(f"rescaling needs t > 0, got {t}")
@@ -134,13 +92,13 @@ class LineProbe:
     values: np.ndarray
 
 
-def line_probe(source: VSource, y: float, times=None,
+def line_probe(source: SeriesSource | GridSource, y: float, times=None,
                t_min: float | None = None, t_max: float | None = None) -> LineProbe:
     """Sample f_y along the ray.  Grid sources reuse their dense recorded track.
 
     For a grid source `times` may be omitted; the track recorded while solving
-    is windowed to [t_min, t_max].  Other sources evaluate pointwise at the
-    requested times.
+    is windowed to [t_min, t_max].  A series source evaluates pointwise at
+    the requested times.
     """
     if y >= 0.0:
         raise DomainError(f"line probes are defined for rays y < 0, got {y}")
@@ -270,7 +228,7 @@ def estimate_period(probe: LineProbe, expected_period: float | None = None,
 _WEAK_NODES = 64
 
 
-def weak_test(source: VSource, phi: Callable[[float], float], t: float,
+def weak_test(source: SeriesSource | GridSource, phi: Callable[[float], float], t: float,
               rescaled: bool = False, y_window: tuple[float, float] | None = None) -> float:
     """Integrated functional int phi(y) r(t, y) dy (or int phi(z) rtilde(t, z) dz).
 
@@ -279,9 +237,7 @@ def weak_test(source: VSource, phi: Callable[[float], float], t: float,
     series term by term over the compact initial support (series.integrate_n)
     with 64 and 128 Gauss-Legendre nodes, and raise NumericsError when the
     two rules disagree by more than 1e-10 of the mass or 1e-9 relative (a phi
-    that is not smooth on the support).  Other sources use adaptive quadrature
-    over the effective support and raise QuadratureError when its error
-    estimate exceeds that tolerance.  phi is zero outside a given y_window,
+    that is not smooth on the support).  phi is zero outside a given y_window,
     whose endpoints are checked to make sure the window contains the mass.
     As t grows the plain form tends to U0(2) phi(-log alpha) and the rescaled
     form to U0(2) int phi dG.
@@ -301,47 +257,27 @@ def weak_test(source: VSource, phi: Callable[[float], float], t: float,
         phi_vals = np.array([phi(a) for a in args])
         return g.trapezoid(phi_vals * snap)
 
-    profile = getattr(source, "profile")
-    scale = moment(profile, 1.0)
-    epsabs, epsrel = 1e-10 * scale, 1e-9
+    scale = moment(source.profile, 1.0)
     if y_window is not None:
         _check_window(source, t, y_window, scale)
 
-    def phi_of_y(y: float) -> float:
-        return phi((y + la) * math.sqrt(t) / la) if rescaled else phi(y)
+    def phi_of_z(z: np.ndarray) -> np.ndarray:
+        ys = [zi / t for zi in z.ravel().tolist()]
+        vals = [phi((y + la) * math.sqrt(t) / la) if rescaled else phi(y) for y in ys]
+        return np.array(vals, dtype=float).reshape(z.shape)
 
-    if isinstance(source, SeriesSource):
-        def phi_of_z(z: np.ndarray) -> np.ndarray:
-            vals = [phi_of_y(zi / t) for zi in z.ravel().tolist()]
-            return np.array(vals, dtype=float).reshape(z.shape)
-
-        z_window = None if y_window is None else (t * y_window[0], t * y_window[1])
-        coarse, fine = (integrate_n(profile, source.alpha, t, phi_of_z, n, z_window, source.trunc)
-                        for n in (_WEAK_NODES, 2 * _WEAK_NODES))
-        if abs(fine - coarse) > max(epsabs, epsrel * abs(fine)):
-            raise NumericsError(
-                f"termwise weak functional: {_WEAK_NODES} and {2 * _WEAK_NODES} Gauss nodes "
-                f"disagree by {abs(fine - coarse):.3e} (phi is not smooth on the support)")
-        return fine
-
-    from scipy.integrate import IntegrationWarning, quad  # only this branch needs scipy
-
-    if y_window is None:
-        lo_s, hi_s = support_y(profile)
-        k_cap = poisson_cutoff(t, 1e-14)  # r(t, .) has Poisson parameter t
-        y_window = ((lo_s - (k_cap + 2) * la) / t, (hi_s + la) / t)
-        _check_window(source, t, y_window, scale)
-    with warnings.catch_warnings():
-        # a failed integration is reported below, from quad's own error estimate
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(lambda y: phi_of_y(y) * r_of(source, t, y), *y_window,
-                        limit=800, epsabs=epsabs, epsrel=epsrel)
-    if err > max(epsabs, epsrel * abs(val)):
-        raise QuadratureError("weak functional: adaptive quadrature missed its tolerance", err)
-    return val
+    z_window = None if y_window is None else (t * y_window[0], t * y_window[1])
+    coarse, fine = (integrate_n(source.profile, source.alpha, t, phi_of_z, n, z_window)
+                    for n in (_WEAK_NODES, 2 * _WEAK_NODES))
+    if abs(fine - coarse) > max(1e-10 * scale, 1e-9 * abs(fine)):
+        raise NumericsError(
+            f"termwise weak functional: {_WEAK_NODES} and {2 * _WEAK_NODES} Gauss nodes "
+            f"disagree by {abs(fine - coarse):.3e} (phi is not smooth on the support)")
+    return fine
 
 
-def _check_window(source: VSource, t: float, y_window: tuple[float, float], scale: float) -> None:
+def _check_window(source: SeriesSource | GridSource, t: float, y_window: tuple[float, float],
+                  scale: float) -> None:
     for edge in y_window:
         if abs(r_of(source, t, edge)) > 1e-9 * scale:
             raise NumericsError(

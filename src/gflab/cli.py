@@ -1,8 +1,9 @@
 """Command-line front end: evaluate, solve, figures, analyze, compare.
 
 Exit-code contract: 0 success, 2 domain/precondition error, 3 numerical guard
-trip (mass leak, truncation, quadrature), 4 a failed analyze check (measured
-value above its tolerance or not a number; flagged route-table cells fail too).
+trip (mass leak, truncation, quadrature, overflow), 4 a failed analyze check
+(measured value above its tolerance or not a number; flagged route-table cells
+fail too).
 Data files are deterministic: identical configuration gives byte-identical
 CSV output (fixed summation orders, 17 significant digits, no wall-clock
 content).  Float cells are exactly the text of "%.17g" % x: the g17 kernel
@@ -287,7 +288,7 @@ def cmd_analyze(args) -> int:
         target = u0_mass * math.cos(params.log_alpha)
         weak_err = abs(val - target) / abs(target)
         weak_rows.append((t_w, val, target, weak_err))
-        checks.append((f"weak cos functional at t={t_w:g}: {val:.6f} (limit {target:.6f}, "
+        checks.append((f"weak cos functional at t={t_w:g}: {val:.6g} (limit {target:.6g}, "
                        f"rel err {weak_err:.2e})", weak_err, cfg.weak_tol,
                        f"weak limit violated: cos functional off by {weak_err:.3e} > "
                        f"{cfg.weak_tol}"))

@@ -14,7 +14,7 @@ class DomainError(GFLabError, ValueError):
 
 
 class NumericsError(GFLabError, RuntimeError):
-    """A numerical guard tripped (truncation cap, quadrature estimate, mass leak)."""
+    """A numerical guard tripped (truncation cap, quadrature estimate, mass leak, overflow)."""
 
 
 class TruncationError(NumericsError):

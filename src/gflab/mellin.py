@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, NumericsError, QuadratureError
 from .model import InitialProfile, LogGaussian, density_from_log_x, dilation_window, mellin_U0
 
 # exp(-z^2 / 2) dips below 1e-16 past this many widths.
@@ -350,7 +350,10 @@ def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float,
     log_x = math.log(x)
     pref = math.exp(-sp * log_x + (alpha ** (2.0 - sp) - 1.0) * t)
     denom = math.sqrt(2.0 * math.pi * t) * la * alpha ** (1.0 - sp / 2.0)
-    return pref * theta_sum(p, alpha, sp, log_x, k_max).real / denom
+    v = pref * theta_sum(p, alpha, sp, log_x, k_max).real / denom
+    if not math.isfinite(v):
+        raise NumericsError(f"theta asymptotics: v({t:g}, {x:g}) = {v} is not finite")
+    return v
 
 
 def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float,
@@ -365,5 +368,8 @@ def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float,
     n_range = tr.n_range if tr is not None else default_poisson_range(p, alpha, x)
     pref = math.exp((alpha ** (2.0 - sp) - 1.0) * t)
     denom = math.sqrt(2.0 * math.pi * t) * alpha ** (1.0 - sp / 2.0)
-    return pref * poisson_sum(p, alpha, sp, x, n_range) / denom
+    v = pref * poisson_sum(p, alpha, sp, x, n_range) / denom
+    if not math.isfinite(v):
+        raise NumericsError(f"Poisson asymptotics: v({t:g}, {x:g}) = {v} is not finite")
+    return v
 

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, NumericsError, TruncationError
 from .model import (
     Dirac,
     InitialProfile,
@@ -164,8 +164,10 @@ def eval_v(p: InitialProfile, alpha: float, t: float, x: float,
     if t == 0.0:
         return profile_eval_x(p, x)
     log_alpha = math.log(alpha)
-    return _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t,
-                       trunc)
+    v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t, trunc)
+    if not math.isfinite(v):
+        raise NumericsError(f"series: v({t:g}, {x:g}) = {v} is not finite")
+    return v
 
 
 def eval_n(p: InitialProfile, alpha: float, t: float, y: float,

@@ -14,7 +14,6 @@ import gflab
 from gflab.analysis import (
     GridSource,
     LineProbe,
-    MellinSource,
     SeriesSource,
     compare_methods,
     estimate_period,
@@ -23,9 +22,9 @@ from gflab.analysis import (
     r_tilde_of,
     weak_test,
 )
-from gflab.errors import DomainError, NumericsError, QuadratureError
+from gflab.errors import DomainError, NumericsError
 from gflab.model import LogGaussian, LogHeaviside, ModelParams, moment, support_y
-from gflab.series import eval_n, eval_n_series, eval_v, poisson_cutoff
+from gflab.series import eval_n_series, eval_v, poisson_cutoff
 
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
@@ -282,52 +281,6 @@ class TestTermwiseWeakFunctional:
                 "sys.exit('scipy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-class _SeriesValuedContour(MellinSource):
-    """A contour-route source served by the series, so adaptive quadrature runs fast."""
-
-    def n(self, t, y):
-        return eval_n(self.profile, self.alpha, t, y)
-
-
-class TestContourWeakFunctional:
-    def test_matches_series_source(self):
-        cs = _SeriesValuedContour(GAUSS, 2.0)
-        assert weak_test(cs, math.cos, 2.0) == pytest.approx(
-            weak_test(SeriesSource(GAUSS, 2.0), math.cos, 2.0), rel=1e-9)
-
-    def test_default_window_is_sized_by_the_poisson_parameter_t(self, monkeypatch):
-        import scipy.integrate
-
-        windows = []
-        real_quad = scipy.integrate.quad
-
-        def spy(f, a, b, **kwargs):
-            windows.append((a, b))
-            return real_quad(f, a, b, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "quad", spy)
-        t, la = 10.0, math.log(2.0)
-        val = weak_test(_SeriesValuedContour(GAUSS, 2.0), math.cos, t)
-        lo_s, hi_s = support_y(GAUSS)
-        k_cap = poisson_cutoff(t, 1e-14)
-        assert windows == [((lo_s - (k_cap + 2) * la) / t, (hi_s + la) / t)]
-        assert windows[0][0] == pytest.approx(-3.17, abs=0.01)
-        assert val == pytest.approx(weak_test(SeriesSource(GAUSS, 2.0), math.cos, t), rel=1e-9)
-
-    def test_unresolved_phi_raises_instead_of_returning(self):
-        cs = _SeriesValuedContour(GAUSS, 2.0)
-        with pytest.raises(QuadratureError, match="missed its tolerance"):
-            weak_test(cs, lambda y: math.sin(1e6 * y), 0.5)
-
-
-class TestSources:
-    def test_mellin_source_matches_series(self):
-        ms = MellinSource(GAUSS, 2.0)
-        ss = SeriesSource(GAUSS, 2.0)
-        assert ms.v(1.0, 0.5) == pytest.approx(ss.v(1.0, 0.5), rel=1e-6)
-        assert ms.n(1.0, -0.7) == pytest.approx(ss.n(1.0, -0.7), rel=1e-6)
 
 
 class TestCompareMethods:

@@ -3,6 +3,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,8 @@ from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
 from gflab.errors import DomainError
 from gflab.model import LogGaussian, LogHeaviside, ModelParams
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 CONFIG_TEXT = """\
 [model]
@@ -164,6 +167,17 @@ class TestEvaluate:
                      "--t", "1", "--x", "0.5"])
         assert code == 2
         assert "decays too slowly" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("method", list(analysis.ROUTES))
+    def test_overflowing_value_exits_3(self, method, capsys):
+        # v(15, 2^-15) is about 4.4e308 at this mass: no route may print inf
+        code = main(["evaluate", "--method", method, "--t", "15", "--x", "3.0517578125e-05",
+                     "--profile", "loggaussian mu=0 sigma=0.1 mass=1e300"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("numerical guard: ")
+        assert "inf" not in captured.out
 
     def test_point_grid(self, capsys):
         assert main(["evaluate", "--method", "series", "--t", "0.5,1", "--x", "0.4,0.6"]) == 0
@@ -657,6 +671,16 @@ class TestAnalyze:
         assert (tmp_path / "o" / "periods.csv").exists()
         assert (tmp_path / "o" / "compare.csv").exists()
 
+    def test_weak_line_fits_at_any_mass(self, tmp_path, capsys):
+        # six significant digits, not six decimals: 7.64653e+299 at mass 1e300
+        assert main(["analyze", "--t-end", "40", "--out-dir", str(tmp_path / "big"),
+                     "--profile", "loggaussian mu=0 sigma=0.1 mass=1e300"]) == 0
+        weak = [line for line in capsys.readouterr().out.splitlines() if line.startswith("weak")]
+        assert len(weak) == 1 and len(weak[0]) <= 120, weak
+        assert main(["analyze", "--out-dir", str(tmp_path / "default")]) == 0
+        assert ("weak cos functional at t=60: 0.766174 (limit 0.769239, rel err 3.98e-03)"
+                in capsys.readouterr().out.splitlines())
+
     def test_tampered_tolerance_exits_4(self, tmp_path, capsys):
         code = main(["analyze", "--t-end", "40", "--asymp-tol", "1e-12",
                      "--out-dir", str(tmp_path / "o")])
@@ -775,6 +799,28 @@ class TestImportCost:
         code = "import sys, gflab; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: with its import blocked, every route of
+        # evaluate, compare, a probe figure, analyze and the README sketch still run
+        sketch = re.search(r"## Library sketch\n.*?```python\n(.*?)```",
+                           README.read_text(encoding="utf-8"), re.S).group(1)
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from gflab import analysis\n"
+                "from gflab.cli import main\n"
+                "out = sys.argv[1]\n"
+                "codes = [main(['evaluate', '--method', m, '--t', '1', '--x', '0.5'])\n"
+                "         for m in analysis.ROUTES]\n"
+                "codes += [main([cmd, *extra, '--out-dir', out]) for cmd, *extra in\n"
+                "          (['compare'], ['figures', '--id', '1'], ['analyze'])]\n"
+                "exec(sys.argv[2])\n"
+                "print(codes)\n")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path), sketch], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == str([0] * (len(analysis.ROUTES) + 3))
 
     def test_cli_import_leaves_xml_unloaded(self):
         # the SVG writer writes its elements as text

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gflab.analysis import MellinSource, route_u
+from gflab.analysis import route_u
 from gflab.errors import DomainError, QuadratureError
 from gflab.mellin import (
     AsympTruncation,
@@ -228,7 +228,7 @@ class TestSaddleLine:
         assert got == pytest.approx(eval_v(p, 2.0, t, x), rel=1e-6)
 
     def test_mellin_source_uses_the_saddle(self):
-        assert MellinSource(GAUSS, 2.0).v(40.0, 0.75) == pytest.approx(
+        assert inverse_mellin_v(GAUSS, 2.0, 40.0, 0.75) == pytest.approx(
             eval_v(GAUSS, 2.0, 40.0, 0.75), rel=1e-9)
 
 

@@ -6,6 +6,8 @@ from math import exp, fsum, lgamma, log, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gflab.analysis import route_u
 from gflab.config import RunConfig
@@ -327,6 +329,21 @@ class TestSupportWindow:
         got = eval_n_series(p, alpha, t, ys)
         assert np.count_nonzero(ref) > 100
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+class TestSemigroup:
+    """n(s + t, .) is n(s, .) run for a further time t: e^{-t} sum_k t^k / k! n(s, . + k log 2)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([GAUSS, LogGaussian(0.3, 0.5, 2.0), LogHeaviside(-0.2, 0.0, 1.0),
+                              LogHeaviside(-1.0, 0.0, 1.0)]),
+           s=st.floats(1e-3, 6.0), t=st.floats(1e-3, 6.0))
+    def test_series_is_a_semigroup(self, p, s, t):
+        ys = np.linspace(-25.0, 1.0, 523)
+        whole = eval_n_series(p, 2.0, s + t, ys)
+        split = sum(exp(-t + k * log(t) - lgamma(k + 1)) * eval_n_series(p, 2.0, s, ys + k * LOG2)
+                    for k in range(poisson_cutoff(t, 1e-17) + 1))
+        assert np.max(np.abs(whole - split)) <= 1e-12 * np.max(np.abs(whole))
 
 
 class TestSupportSet:
