@@ -364,11 +364,11 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
                     tol: dict[frozenset, float] | None = None) -> MethodComparison:
     """Evaluate v(t, x) by every requested route and tabulate pairwise errors.
 
-    Methods: the ROUTES ("series"; "mellin", log-gaussian only; "asymp-theta"
-    and "asymp-poisson", 0 < x < 1 and t > 0) and, given a trajectory
-    snapshotted at each t, "pde".  Cells a method cannot evaluate are NaN and
-    excluded from flags; flagged rows exceed the pairwise tolerance (default
-    1e-6, asymptotic pairs 0.15).
+    Methods: the ROUTES ("series"; "mellin", log-gaussian only; "asymp-theta",
+    log-gaussian only, 0 < x < 1 and t > 0; "asymp-poisson", 0 < x < 1 and
+    t > 0) and, given a trajectory snapshotted at each t, "pde".  Cells outside
+    a method's domain are NaN and excluded from flags; flagged rows exceed the
+    pairwise tolerance (default 1e-6, asymptotic pairs 0.15).
     """
     if methods is None:
         methods = ["series"]

@@ -22,9 +22,10 @@ guard is relative: the error estimate must stay below ERR_TOL * |v|.
 
 Large-time behaviour along rays x = e^{yt} (y < 0) is governed by the real
 saddle abscissa s_plus(t, x) and its vertical lattice of translates
-s_k = s_plus - 2 i k pi / log alpha, all sharing the same K value.  Two
-equivalent evaluators are provided: the theta form sums U0 over that lattice
-with oscillatory phases, and the Poisson-resummed form sums the initial
+s_k = s_plus - 2 i k pi / log alpha, all sharing the same K value.  The theta
+form is the contour integrand summed by the trapezoid rule at step
+2 pi / log alpha, one node on each s_k, so it takes log-gaussian data only and
+is guarded as the contour is.  The Poisson-resummed form sums the initial
 density over the dilation lattice alpha^n x.  Complex powers of positive
 reals are always computed as exp(exponent * real log), which fixes the branch.
 """
@@ -36,14 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, QuadratureError
-from .model import InitialProfile, LogGaussian, density_from_log_x, dilation_window, mellin_U0
+from .errors import DomainError, NumericsError, QuadratureError, TruncationError
+from .model import InitialProfile, LogGaussian, density_from_log_x, dilation_window, first_true
 
 # exp(-z^2 / 2) dips below 1e-16 past this many widths.
 _DECAY_WIDTHS = math.sqrt(-2.0 * math.log(1e-16))
 _EPS = float(np.finfo(float).eps)
-ERR_TOL = 1e-8        # relative error bound of inverse_mellin_v
-THETA_K_CAP = 512     # most theta-sum terms default_theta_k_max asks for
+ERR_TOL = 1e-8        # relative error bound of inverse_mellin_v and asymp_v_theta
+THETA_K_CAP = 512     # most terms asymp_v_theta sums before it raises
 
 
 def K_of_s(alpha: float, s):
@@ -67,9 +68,9 @@ def s_plus(alpha: float, t: float, x: float) -> float:
     return 2.0 - math.log(-math.log(x) / (t * la)) / la
 
 
-def s_k(s_plus_value: float, k: int, alpha: float) -> complex:
-    """k-th vertical translate s_plus - 2 i k pi / log alpha of the saddle."""
-    return complex(s_plus_value, -2.0 * math.pi * k / math.log(alpha))
+def s_k(s_plus_value: float, k, alpha: float):
+    """Vertical translate s_plus - 2 i k pi / log alpha of the saddle (k an int or an array)."""
+    return s_plus_value - 2j * math.pi * k / math.log(alpha)
 
 
 def psi(alpha: float, y: float) -> tuple[float, float, float]:
@@ -149,21 +150,7 @@ def _poisson_reach(lam: float) -> int:
     def below(k: int) -> bool:
         return k < 0 or k * log_lam - math.lgamma(k + 1) - log_mode < _LOG_PMF_CUT
 
-    reach = 0
-    for side in (1, -1):
-        lo, step = 0, 1  # the pmf is not yet below the cut at distance lo
-        while not below(mode + side * (lo + step)):
-            lo += step
-            step *= 2
-        hi = lo + step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if below(mode + side * mid):
-                hi = mid
-            else:
-                lo = mid
-        reach = max(reach, hi)
-    return reach
+    return max(first_true(lambda d: below(mode + side * d), 0) for side in (1, -1))
 
 
 @dataclass(frozen=True)
@@ -205,17 +192,28 @@ class ContourQuad:
         return cls(nu=nu, tau_max=tau_max, n_nodes=n)
 
 
+def _exp_sum(weights: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """sum of weights * Re e^z, and an estimate of its rounding error.
+
+    A term e^z carries a relative rounding error of about eps (1 + |z|), since
+    z (mostly the phase tau log x) is rounded before the exponential; summed
+    over the terms that bounds what the cancellation between them can leave.
+    An overflow leaves a non-finite sum, without a warning, for the callers to name.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(z)
+        return (float(np.dot(weights, terms.real)),
+                _EPS * float(np.dot(weights, np.abs(terms) * (1.0 + np.abs(z)))))
+
+
 def _contour_value(p: LogGaussian, alpha: float, t: float, log_x: float,
                    nu: float, tau_max: float, n_nodes: int) -> tuple[float, float]:
     """(1 / 2 pi) times the n_nodes-point trapezoid sum over nu + i [-tau_max, tau_max],
-    and an estimate of its rounding error.
+    and an estimate of its rounding error (_exp_sum).
 
     For real data the integrand at nu - i tau is the conjugate of the one at
     nu + i tau, so only the nodes with tau >= 0 are evaluated and the real
-    part is doubled.  A term e^z carries a relative rounding error of about
-    eps (1 + |z|), since z (mostly the phase tau log x) is rounded before the
-    exponential; summed over the terms that bounds what the cancellation
-    between them can leave.
+    part is doubled.
     """
     h = 2.0 * tau_max / (n_nodes - 1)
     taus = tau_max - h * np.arange((n_nodes + 1) // 2)
@@ -223,11 +221,8 @@ def _contour_value(p: LogGaussian, alpha: float, t: float, log_x: float,
     weights[0] = h
     if n_nodes % 2:
         weights[-1] = h  # the node on the real axis is not doubled
-    z = _log_integrand(p, alpha, t, log_x, nu + 1j * taus)
-    integrand = np.exp(z)
-    value = float(np.dot(weights, integrand.real)) / (2.0 * math.pi)
-    rounding = _EPS * float(np.dot(weights, np.abs(integrand) * (1.0 + np.abs(z)))) / (2.0 * math.pi)
-    return value, rounding
+    value, rounding = _exp_sum(weights, _log_integrand(p, alpha, t, log_x, nu + 1j * taus))
+    return value / (2.0 * math.pi), rounding / (2.0 * math.pi)
 
 
 def _tail_bound(p: LogGaussian, alpha: float, t: float, log_x: float,
@@ -271,6 +266,8 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
         cq = ContourQuad.for_gaussian(p, alpha, t, saddle_abscissa(p, alpha, t, x))
     log_x = math.log(x)
     value, rounding = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, cq.n_nodes)
+    if not math.isfinite(value):
+        raise NumericsError(f"inverse Mellin: v({t:g}, {x:g}) = {value} is not finite")
     coarse = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, max(2, cq.n_nodes // 2))[0]
     estimate = (abs(value - coarse) + rounding
                 + _tail_bound(p, alpha, t, log_x, cq.nu, cq.tau_max))
@@ -294,34 +291,10 @@ class AsympTruncation:
             raise DomainError(f"dilation-sum window must contain 0, got {self.n_range}")
 
 
-def default_theta_k_max(p: InitialProfile, alpha: float, s_plus_value: float) -> int:
-    """Smallest k with |U0(s_k)| below 1e-16 |U0(s_plus)|, capped for slowly decaying transforms."""
-    ref = abs(mellin_U0(p, complex(s_plus_value)))
-    la = math.log(alpha)
-    for k in range(1, THETA_K_CAP + 1):
-        if abs(mellin_U0(p, complex(s_plus_value, -2.0 * math.pi * k / la))) < 1e-16 * ref:
-            return k
-    return THETA_K_CAP
-
-
 def default_poisson_range(p: InitialProfile, alpha: float, x: float) -> tuple[int, int]:
     """Dilation indices n with alpha^n x inside the (effective) profile support, padded by one."""
     first, last = dilation_window(p, math.log(alpha), math.log(x))
     return (min(int(first) - 1, 0), max(int(last) + 1, 0))
-
-
-def theta_sum(p: InitialProfile, alpha: float, s_plus_value: float, log_x: float,
-              k_max: int) -> complex:
-    """sum_{|k| <= k_max} U0(s_k) e^{2 i pi k log(x) / log alpha}.
-
-    The k and -k terms are complex conjugates for real initial data, so the
-    full sum is real up to rounding; callers take the real part.
-    """
-    la = math.log(alpha)
-    ks = np.arange(-k_max, k_max + 1)
-    svals = s_plus_value - 2j * math.pi * ks / la
-    phases = np.exp(2j * math.pi * ks * (log_x / la))
-    return complex(np.sum(mellin_U0(p, svals) * phases))
 
 
 def poisson_sum(p: InitialProfile, alpha: float, s_plus_value: float, x: float,
@@ -336,23 +309,33 @@ def poisson_sum(p: InitialProfile, alpha: float, s_plus_value: float, x: float,
 
 def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float,
                   tr: AsympTruncation | None = None) -> float:
-    """Saddle asymptotics of v(t, x) in theta form, for 0 < x < 1 and t > 0.
+    """Saddle asymptotics of v(t, x) in theta form, for log-gaussian data, 0 < x < 1 and t > 0.
 
-    x^{-s_plus} e^{(alpha^{2 - s_plus} - 1) t} times the lattice sum over the
-    s_k, divided by sqrt(2 pi t) log(alpha) alpha^{1 - s_plus / 2}.  With
-    k_max = 0 this degenerates to the single-saddle formula valid for smooth
-    fragmentation kernels, which is the comparison baseline for the
-    oscillation story.  The 1 + o(t^-beta) correction is omitted.
+    The contour integrand summed by the trapezoid rule at step 2 pi / log alpha,
+    one node on each s_k with |k| <= k_max, over sqrt(2 pi t) alpha^{1 - s_plus / 2}.
+    k_max = 0 gives the single-saddle formula of smooth fragmentation kernels,
+    the baseline of the oscillation story; the 1 + o(t^-beta) correction is
+    omitted.  k_max defaults to the contour's width rule (past it |U0(s_k)| <
+    1e-16 |U0(s_plus)|).  Past THETA_K_CAP terms a TruncationError is raised,
+    and a QuadratureError where the rounding estimate exceeds ERR_TOL * |value|.
     """
+    if not isinstance(p, LogGaussian):
+        raise DomainError(f"theta asymptotics need a log-gaussian profile, got {type(p).__name__}")
     sp = s_plus(alpha, t, x)  # validates the (t, x) domain
     la = math.log(alpha)
-    k_max = tr.k_max if tr is not None else default_theta_k_max(p, alpha, sp)
-    log_x = math.log(x)
-    pref = math.exp(-sp * log_x + (alpha ** (2.0 - sp) - 1.0) * t)
+    k_max = tr.k_max if tr is not None else int(_DECAY_WIDTHS * la / (2.0 * math.pi * p.sigma)) + 1
+    if k_max > THETA_K_CAP:  # the bound is |U0(s_k) / U0(s_plus)| at k = THETA_K_CAP
+        tail = math.exp(-0.5 * (2.0 * math.pi * THETA_K_CAP * p.sigma / la) ** 2)
+        raise TruncationError(f"theta sum needs {k_max} terms but the cap is {THETA_K_CAP}", tail)
+    ks = np.arange(k_max + 1)
+    value, rounding = _exp_sum(np.where(ks > 0, 2.0, 1.0),  # the real saddle is not doubled
+                               _log_integrand(p, alpha, t, math.log(x), s_k(sp, ks, alpha)))
     denom = math.sqrt(2.0 * math.pi * t) * la * alpha ** (1.0 - sp / 2.0)
-    v = pref * theta_sum(p, alpha, sp, log_x, k_max).real / denom
+    v = value / denom
     if not math.isfinite(v):
         raise NumericsError(f"theta asymptotics: v({t:g}, {x:g}) = {v} is not finite")
+    if not rounding <= ERR_TOL * abs(value):
+        raise QuadratureError("theta sum cancelled below its rounding", rounding / denom)
     return v
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -139,6 +139,23 @@ def dilation_window(p: InitialProfile, log_alpha: float, y):
     last = last + (y + (last + 1.0) * log_alpha <= hi)
     last = last - (y + last * log_alpha > hi)
     return first, last
+
+
+def first_true(pred: Callable[[int], bool], start: int) -> int:
+    """Smallest k > start with pred(k), for a pred that stays true once it holds:
+    the step from start doubles until pred holds, then the bracket is bisected."""
+    lo, step = start, 1  # pred fails at lo (or lo precedes the search)
+    while not pred(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def density_from_log_x(p: InitialProfile, log_x):

@@ -42,6 +42,7 @@ from .model import (
     ModelParams,
     density_from_log_x,
     dilation_window,
+    first_true,
     moment,
     profile_eval_x,
     profile_eval_y,
@@ -79,25 +80,12 @@ def poisson_cutoff(lam: float, eps: float) -> int:
 
     The tail past K is bounded by the first neglected term times the geometric
     series with ratio lam / (K + 2), valid once that ratio is below one.  The
-    bound decreases in k from ceil(lam) on, so K is bracketed by doubling the
-    step and then found by bisection.
+    bound decreases in k from ceil(lam) on, so K is found by first_true.
     """
     if lam <= 0.0:
         return 0
     target = math.log(eps) + lam
-    lo = int(math.ceil(lam)) - 1  # the bound fails at lo (or lo precedes the search)
-    step = 1
-    while _poisson_tail_log_bound(lam, lo + step) >= target:
-        lo += step
-        step *= 2
-    hi = lo + step  # the bound holds at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _poisson_tail_log_bound(lam, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return first_true(lambda k: _poisson_tail_log_bound(lam, k) < target, int(math.ceil(lam)) - 1)
 
 
 def truncation_order(lam: float, trunc: SeriesTruncation, k_support: int = 0) -> int:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -168,16 +169,34 @@ class TestEvaluate:
         assert code == 2
         assert "decays too slowly" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile, t, x, want", [
+        ("logheaviside a=-1 b=0 height=1", "10", "0.0009765625", 2),
+        ("dirac x0=1 weight=1", "10", "0.0009765625", 2),
+        ("loggaussian mu=0 sigma=0.01 mass=1", "25", repr(math.exp(-20.0)), 3),
+    ])
+    def test_theta_refusals_exit_codes(self, profile, t, x, want, capsys):
+        code = main(["evaluate", "--method", "asymp-theta", "--profile", profile,
+                     "--t", t, "--x", x])
+        assert code == want
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("method", list(analysis.ROUTES))
     def test_overflowing_value_exits_3(self, method, capsys):
         # v(15, 2^-15) is about 4.4e308 at this mass: no route may print inf
-        code = main(["evaluate", "--method", method, "--t", "15", "--x", "3.0517578125e-05",
-                     "--profile", "loggaussian mu=0 sigma=0.1 mass=1e300"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--method", method, "--t", "15", "--x", "3.0517578125e-05",
+                         "--profile", "loggaussian mu=0 sigma=0.1 mass=1e300"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("numerical guard: ")
+        assert "v(15, 3.05176e-05) = inf is not finite" in captured.err
         assert "inf" not in captured.out
+        if method in ("mellin", "asymp-theta"):
+            # the guard line alone: no numpy overflow warning before it
+            assert len(captured.err.splitlines()) == 1
+            assert not caught
 
     def test_point_grid(self, capsys):
         assert main(["evaluate", "--method", "series", "--t", "0.5,1", "--x", "0.4,0.6"]) == 0

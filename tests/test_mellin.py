@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gflab import mellin
 from gflab.analysis import route_u
-from gflab.errors import DomainError, QuadratureError
+from gflab.errors import DomainError, QuadratureError, TruncationError
 from gflab.mellin import (
     AsympTruncation,
     ContourQuad,
     K_of_s,
+    _contour_value,
+    _poisson_reach,
     asymp_v_poisson,
     asymp_v_theta,
     default_poisson_range,
@@ -23,7 +26,6 @@ from gflab.mellin import (
     s_k,
     s_plus,
     saddle_abscissa,
-    theta_sum,
 )
 from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, mellin_U0, profile_eval_x
 from gflab.series import eval_v
@@ -166,6 +168,26 @@ class TestSaddleLine:
         lhs = p.mu + p.sigma**2 * (nu - 2.0) - t * LOG2 * 2.0 ** (2.0 - nu)
         assert lhs == pytest.approx(log_x, rel=1e-12, abs=1e-12)
 
+    def test_poisson_reach_matches_linear_scan(self):
+        def linear_reach(lam):
+            mode = math.floor(lam)
+            log_mode = mode * math.log(lam) - math.lgamma(mode + 1)
+
+            def below(k):
+                return k < 0 or k * math.log(lam) - math.lgamma(k + 1) - log_mode < math.log(1e-17)
+
+            reach = 0
+            for side in (1, -1):
+                d = 1
+                while not below(mode + side * d):
+                    d += 1
+                reach = max(reach, d)
+            return reach
+
+        assert _poisson_reach(0.0) == 0
+        for lam in np.logspace(-4.0, 5.0, 181).tolist():
+            assert _poisson_reach(lam) == linear_reach(lam), lam
+
     def test_abscissa_at_t_zero_and_large_t(self):
         assert saddle_abscissa(GAUSS, 2.0, 0.0, 1.5) == 2.0 + math.log(1.5) / GAUSS.sigma**2
         # s_plus is the large-t limit along a ray
@@ -233,10 +255,35 @@ class TestSaddleLine:
 
 
 class TestAsymptotics:
-    def test_theta_imaginary_part_cancels(self):
-        sp = s_plus(2.0, 25.0, 2.0**-25)
-        total = theta_sum(GAUSS, 2.0, sp, -25.0 * LOG2, 12)
-        assert abs(total.imag) <= 1e-12 * abs(total.real)
+    @pytest.mark.parametrize("t,x", [(10.0, 2.0**-10), (15.0, 1.7 * 2.0**-15), (25.0, 3e-8)])
+    def test_theta_is_the_contour_trapezoid_on_the_saddle_lattice(self, t, x):
+        # step 2 pi / log 2 puts one node on each s_k; at K = 12 the end nodes are negligible
+        k = 12
+        sp = s_plus(2.0, t, x)
+        tau_max = 2.0 * math.pi * k / LOG2
+        contour = _contour_value(GAUSS, 2.0, t, math.log(x), sp, tau_max, 2 * k + 1)[0]
+        want = contour / (math.sqrt(2.0 * math.pi * t) * 2.0 ** (1.0 - sp / 2.0))
+        assert asymp_v_theta(GAUSS, 2.0, t, x) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [LogHeaviside(-1.0, 0.0, 1.0), Dirac(1.0, 1.0)])
+    def test_theta_rejects_other_data(self, p):
+        # heaviside and atomic transforms decay too slowly along the lattice to truncate it
+        with pytest.raises(DomainError, match="log-gaussian"):
+            asymp_v_theta(p, 2.0, 10.0, 2.0**-10)
+
+    def test_theta_sum_cancelled_below_its_rounding_raises(self):
+        # without the guard this returned 1986, where the series gives 2.75e-5
+        with pytest.raises(QuadratureError):
+            asymp_v_theta(LogGaussian(0.0, 0.01, 1.0), 2.0, 25.0, math.exp(-20.0))
+
+    def test_theta_sum_past_the_cap_raises_before_summing(self, monkeypatch):
+        # sigma = 1e-3 needs 947 terms, past the cap of 512
+        def no_sum(*args):
+            raise AssertionError("the lattice was summed")
+
+        monkeypatch.setattr(mellin, "_exp_sum", no_sum)
+        with pytest.raises(TruncationError, match="947 terms"):
+            asymp_v_theta(LogGaussian(0.0, 1e-3, 1.0), 2.0, 25.0, 2.0**-25)
 
     def test_theta_and_poisson_forms_agree(self):
         tr = AsympTruncation(k_max=40, n_range=(-40, 40))
