@@ -351,7 +351,8 @@ def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float,
     n_range = tr.n_range if tr is not None else default_poisson_range(p, alpha, x)
     pref = math.exp((alpha ** (2.0 - sp) - 1.0) * t)
     denom = math.sqrt(2.0 * math.pi * t) * alpha ** (1.0 - sp / 2.0)
-    v = pref * poisson_sum(p, alpha, sp, x, n_range) / denom
+    with np.errstate(over="ignore", invalid="ignore"):     # the guard below names an overflow
+        v = pref * poisson_sum(p, alpha, sp, x, n_range) / denom
     if not math.isfinite(v):
         raise NumericsError(f"Poisson asymptotics: v({t:g}, {x:g}) = {v} is not finite")
     return v

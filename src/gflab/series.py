@@ -152,7 +152,8 @@ def eval_v(p: InitialProfile, alpha: float, t: float, x: float,
     if t == 0.0:
         return profile_eval_x(p, x)
     log_alpha = math.log(alpha)
-    v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t, trunc)
+    with np.errstate(over="ignore", invalid="ignore"):     # the guard below names an overflow
+        v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t, trunc)
     if not math.isfinite(v):
         raise NumericsError(f"series: v({t:g}, {x:g}) = {v} is not finite")
     return v

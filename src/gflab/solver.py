@@ -53,6 +53,17 @@ argmax screens each distinct one once.  `step` stays the oracle the
 propagator is tested against; the weights come only from the RK4
 coefficients, never from the series, so the solver stays an independent
 route.
+
+The step loop only advances the weight row by one np.correlate with the
+reversed c(dt) and stores it, _CHUNK clock steps at a time.  The correlate
+stays: each of its outputs is one BLAS dot of the five taps, and shifted
+axpys, a matmul or precomputed powers of the step would add the same
+products in another order and move the bits of every node.  Everything else
+is one array pass per chunk over the stored rows: the snapshots are placed by
+a sorted search of the chunk's clock, the leak monitor checks the stepped
+rows, and the records are read.  No value depends on the chunk size, which
+only trades the per-chunk call overhead against the memory of the chunk's
+tables.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,7 +81,7 @@ from .model import Dirac, InitialProfile, profile_eval_y, support_y
 
 MAX_STEP = 0.5          # positivity-preserving cap for the explicit scheme
 _LEAK_TOL = 1e-12       # left-edge monitor threshold, relative to the initial mass
-_CHUNK = 64             # clock steps per propagator chunk
+_CHUNK = 256            # clock steps per propagator chunk
 _FLUSH = 2.0 ** -500    # argmax screen: smaller weights and scaled data count as 0
 _MAX_NODES = 10**7      # largest grid build_grid allocates; the default grid has about 10^4
 
@@ -194,30 +205,7 @@ class _ShiftBlocks:
         left = -(-lo // m)                              # blocks reaching node 0
         self.cols = self.right + left + 1
         self.width = self.cols + q - 1
-        # argmax screens with 2^-e B, e the exponent of max|B|, and with the weights
-        # and entries of B below _FLUSH dropped, so that no product is subnormal
-        # (slow); `flush_err` bounds what that drops from a node, as the weights
-        # sum to 1.  U_c = sum_q w[c + q] bound[q] bounds every node of column c.
-        top = float(np.abs(self.B).max())
-        self.scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
-        self.Bs = self.B / self.scale
-        self.Bs[np.abs(self.Bs) < _FLUSH] = 0.0
-        self.bound = np.abs(self.Bs).max(axis=1)
-        self.flush_err = (q + 2) * _FLUSH
-        self.top = np.abs(self.B).max(axis=1)          # unscaled, for the leak monitor
-        # residues whose columns B[:, r] are bitwise equal give one float at every
-        # node of a block column, so argmax screens one residue per group: j[c, g]
-        # is the lowest on-grid node of group g in column c (-1 if none)
-        _, first, group = np.unique(self.B.view(np.int64).T, axis=0,
-                                    return_index=True, return_inverse=True)
-        group = group.ravel()
-        self.Bs = self.Bs[:, first]
-        j = lo + np.arange(m) - (np.arange(self.cols)[:, None] - self.right) * m
-        col, r = np.nonzero((j >= 0) & (j < v.size))    # r ascending in each column
-        keys, lowest = np.unique(col * first.size + group[r], return_index=True)
-        self.j = np.full((self.cols, first.size), -1)
-        self.j.flat[keys] = j[col[lowest], r[lowest]]
-        self.on_grid = self.j >= 0
+        self.top = np.abs(self.B).max(axis=1)          # for the leak monitor
         # sum_j n[j] = sum_k d[k] sum(n_0[k m:]); the suffix sums from fsums per cell
         cells = [math.fsum(v[max(k * m, lo):min(k * m + m, hi + 1)].tolist())
                  for k in range(lo // m, hi // m + 1)]
@@ -234,7 +222,10 @@ class _ShiftBlocks:
     def nodes(self, V: np.ndarray, rows: np.ndarray, j: np.ndarray) -> np.ndarray:
         """n at nodes j for the weight rows `rows` of windows V (rows and j broadcast)."""
         terms = V[rows, self.right - (j - self.lo) // self.m] * self.B.T[(j - self.lo) % self.m]
-        return terms.cumsum(axis=-1)[..., -1]           # q order, as in `field`
+        n = terms[..., 0]
+        for q in range(1, terms.shape[-1]):             # q order, as in `field`
+            n = n + terms[..., q]
+        return n
 
     def field(self, w: np.ndarray) -> np.ndarray:
         """Every node of the weight row w, by the same kernel as `nodes`."""
@@ -247,16 +238,48 @@ class _ShiftBlocks:
         """For each weight row of W, a bound on |n[j]| over the nodes j < n: the
         largest column sum sum_q w[c + q] max_r |B[q, r]| over their columns,
         raised by more than the rounding of the kernel's and the sum's Q
-        products and additions (and their underflow) can move either."""
+        products and additions (and their underflow) can move either.  The sums
+        are Q shifted multiply-adds over the columns of W, with no (rows, cols, Q)
+        copy of the windows."""
         Q = self.B.shape[0]
         first = self.cols - 1 - (self.start + n - 1) // self.m     # the column of node n - 1
-        U = (self.windows(W)[:, first:] @ self.top).max(axis=1)
-        return U * (1.0 + 4.0 * Q * np.finfo(float).eps) + Q * np.finfo(float).smallest_subnormal
+        U = np.zeros((len(W), self.cols - first))
+        for q, top in enumerate(self.top):
+            U += W[:, first + q:self.cols + q] * top
+        return (U.max(axis=1) * (1.0 + 4.0 * Q * np.finfo(float).eps)
+                + Q * np.finfo(float).smallest_subnormal)
 
-    def _screen(self, Vs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The residue groups of columns `cols` of the screened weight rows `rows`, in
-        units of `scale`, by one matmul; -inf off the grid."""
-        return np.where(self.on_grid[cols], Vs[rows, cols] @ self.Bs, -np.inf)
+    @cached_property
+    def _screen_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Bs, bound, j) of the argmax screen, built on its first use.
+
+        The screen works with Bs = 2^-e B, e the exponent of max|B|, and with
+        the weights and entries of Bs below _FLUSH dropped, so that no product
+        is subnormal (slow); U_c = sum_q w[c + q] bound[q] bounds every node of
+        column c.  Residues whose columns B[:, r] are bitwise equal give one
+        float at every node of a block column, so the screen keeps one column
+        of Bs per group of them, and j[c, g] is the lowest on-grid node of
+        group g in column c (-1 if none).
+        """
+        top = float(np.abs(self.B).max())
+        scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
+        Bs = self.B / scale
+        Bs[np.abs(Bs) < _FLUSH] = 0.0
+        bound = np.abs(Bs).max(axis=1)
+        _, first, group = np.unique(self.B.view(np.int64).T, axis=0,
+                                    return_index=True, return_inverse=True)
+        group = group.ravel()
+        j = self.lo + np.arange(self.m) - (np.arange(self.cols)[:, None] - self.right) * self.m
+        col, r = np.nonzero((j >= 0) & (j < self.n))    # r ascending in each column
+        keys, lowest = np.unique(col * first.size + group[r], return_index=True)
+        lowest_j = np.full((self.cols, first.size), -1)
+        lowest_j.flat[keys] = j[col[lowest], r[lowest]]
+        return Bs[:, first], bound, lowest_j
+
+    @property
+    def j(self) -> np.ndarray:
+        """j[c, g]: the lowest on-grid node of residue group g in column c, -1 if none."""
+        return self._screen_tables[2]
 
     def argmax(self, W: np.ndarray) -> np.ndarray:
         """First index of the largest node of each weight row, as ndarray.argmax.
@@ -264,21 +287,30 @@ class _ShiftBlocks:
         Exact: a column is skipped only when its bound U_c falls short of a
         value some node reaches, and a matmul only screens which nodes are
         compared with the kernel.  `slack` exceeds what the screen drops plus
-        the rounding of U and of the matmul against the kernel, below Q eps U.
+        the rounding of U and of the matmul against the kernel, below Q eps U;
+        what the screen drops is below (Q + 2) _FLUSH, as the weights sum to 1.
         A residue group stands for its lowest on-grid node: the other nodes of
         the group in that column hold the same float at higher indices.
         """
+        Bs, bound, j_of = self._screen_tables
+        Q = self.B.shape[0]
         Vs = self.windows(np.where(W < _FLUSH, 0.0, W))
-        U = np.einsum("rcq,q->rc", Vs, self.bound)
-        slack = 8.0 * self.B.shape[0] * np.finfo(float).eps * U.max(axis=1) + 2.0 * self.flush_err
-        floor = self._screen(Vs, np.arange(len(W)), U.argmax(axis=1)).max(axis=1)
+
+        def screen(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            """The residue groups of columns `cols` of the screened weight rows
+            `rows`, in units of 2^e, by one matmul; -inf off the grid."""
+            return np.where(j_of[cols] >= 0, Vs[rows, cols] @ Bs, -np.inf)
+
+        U = np.einsum("rcq,q->rc", Vs, bound)
+        slack = 8.0 * Q * np.finfo(float).eps * U.max(axis=1) + 2.0 * (Q + 2) * _FLUSH
+        floor = screen(np.arange(len(W)), U.argmax(axis=1)).max(axis=1)
         cand_row, cand_col = np.nonzero(U + slack[:, None] >= floor[:, None])
-        vals = self._screen(Vs, cand_row, cand_col)
+        vals = screen(cand_row, cand_col)
         starts = np.flatnonzero(np.r_[True, cand_row[1:] != cand_row[:-1]])
         best = np.maximum.reduceat(vals.max(axis=1), starts)
         near_c, near_g = np.nonzero(vals >= (best - slack)[cand_row, None])
         row = cand_row[near_c]
-        j = self.j[cand_col[near_c], near_g]
+        j = j_of[cand_col[near_c], near_g]
         order = np.lexsort((j, -self.nodes(self.windows(W), row, j), row))
         first = np.r_[True, row[order][1:] != row[order][:-1]]
         return j[order[first]]
@@ -375,9 +407,13 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     same.
 
     The field itself is never stepped: the RK4 shift weights are propagated
-    (module docstring) a chunk of _CHUNK clock steps at a time, and the clock,
-    the records and their probe stencils are built chunk by chunk, so no table
-    is sized by t_end.
+    (module docstring) a chunk of _CHUNK = 256 clock steps at a time, and the
+    clock, the records and their probe stencils are built chunk by chunk, so
+    no table is sized by t_end.  Once a chunk's rows are stepped, each pending
+    snapshot is placed by np.searchsorted on the chunk's ends (i + 1) dt -
+    on_clock (inf at the last step): the first step whose next clock time it
+    falls short of.  There it is that row when within on_clock of the step's
+    time, else one partial step from it.
     """
     if t_end < 0.0:
         raise DomainError(f"horizon must be nonnegative, got {t_end}")
@@ -408,40 +444,46 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
 
     rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "argmax": [], "probes": []}
     out_snaps: list[np.ndarray] = []
+    taps = np.array(_rk4_shift_coeffs(dt)[::-1])
     w = np.zeros(kernel.width)
     w[kernel.right] = 1.0
     on_clock = 1e-9 * dt       # a snapshot this close to a clock time is taken there
-    pending = iter(snaps)
-    target = next(pending, None)
-    # the clock, its records and their probe stencils are built a chunk at a time
+    pending = np.array(snaps)
     for first in range(0, n_steps + 1, _CHUNK):
         clock = np.arange(first, min(first + _CHUNK, n_steps + 1))
         W = np.empty((clock.size, kernel.width))
+        for s in range(clock.size):
+            if first + s:
+                w = np.correlate(w, taps, "full")[:w.size]      # w * c(dt), as _advance
+            W[s] = w
+        # the float expressions the clock compares a snapshot time with, step by step
+        ends = (clock + 1) * dt - on_clock
+        if clock[-1] == n_steps:
+            ends[-1] = math.inf
+        at = np.searchsorted(ends, pending, side="right")
+        placed = int(np.count_nonzero(at < clock.size))
         taken: list[np.ndarray] = []
         partial_t: list[float] = []
         partial_w: list[np.ndarray] = []
-        for s, i in enumerate(clock.tolist()):
-            if i > 0:
-                w = _advance(w, dt)
-            W[s] = w
-            t = i * dt
-            t_next = (i + 1) * dt if i < n_steps else math.inf
-            while target is not None and target < t_next - on_clock:
-                if target <= t + on_clock:
-                    taken.append(w)
-                else:
-                    partial_t.append(target)
-                    partial_w.append(_advance(w, target - t))
-                    taken.append(partial_w[-1])
-                target = next(pending, None)
+        for target, s in zip(pending[:placed].tolist(), at[:placed].tolist()):
+            t = (first + s) * dt
+            if target <= t + on_clock:
+                taken.append(W[s])
+            else:
+                partial_t.append(target)
+                partial_w.append(_advance(W[s], target - t))
+                taken.append(partial_w[-1])
+        pending = pending[placed:]
         # the leak monitor sees every clock state but the initial one, and every
         # partial step; the kernel runs on its nodes only where a bound cannot clear them
-        watched = np.r_[clock > 0, np.ones(len(partial_t), dtype=bool)]
-        checked = np.vstack([W, np.reshape(partial_w, (-1, kernel.width))])[watched]
+        skip = 1 if first == 0 else 0
+        checked, checked_t = W[skip:], clock[skip:] * dt
+        if partial_w:
+            checked, checked_t = np.vstack([checked, *partial_w]), np.r_[checked_t, partial_t]
         if (kernel.head_bound(checked, watch) > leak_tol).any():
             heads = kernel.nodes(kernel.windows(checked), np.arange(len(checked))[:, None],
                                  np.arange(watch))
-            check_leak(np.r_[clock * dt, partial_t][watched], heads.max(axis=1))
+            check_leak(checked_t, heads.max(axis=1))
         out_snaps.extend(kernel.field(x) for x in taken)
 
         on_record = clock % record_every == 0

@@ -534,6 +534,62 @@ class TestWeightPropagator:
         assert 12.0 <= errs[0] / errs[1] <= 20.0, errs
 
 
+def _bits(traj: Trajectory) -> list:
+    """Every array a trajectory emits, as bytes, and the probe rays in order."""
+    d = traj.diagnostics
+    arrays = [traj.times, traj.snapshots, d.times, d.mass, d.argmax_y, *d.probes.values()]
+    return [list(d.probes)] + [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestChunkSize:
+    """The chunk size bounds the step loop and the record pass, and moves no bit."""
+
+    # dt = 0.05 and _CHUNK = 7: step 7 starts a chunk and step 6 ends one, a
+    # snapshot at 6.5 dt is a partial step from a chunk's last step, and
+    # t_end = 2.93 ends in a partial step from the last clock step
+    @pytest.mark.parametrize("profile, record_every", [
+        (GAUSS, 1), (GAUSS, 3), (LogHeaviside(-1.0, 0.0, 1.0), 3)])
+    def test_every_output_is_bitwise_the_same(self, monkeypatch, profile, record_every):
+        dt = 0.05
+        g = build_grid(profile, 2.0, -25.0, 1.7, 16)
+        snaps = [6 * dt, 6.5 * dt, 7 * dt, 14 * dt, 1.0, 2.93]
+        runs = []
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(solver, "_CHUNK", chunk)
+            runs.append(_bits(solve_n(g, 2.93, dt, snaps, (-1.0, -0.5), record_every)))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("y_min, snaps, trip", [
+        (-11.95, [3.0], "1.45"),      # on the clock, at step 29 of the fifth 7-chunk
+        (-11.9, [1.33, 3.0], "1.33"),  # a partial step, before step 27 ends its chunk
+    ])
+    def test_leak_trips_with_the_same_message(self, monkeypatch, y_min, snaps, trip):
+        g = build_grid(GAUSS, 2.0, y_min, 1.7, 16)
+        messages = []
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(solver, "_CHUNK", chunk)
+            with pytest.raises(MassLeakError) as info:
+                solve_n(g, 3.0, 0.05, snaps, record_every=3)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == messages[2]
+        assert f"at t = {trip} " in messages[0]
+
+    def test_default_solve_peak_memory(self):
+        # the chunk's weight rows and record tables set the peak: 2.1 MB at 256
+        # steps per chunk, 3.0 MB at 512 and 5.4 MB at 1024
+        cfg = RunConfig()
+        g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
+                       cfg.resolved_y_max(), cfg.m)
+        tracemalloc.start()
+        try:
+            solve_n(g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), cfg.resolved_rays(),
+                    cfg.record_every, argmax=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, peak
+
+
 @pytest.fixture(scope="module", params=[
     (LogHeaviside(-1.0, 0.0, 1.0), -20.3, 2),   # constant data: two distinct columns
     (GAUSS, -15.1, 64),
