@@ -169,14 +169,13 @@ def _load_config(args) -> config.RunConfig:
     return config.with_texts(cfg, texts)
 
 
-def _solve_run(cfg: config.RunConfig, *, argmax: bool = False) -> solver.Trajectory:
-    """Solve the configured run; the argmax track is recorded only when asked,
-    for `solve`, the one command that writes it."""
+def _solve_run(cfg: config.RunConfig) -> solver.Trajectory:
+    """Solve the configured run."""
     grid = solver.build_grid(cfg.profile, cfg.params.alpha,
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
     return solver.solve_n(grid, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
                           probe_rays=cfg.resolved_rays(),
-                          record_every=cfg.record_every, argmax=argmax)
+                          record_every=cfg.record_every)
 
 
 def _flag_floats(flag: str, text: str) -> tuple[float, ...]:
@@ -205,14 +204,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    traj = _solve_run(cfg, argmax=True)
+    traj = _solve_run(cfg)
     out_dir = Path(cfg.directory)
     _write_snapshots(traj, out_dir, "snapshots", cfg.formats)
     if "csv" in cfg.formats:
         diag = traj.diagnostics
-        header = ["t", "mass", "argmax_y"] + [f"n_ray={y:.6g}" for y in diag.probes]
+        header = ["t", "mass"] + [f"n_ray={y:.6g}" for y in diag.probes]
         _write_csv(out_dir / "diagnostics.csv", header,
-                   [[diag.times, diag.mass, diag.argmax_y, *diag.probes.values()]])
+                   [[diag.times, diag.mass, *diag.probes.values()]])
     return 0
 
 

@@ -38,18 +38,14 @@ convolution per step) instead of the field: the same finite sums in another
 order, not an approximation.  Only the entries of d that can reach the
 nonzero range [lo, hi] of n_0 from a grid node are kept; a convolution moves
 weight only to higher k, so dropping the rest changes no kept entry.  Every
-value the solver emits (probe stencil nodes, leak monitor, mass, argmax when
-asked for, snapshots) comes from d and the m-blocks B_q[r] = n_0[lo + q m + r]
-through one node kernel
+value the solver emits (probe stencil nodes, leak monitor, mass, snapshots)
+comes from d and the m-blocks B_q[r] = n_0[lo + q m + r] through one node
+kernel
 
     n[j] = sum_q d[p + q] B_q[r],    j = lo + r - p m,  0 <= r < m,
 
 summed in fixed q order, so a probe node and the same node of a snapshot
-are the same floating-point number.  For the same reason, two residues r
-whose block columns B_.[r] are bitwise equal give the same float at every
-node of a block column (same products, same order); data piecewise constant
-in y, such as the heaviside profiles, has few distinct columns, and the
-argmax screens each distinct one once.  `step` stays the oracle the
+are the same floating-point number.  `step` stays the oracle the
 propagator is tested against; the weights come only from the RK4
 coefficients, never from the series, so the solver stays an independent
 route.
@@ -71,7 +67,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,7 +78,6 @@ from .model import Dirac, InitialProfile, profile_eval_y, support_y
 MAX_STEP = 0.5          # positivity-preserving cap for the explicit scheme
 _LEAK_TOL = 1e-12       # left-edge monitor threshold, relative to the initial mass
 _CHUNK = 256            # clock steps per propagator chunk
-_FLUSH = 2.0 ** -500    # argmax screen: smaller weights and scaled data count as 0
 _MAX_NODES = 10**7      # largest grid build_grid allocates; the default grid has about 10^4
 
 
@@ -249,72 +244,6 @@ class _ShiftBlocks:
         return (U.max(axis=1) * (1.0 + 4.0 * Q * np.finfo(float).eps)
                 + Q * np.finfo(float).smallest_subnormal)
 
-    @cached_property
-    def _screen_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Bs, bound, j) of the argmax screen, built on its first use.
-
-        The screen works with Bs = 2^-e B, e the exponent of max|B|, and with
-        the weights and entries of Bs below _FLUSH dropped, so that no product
-        is subnormal (slow); U_c = sum_q w[c + q] bound[q] bounds every node of
-        column c.  Residues whose columns B[:, r] are bitwise equal give one
-        float at every node of a block column, so the screen keeps one column
-        of Bs per group of them, and j[c, g] is the lowest on-grid node of
-        group g in column c (-1 if none).
-        """
-        top = float(np.abs(self.B).max())
-        scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
-        Bs = self.B / scale
-        Bs[np.abs(Bs) < _FLUSH] = 0.0
-        bound = np.abs(Bs).max(axis=1)
-        _, first, group = np.unique(self.B.view(np.int64).T, axis=0,
-                                    return_index=True, return_inverse=True)
-        group = group.ravel()
-        j = self.lo + np.arange(self.m) - (np.arange(self.cols)[:, None] - self.right) * self.m
-        col, r = np.nonzero((j >= 0) & (j < self.n))    # r ascending in each column
-        keys, lowest = np.unique(col * first.size + group[r], return_index=True)
-        lowest_j = np.full((self.cols, first.size), -1)
-        lowest_j.flat[keys] = j[col[lowest], r[lowest]]
-        return Bs[:, first], bound, lowest_j
-
-    @property
-    def j(self) -> np.ndarray:
-        """j[c, g]: the lowest on-grid node of residue group g in column c, -1 if none."""
-        return self._screen_tables[2]
-
-    def argmax(self, W: np.ndarray) -> np.ndarray:
-        """First index of the largest node of each weight row, as ndarray.argmax.
-
-        Exact: a column is skipped only when its bound U_c falls short of a
-        value some node reaches, and a matmul only screens which nodes are
-        compared with the kernel.  `slack` exceeds what the screen drops plus
-        the rounding of U and of the matmul against the kernel, below Q eps U;
-        what the screen drops is below (Q + 2) _FLUSH, as the weights sum to 1.
-        A residue group stands for its lowest on-grid node: the other nodes of
-        the group in that column hold the same float at higher indices.
-        """
-        Bs, bound, j_of = self._screen_tables
-        Q = self.B.shape[0]
-        Vs = self.windows(np.where(W < _FLUSH, 0.0, W))
-
-        def screen(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            """The residue groups of columns `cols` of the screened weight rows
-            `rows`, in units of 2^e, by one matmul; -inf off the grid."""
-            return np.where(j_of[cols] >= 0, Vs[rows, cols] @ Bs, -np.inf)
-
-        U = np.einsum("rcq,q->rc", Vs, bound)
-        slack = 8.0 * Q * np.finfo(float).eps * U.max(axis=1) + 2.0 * (Q + 2) * _FLUSH
-        floor = screen(np.arange(len(W)), U.argmax(axis=1)).max(axis=1)
-        cand_row, cand_col = np.nonzero(U + slack[:, None] >= floor[:, None])
-        vals = screen(cand_row, cand_col)
-        starts = np.flatnonzero(np.r_[True, cand_row[1:] != cand_row[:-1]])
-        best = np.maximum.reduceat(vals.max(axis=1), starts)
-        near_c, near_g = np.nonzero(vals >= (best - slack)[cand_row, None])
-        row = cand_row[near_c]
-        j = j_of[cand_col[near_c], near_g]
-        order = np.lexsort((j, -self.nodes(self.windows(W), row, j), row))
-        first = np.r_[True, row[order][1:] != row[order][:-1]]
-        return j[order[first]]
-
 
 def _cubic_stencil(n: int, j_lo: int, dy: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Node indices and weights, shape y.shape + (4,), of interpolation at log-sizes y.
@@ -345,16 +274,10 @@ def _stencil_sum(w: np.ndarray, node_values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Diagnostics:
-    """Per-record scalars collected while stepping.
-
-    `argmax_y` is None when the solve was asked not to track it (solve_n's
-    `argmax=False`), so a reader of a track that was never recorded fails
-    instead of reading an empty one.
-    """
+    """Per-record scalars collected while stepping."""
 
     times: np.ndarray
     mass: np.ndarray                      # trapezoid integral of n over the grid
-    argmax_y: np.ndarray | None           # node location of the current maximum
     probes: dict[float, np.ndarray]       # ray y -> n(t, y t) samples
 
 
@@ -383,14 +306,13 @@ class Trajectory:
 
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
-            snapshot_times=None, probe_rays=(), record_every: int = 1,
-            argmax: bool = True) -> Trajectory:
+            snapshot_times=None, probe_rays=(), record_every: int = 1) -> Trajectory:
     """March the shift-coupled system to t_end on the fixed clock t_i = i * dt.
 
-    Diagnostics (mass, argmax location, and the tracked line values n(t, y t)
-    for each probe ray) are recorded at t = 0 and after every
-    `record_every`-th clock step, i.e. at t = j * record_every * dt, so they
-    are uniformly spaced whatever the snapshot times.  A snapshot on the clock
+    Diagnostics (mass and the tracked line values n(t, y t) for each probe
+    ray) are recorded at t = 0 and after every `record_every`-th clock step,
+    i.e. at t = j * record_every * dt, so they are uniformly spaced whatever
+    the snapshot times.  A snapshot on the clock
     is a copy of the clock state; one that falls inside a step (or past the
     last full step) is reached by one partial step from a copy, and the clock
     continues unchanged.  A MassLeakError is raised as soon as any of the
@@ -400,11 +322,8 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     does not depend on units.  The shift by m nodes never mixes the classes,
     so each one carries its mass to the edge at its own leftmost node.
 
-    The caller chooses the tracks it reads: the probes through `probe_rays`,
-    the argmax through `argmax` (off, the argmax is never evaluated and
-    `argmax_y` is None).  Neither choice changes any other value: the mass,
-    the probes, the snapshots and the leak monitor come out bit for bit the
-    same.
+    The location of the maximum at a snapshot time is read from that
+    snapshot, which holds every node.
 
     The field itself is never stepped: the RK4 shift weights are propagated
     (module docstring) a chunk of _CHUNK = 256 clock steps at a time, and the
@@ -442,7 +361,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
                 f"(max of the leftmost {watch} nodes, one per residue class, is {heads[k]:.3e}, "
                 f"threshold {leak_tol:.3e}); extend y_min")
 
-    rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "argmax": [], "probes": []}
+    rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "probes": []}
     out_snaps: list[np.ndarray] = []
     taps = np.array(_rk4_shift_coeffs(dt)[::-1])
     w = np.zeros(kernel.width)
@@ -494,8 +413,6 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         end = kernel.nodes(V, rows[:, None], np.array([0, grid.n_nodes - 1]))
         rec["t"].append(t_rec)
         rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, 1])))
-        if argmax:
-            rec["argmax"].append((j_lo + kernel.argmax(Wr)) * dy)
         # a probe outside the grid records 0 through all-zero weights
         pos = t_rec[:, None] * rays
         idx, probe_w = _cubic_stencil(grid.n_nodes, j_lo, dy, pos)
@@ -506,7 +423,6 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     diag = Diagnostics(
         times=np.concatenate(rec["t"]),
         mass=np.concatenate(rec["mass"]),
-        argmax_y=np.concatenate(rec["argmax"]) if argmax else None,
         probes={y: probes[:, r].copy() for r, y in enumerate(rays.tolist())},
     )
     return Trajectory(grid=grid, times=np.asarray(snaps),

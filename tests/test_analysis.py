@@ -90,11 +90,12 @@ class TestRescalings:
         # the maximum of sqrt(t) n(t, .) tracks y = -t log 2; it sits on the
         # oscillation comb, so it can trail the ray by up to one tooth, which
         # stays inside 3 sigma sqrt(t) once t >= 20
-        diag = traj_g01.diagnostics
         g = traj_g01.grid
-        late = diag.times >= 20.0
-        dist = np.abs(diag.argmax_y[late] + diag.times[late] * LOG2)
-        bound = 3.0 * 0.1 * np.sqrt(diag.times[late]) + 3.0 * g.dy
+        late = traj_g01.times >= 20.0
+        t = traj_g01.times[late]
+        peak_y = g.y_nodes()[traj_g01.snapshots[late].argmax(axis=1)]
+        dist = np.abs(peak_y + t * LOG2)
+        bound = 3.0 * 0.1 * np.sqrt(t) + 3.0 * g.dy
         assert np.all(dist <= bound)
 
 

@@ -347,7 +347,7 @@ class TestSolve:
         (["figures", "--id", "2"], "0.37"),     # a profile figure, no tracks at all
     ])
     def test_leak_exits_3_whatever_the_command_tracks(self, command, trip, tmp_path, capsys):
-        # the run above: commands that record no argmax trip the same monitor
+        # the run above: every command that solves trips the same monitor
         code = main(command + ["--profile", "logheaviside a=-0.2 b=0 height=1", "--y-min", "-8",
                                "--t-end", "20", "--snapshots", "20",
                                "--out-dir", str(tmp_path / "o")])
@@ -355,25 +355,6 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"left grid edge at t = {trip} " in err
         assert "leftmost 64 nodes, one per residue class" in err
-
-    @pytest.mark.parametrize("command, argmax", [
-        (["solve"], True),
-        (["analyze"], False),
-        (["figures", "--id", "1"], False),
-        (["figures", "--id", "2"], False),
-        (["compare", "--t", "1"], False),
-    ])
-    def test_only_solve_records_the_argmax(self, command, argmax, tmp_path, capsys, monkeypatch):
-        runs, solve_n = [], solver.solve_n
-
-        def spy(*args, **kwargs):
-            runs.append(solve_n(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(solver, "solve_n", spy)
-        main(command + ["--t-end", "2", "--snapshots", "1,2", "--out-dir", str(tmp_path / "o")])
-        capsys.readouterr()
-        assert (runs[0].diagnostics.argmax_y is not None) == argmax
 
     def test_y_min_inside_the_support_exits_2(self, tmp_path, capsys):
         # the fault is the cut initial data, not mass reaching the edge later
@@ -398,7 +379,8 @@ class TestSolve:
                      "--out-dir", str(out)]) == 0
         capsys.readouterr()
         rows = (out / "diagnostics.csv").read_text().strip().splitlines()
-        assert rows[0].startswith("t,mass,argmax_y")
+        assert rows[0] == "t,mass," + ",".join(
+            f"n_ray={y:.6g}" for y in config.RunConfig().resolved_rays())
         masses = [float(r.split(",")[1]) for r in rows[1:]]
         assert max(abs(m - 1.0) for m in masses) < 1e-6
 
@@ -425,9 +407,8 @@ class TestWriters:
                 for t, snap in zip(traj.times, traj.snapshots) for y, n in zip(ys, snap)]
         assert (out / "snapshots.csv").read_bytes() == oracle_csv(["t", "y", "n", "sqrt_t_n"], rows)
         diag = traj.diagnostics
-        header = ["t", "mass", "argmax_y"] + [f"n_ray={y:.6g}" for y in diag.probes]
-        drows = [(float(t), float(diag.mass[i]), float(diag.argmax_y[i]),
-                  *[float(diag.probes[y][i]) for y in diag.probes])
+        header = ["t", "mass"] + [f"n_ray={y:.6g}" for y in diag.probes]
+        drows = [(float(t), float(diag.mass[i]), *[float(diag.probes[y][i]) for y in diag.probes])
                  for i, t in enumerate(diag.times)]
         assert (out / "diagnostics.csv").read_bytes() == oracle_csv(header, drows)
 

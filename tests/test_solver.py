@@ -185,7 +185,7 @@ class TestAgainstSeries:
         # center -t log(2); at integer t the two nearest teeth exactly tie
         g = build_grid(GAUSS, 2.0, -85.0, 1.7, 64)
         traj = solve_n(g, 40.0, 0.01, snapshot_times=[40.0])
-        peak_y = float(traj.diagnostics.argmax_y[-1])
+        peak_y = float(g.y_nodes()[traj.snapshots[traj.snapshot_index(40.0)].argmax()])
         assert abs(peak_y - (-40.0 * LOG2)) <= LOG2 + 3 * g.dy
 
 
@@ -227,19 +227,6 @@ class TestConservationAndPositivity:
         g = build_grid(HEAVI, 2.0, cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
         with pytest.raises(MassLeakError, match="leftmost 64 nodes, one per residue class"):
             solve_n(g, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots())
-
-    def test_leak_trip_does_not_depend_on_the_argmax(self):
-        # the narrow heaviside above: the same trip, at the same time, with the argmax off
-        cfg = RunConfig(profile=HEAVI, y_min=-8.0, t_end=20.0, snapshots=(20.0,))
-        g = build_grid(HEAVI, 2.0, cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
-        trips = []
-        for argmax in (True, False):
-            with pytest.raises(MassLeakError) as info:
-                solve_n(g, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
-                        argmax=argmax)
-            trips.append(str(info.value))
-        assert "at t = 0.36 " in trips[0]
-        assert trips[1] == trips[0]
 
 
 class TestSolveBookkeeping:
@@ -386,11 +373,10 @@ def _field_solve(grid, t_end, dt, snapshot_times, probe_rays=(), record_every=1)
     n_steps = int(math.floor(t_end / dt + 1e-9))
     rec_t = np.array([i * dt for i in range(0, n_steps + 1, record_every)])
     leak_tol = 1e-12 * grid.trapezoid(grid.values)
-    mass, argmax_y, gathered = [], [], []
+    mass, gathered = [], []
 
     def record(vals, t):
         mass.append(grid.trapezoid(vals))
-        argmax_y.append((grid.j_lo + int(vals.argmax())) * grid.dy)
         pos = t * np.array(probe_rays)
         idx, w = _cubic_stencil(grid.n_nodes, grid.j_lo, grid.dy, pos)
         w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
@@ -421,8 +407,7 @@ def _field_solve(grid, t_end, dt, snapshot_times, probe_rays=(), record_every=1)
                 out.append(partial.values)
             target = next(pending, None)
     probes = np.array(gathered).reshape(rec_t.size, -1)
-    diag = Diagnostics(rec_t, np.array(mass), np.array(argmax_y),
-                       {y: probes[:, r] for r, y in enumerate(probe_rays)})
+    diag = Diagnostics(rec_t, np.array(mass), {y: probes[:, r] for r, y in enumerate(probe_rays)})
     return Trajectory(grid, np.array(snaps), np.array(out), diag)
 
 
@@ -457,31 +442,12 @@ class TestWeightPropagator:
         got, want = solve_n(*args), _field_solve(*args)
         assert got.times.tolist() == want.times.tolist()
         assert got.diagnostics.times.tolist() == want.diagnostics.times.tolist()
-        assert got.diagnostics.argmax_y.tolist() == want.diagnostics.argmax_y.tolist()
         _assert_normal_values_close(got.diagnostics.mass, want.diagnostics.mass)
         assert list(got.diagnostics.probes) == list(want.diagnostics.probes)
         for y, track in want.diagnostics.probes.items():
             _assert_normal_values_close(got.diagnostics.probes[y], track)
         scale = np.max(np.abs(want.snapshots), axis=1, keepdims=True)
         assert np.max(np.abs(got.snapshots - want.snapshots) / scale) <= 1e-13
-
-    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
-    def test_argmax_off_leaves_every_other_record_bitwise(self, name):
-        cfg = _ORACLE_CONFIGS[name]
-        g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
-                       cfg.resolved_y_max(), cfg.m)
-        args = (g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), cfg.resolved_rays(),
-                cfg.record_every)
-        got, want = solve_n(*args, argmax=False), solve_n(*args)
-        assert got.diagnostics.argmax_y is None
-        assert want.diagnostics.argmax_y is not None
-        for a, b in [(got.times, want.times), (got.snapshots, want.snapshots),
-                     (got.diagnostics.times, want.diagnostics.times),
-                     (got.diagnostics.mass, want.diagnostics.mass)]:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert list(got.diagnostics.probes) == list(want.diagnostics.probes)
-        for y, track in want.diagnostics.probes.items():
-            assert got.diagnostics.probes[y].tobytes() == track.tobytes()
 
     @pytest.mark.parametrize("profile, y_min, dt, snapshots", [
         (GAUSS, -12.0, 0.01, [30.0]),
@@ -537,7 +503,7 @@ class TestWeightPropagator:
 def _bits(traj: Trajectory) -> list:
     """Every array a trajectory emits, as bytes, and the probe rays in order."""
     d = traj.diagnostics
-    arrays = [traj.times, traj.snapshots, d.times, d.mass, d.argmax_y, *d.probes.values()]
+    arrays = [traj.times, traj.snapshots, d.times, d.mass, *d.probes.values()]
     return [list(d.probes)] + [(a.shape, a.tobytes()) for a in arrays]
 
 
@@ -583,7 +549,7 @@ class TestChunkSize:
         tracemalloc.start()
         try:
             solve_n(g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), cfg.resolved_rays(),
-                    cfg.record_every, argmax=False)
+                    cfg.record_every)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -609,23 +575,11 @@ def weight_rows(request):
 
 
 class TestKernelScreens:
-    """The argmax screen and the leak monitor's bound, against the field."""
-
-    def test_argmax_is_the_first_index_of_the_field_maximum(self, weight_rows):
-        # argmax screens one residue per group of bitwise equal block columns
-        kernel, groups, W = weight_rows
-        assert kernel.j.shape[1] == groups
-        # node 0 is not a block boundary: the leftmost column is partly off the grid,
-        # so some group is off the grid there or stands for another residue
-        assert kernel.lo % kernel.m != 0
-        residue = (kernel.j - kernel.lo) % kernel.m
-        assert (kernel.j[-1] == -1).any() or (residue[-1] != residue[1]).any()
-        want = [int(kernel.field(row).argmax()) for row in W]
-        assert kernel.argmax(W).tolist() == want
-        assert want[-1] < kernel.m                # the maximum reached the leftmost nodes
+    """The leak monitor's bound, against the field."""
 
     def test_head_bound_covers_the_leftmost_nodes(self, weight_rows):
         kernel, groups, W = weight_rows
+        assert kernel.lo % kernel.m != 0          # node 0 is not a block boundary
         heads = np.array([kernel.field(row)[:kernel.m] for row in W])
         bound = kernel.head_bound(W, kernel.m)
         assert np.all(bound >= np.abs(heads).max(axis=1))
@@ -671,7 +625,7 @@ class TestSolverCovariance:
             assert scaled == base
             return
         d, ds = base.diagnostics, scaled.diagnostics
-        assert ds.argmax_y.tolist() == d.argmax_y.tolist()
+        assert (scaled.snapshots.argmax(axis=1) == base.snapshots.argmax(axis=1)).all()
         np.testing.assert_allclose(ds.mass, c * d.mass, rtol=1e-13)
         np.testing.assert_allclose(scaled.snapshots, c * base.snapshots, rtol=1e-13,
                                    atol=c * 1e-290)
