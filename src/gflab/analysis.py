@@ -303,9 +303,11 @@ class ComparisonRow:
 
 @dataclass
 class MethodComparison:
-    """Pairwise cross-validation table for the evaluation routes."""
+    """Pairwise cross-validation table for the evaluation routes, and the
+    (method, t, x, guard error) of each value a route refused."""
 
     rows: list[ComparisonRow]
+    refusals: list[tuple[str, float, float, NumericsError]]
 
     def max_rel_err(self, method_a: str, method_b: str) -> float:
         pair = {method_a, method_b}
@@ -326,6 +328,7 @@ class MethodComparison:
             lines.append(f"{len(self.flagged)} cell(s) above tolerance")
         else:
             lines.append("all cells within tolerance")
+        lines += [f"{m} refused t={t!r}, x={x!r}: {exc}" for m, t, x, exc in self.refusals]
         return "\n".join(lines)
 
 
@@ -367,7 +370,8 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
     Methods: the ROUTES ("series"; "mellin", log-gaussian only; "asymp-theta",
     log-gaussian only, 0 < x < 1 and t > 0; "asymp-poisson", 0 < x < 1 and
     t > 0) and, given a trajectory snapshotted at each t, "pde".  Cells outside
-    a method's domain are NaN and excluded from flags; flagged rows exceed the
+    a method's domain, or refused by its numerical guard (recorded in
+    refusals), are NaN and excluded from flags; flagged rows exceed the
     pairwise tolerance (default 1e-6, asymptotic pairs 0.15).
     """
     if methods is None:
@@ -380,11 +384,15 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
     if traj is not None:
         routes["pde"] = lambda p, alpha, t, x: v_from_grid(traj, t, x)
     fns = {m: _route(routes, m) for m in methods}
+    refusals = []
 
     def evaluate(method: str, t: float, x: float) -> float:
         try:
             return fns[method](profile, params.alpha, t, x)
         except DomainError:
+            return math.nan
+        except NumericsError as exc:
+            refusals.append((method, t, x, exc))
             return math.nan
 
     def _default_pair_tol(a: str, b: str) -> float:
@@ -405,4 +413,4 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
                 err = math.nan if (math.isnan(va) or math.isnan(vb)) else _rel_err(va, vb)
                 rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err,
                                           pair_tol[frozenset({a, b})]))
-    return MethodComparison(rows=rows)
+    return MethodComparison(rows, refusals)

@@ -138,23 +138,21 @@ def _write_svg(path: Path, curves, title: str, xlabel: str, ylabel: str) -> None
     print(f"wrote {path}")
 
 
-def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str, formats) -> None:
+def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str) -> None:
     """<stem>.csv with t, y, n and sqrt(t) n at every node of every snapshot,
     and <stem>.svg with the rescaled profiles sqrt(t) n(t, y)."""
     ys = traj.grid.y_nodes()
     times = traj.times.tolist()
-    if "csv" in formats:
-        blocks = ([t, ys, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
-        _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
-    if "svg" in formats:
-        keep = slice(None, None, max(1, ys.size // 2000))
-        curves = [(f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep])
-                  for t, snap in zip(times, traj.snapshots)]
-        _write_svg(out_dir / f"{stem}.svg", curves, title="rescaled profiles sqrt(t) n(t, y)",
-                   xlabel="y = log x", ylabel="sqrt(t) n")
+    blocks = ([t, ys, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
+    _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
+    keep = slice(None, None, max(1, ys.size // 2000))
+    curves = [(f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep])
+              for t, snap in zip(times, traj.snapshots)]
+    _write_svg(out_dir / f"{stem}.svg", curves, title="rescaled profiles sqrt(t) n(t, y)",
+               xlabel="y = log x", ylabel="sqrt(t) n")
 
 
-def _write_compare(path: Path | None, tbl: analysis.MethodComparison) -> None:
+def _write_compare(path: Path, tbl: analysis.MethodComparison) -> None:
     header = ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"]
     _write_csv(path, header, [[[getattr(r, name) for r in tbl.rows] for name in header]])
 
@@ -170,7 +168,10 @@ def _load_config(args) -> config.RunConfig:
 
 
 def _solve_run(cfg: config.RunConfig) -> solver.Trajectory:
-    """Solve the configured run."""
+    """Solve the configured run: v, the solution at unit rates (b = 1, g = 0)."""
+    if (cfg.params.b, cfg.params.g) != (1.0, 0.0):
+        raise DomainError(f"the grid commands solve at b = 1, g = 0 (got b = {cfg.params.b!r}, "
+                          f"g = {cfg.params.g!r}); evaluate applies other rates")
     grid = solver.build_grid(cfg.profile, cfg.params.alpha,
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
     return solver.solve_n(grid, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
@@ -206,12 +207,11 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args)
     traj = _solve_run(cfg)
     out_dir = Path(cfg.directory)
-    _write_snapshots(traj, out_dir, "snapshots", cfg.formats)
-    if "csv" in cfg.formats:
-        diag = traj.diagnostics
-        header = ["t", "mass"] + [f"n_ray={y:.6g}" for y in diag.probes]
-        _write_csv(out_dir / "diagnostics.csv", header,
-                   [[diag.times, diag.mass, *diag.probes.values()]])
+    _write_snapshots(traj, out_dir, "snapshots")
+    diag = traj.diagnostics
+    header = ["t", "mass"] + [f"n_ray={y:.6g}" for y in diag.probes]
+    _write_csv(out_dir / "diagnostics.csv", header,
+               [[diag.times, diag.mass, *diag.probes.values()]])
     return 0
 
 
@@ -225,19 +225,15 @@ def cmd_figures(args) -> int:
     out_dir = Path(cfg.directory)
     traj = _solve_run(cfg)
     if kind == "profiles":
-        _write_snapshots(traj, out_dir, f"figure{fig_id}", cfg.formats)
+        _write_snapshots(traj, out_dir, f"figure{fig_id}")
         return 0
     src = analysis.GridSource(traj)
     probes = [analysis.line_probe(src, y) for y in cfg.resolved_rays()]
-    if "csv" in cfg.formats:
-        _write_csv(out_dir / f"figure{fig_id}.csv",
-                   ["t"] + [f"f_y={p.y:.6g}" for p in probes],
-                   [[probes[0].times, *(p.values for p in probes)]])
-    if "svg" in cfg.formats:
-        _write_svg(out_dir / f"figure{fig_id}.svg",
-                   [(f"y={p.y:.4g}", p.times, p.values) for p in probes],
-                   title="line values sqrt(t) exp(-Psi(y) t) n(t, y t)",
-                   xlabel="t", ylabel="f_y(t)")
+    _write_csv(out_dir / f"figure{fig_id}.csv", ["t"] + [f"f_y={p.y:.6g}" for p in probes],
+               [[probes[0].times, *(p.values for p in probes)]])
+    _write_svg(out_dir / f"figure{fig_id}.svg",
+               [(f"y={p.y:.4g}", p.times, p.values) for p in probes],
+               title="line values sqrt(t) exp(-Psi(y) t) n(t, y t)", xlabel="t", ylabel="f_y(t)")
     return 0
 
 
@@ -308,6 +304,8 @@ def cmd_analyze(args) -> int:
     cmp_tbl = analysis.compare_methods(
         p, params, t_cmp, (0.25, 0.5, 0.75), traj=traj,
         tol={frozenset({"series", "mellin"}): cfg.mellin_tol})
+    if cmp_tbl.refusals:
+        raise cmp_tbl.refusals[0][-1]
     checks.append((cmp_tbl.summary(), math.nan, None, ""))
     for (a, b), tol in {(r.method_a, r.method_b): r.tol for r in cmp_tbl.rows}.items():
         err = cmp_tbl.max_rel_err(a, b)  # NaN, and only reported, if no cell evaluates
@@ -331,13 +329,12 @@ def cmd_analyze(args) -> int:
                        "asymptotics violated: error not monotone non-increasing"))
 
     out_dir = Path(cfg.directory)
-    if "csv" in cfg.formats:
-        _write_csv(out_dir / "periods.csv", ["y", "expected", "period", "amplitude", "confidence",
-                                             "n_cycles", "oscillating"], [list(zip(*period_rows))])
-        if weak_rows:
-            _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"],
-                       [list(zip(*weak_rows))])
-        _write_compare(out_dir / "compare.csv", cmp_tbl)
+    _write_csv(out_dir / "periods.csv", ["y", "expected", "period", "amplitude", "confidence",
+                                         "n_cycles", "oscillating"], [list(zip(*period_rows))])
+    if weak_rows:
+        _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"],
+                   [list(zip(*weak_rows))])
+    _write_compare(out_dir / "compare.csv", cmp_tbl)
     print("\n".join(line for line, *_ in checks if line is not None))
     failed = [why for _, measured, tol, why in checks if tol is not None and not measured <= tol]
     if failed:
@@ -353,8 +350,7 @@ def cmd_compare(args) -> int:
     # the horizon sizes the grid for the run; the requested times are its snapshots
     traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts))
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)
-    out = Path(cfg.directory) / "compare.csv" if "csv" in cfg.formats else None
-    _write_compare(out, tbl)
+    _write_compare(Path(cfg.directory) / "compare.csv", tbl)
     print(tbl.summary())
     return 0
 

@@ -16,13 +16,9 @@ from .errors import DomainError
 from .model import InitialProfile, LogGaussian, ModelParams, format_profile, parse_profile, support_y
 
 
-def _items(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
-
-
 def parse_floats(text: str) -> tuple[float, ...]:
     """The numbers of a comma-separated list (config lists and CLI flags)."""
-    return tuple(float(s) for s in _items(text))
+    return tuple(float(s.strip()) for s in text.split(",") if s.strip())
 
 
 def _auto(text: str) -> float | None:
@@ -55,7 +51,6 @@ FIELDS = (
     ("time", "record_every", int, str),
     ("probes", "rays", parse_floats, _join),
     ("output", "directory", str.strip, str),
-    ("output", "formats", lambda text: tuple(_items(text)), ", ".join),
     ("analyze", "period_tol", float, repr),
     ("analyze", "mass_tol", float, repr),
     ("analyze", "weak_tol", float, repr),
@@ -88,7 +83,6 @@ class RunConfig:
     record_every: int = 1
     rays: tuple[float, ...] = ()        # empty: (-2, -1, -1/2) * log alpha
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "svg")
     # analysis thresholds (checked by the analyze command)
     period_tol: float = 0.02
     mass_tol: float = 1e-6
@@ -117,9 +111,6 @@ class RunConfig:
             raise DomainError(f"step size must be positive, got {self.dt}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
-        for f_ in self.formats:
-            if f_ not in ("csv", "svg"):
-                raise DomainError(f"unknown output format {f_!r}")
 
     # --- resolved values ------------------------------------------------
 

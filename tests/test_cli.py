@@ -20,7 +20,7 @@ import gflab
 from gflab import analysis, cli, config, series, solver, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
-from gflab.errors import DomainError
+from gflab.errors import DomainError, QuadratureError
 from gflab.model import LogGaussian, LogHeaviside, ModelParams
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -47,7 +47,6 @@ rays = -0.6931471805599453
 
 [output]
 directory = out
-formats = csv, svg
 
 [analyze]
 period_tol = 0.02
@@ -76,7 +75,6 @@ record_every = 1
 
 [output]
 directory = out
-formats = csv, svg
 
 [analyze]
 period_tol = 0.02
@@ -263,6 +261,10 @@ class TestRefusals:
         (["compare", "--x", "0.5,-inf"], None, "--x"),
         (["analyze", "--t-end", "5", "--probe-y", "0"], None, "rays y < 0, got 0.0"),
         (["analyze", "--t-end", "5", "--probe-y=-0.0"], None, "rays y < 0, got -0.0"),
+        (["solve"], "[output]\nformats = csv\n", "unknown key 'formats' in section [output]"),
+        (["solve", "--b", "2"], None, "got b = 2.0, g = 0.0"),
+        (["analyze", "--g", "0.5"], None, "got b = 1.0, g = 0.5"),
+        (["figures", "--id", "1"], "[model]\ng = 0.5\n", "got b = 1.0, g = 0.5"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -660,6 +662,22 @@ class TestCompare:
         assert rows[0] == "method_a,method_b,t,x,val_a,val_b,rel_err"
         assert len(rows) > 1
 
+    def test_refused_cell_keeps_the_table(self, tmp_path, capsys):
+        # the contour refuses this narrow-gaussian point; series and solver evaluate it
+        t, x = "22.373234198704946", "1.6189689404792748e-07"
+        assert main(["compare", "--profile", "loggaussian mu=0 sigma=0.05 mass=1",
+                     "--t", t, "--x", x, "--out-dir", str(tmp_path / "o")]) == 0
+        stdout = capsys.readouterr().out
+        assert (f"mellin refused t={t}, x={x}: contour quadrature did not converge"
+                in stdout)
+        rows = [r.split(",") for r in
+                (tmp_path / "o" / "compare.csv").read_text().strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert [r[:2] for r in rows] == [["series", "pde"], ["series", "mellin"],
+                                         ["pde", "mellin"]]
+        assert rows[0][4] == "182324.43261981182"
+        assert all(r[5] == "nan" and r[6] == "nan" for r in rows[1:])
+
 
 class TestAnalyze:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -785,6 +803,15 @@ class TestAnalyze:
         assert "  series vs mellin: nan" in out and "  pde vs mellin: nan" in out
         assert "all checks passed" in out
 
+    def test_refused_route_cell_exits_3(self, tmp_path, capsys, monkeypatch):
+        # compare keeps a refused cell as NaN; analyze keeps the guard's verdict
+        def refuse(*args):
+            raise QuadratureError("contour refused", 1.0)
+        monkeypatch.setattr(analysis, "inverse_mellin_v", refuse)
+        assert main(["analyze", "--t-end", "40", "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical guard: contour refused (error estimate 1.000e+00)\n"
+
     def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
         # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt
         code = main(["analyze", "--record-every", "3", "--out-dir", str(tmp_path / "o")])
@@ -837,7 +864,7 @@ _PROFILES = st.one_of(
 
 @st.composite
 def cli_argv(draw):
-    """A command line with a small horizon and grid; the default formats write
+    """A command line with a small horizon and grid; solve and figures write
     both csv and svg."""
     command = draw(st.sampled_from(["solve", "figures", "analyze", "compare"]))
     argv = [command, "--profile", draw(_PROFILES),
