@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis, config, g17, mellin, series, solver, svg
 from .errors import DomainError, GFLabError, NumericsError, ThresholdError
-from .model import Dirac, LogGaussian, moment
+from .model import LogGaussian, moment
 
 # figure id -> (profile line, kind); probe figures track the three standard
 # rays, profile figures export sqrt(t) n(t, y) at the snapshot ladder
@@ -51,7 +51,8 @@ _ROWS = 2048    # rows of a table laid out as cells at a time
 
 def _cells(col, lo: int, hi: int) -> np.ndarray:
     """Fixed-width cells of rows lo:hi of one column, each ending in a
-    separator column; a float in place of the column gives its one cell.
+    separator column; a 2-d uint8 array is a column already rendered as
+    cells, and one with a single row repeats on every row.
 
     NUL bytes are padding.  A column whose first value is a float is rendered
     by the g17 kernel as "%.17g" would, once per run of equal bit patterns:
@@ -59,8 +60,8 @@ def _cells(col, lo: int, hi: int) -> np.ndarray:
     Any other column (text without NUL characters, ints, bools) is rendered
     by str, right-aligned so that its separator too is the last column.
     """
-    if isinstance(col, float):
-        return g17.cells(np.array([col]))
+    if isinstance(col, np.ndarray) and col.ndim == 2:
+        return np.broadcast_to(col, (hi - lo, col.shape[1])) if len(col) == 1 else col[lo:hi]
     if isinstance(col[0], float):
         x = np.asarray(col[lo:hi], dtype=np.float64)
         bits = x.view(np.int64)
@@ -95,36 +96,22 @@ def _write_csv(path: Path | None, header: list[str], blocks) -> None:
     """Write a CSV table to path (stdout when None), streaming _ROWS rows at a time.
 
     A block is a list of equal-length columns; a float in place of a column
-    repeats it on every row of the block.  The cells of each _ROWS rows are
-    laid side by side and their NUL padding dropped (see _cells for how a
-    value is written).  A float, and a column that is the same object as in
-    the previous block (the nodes of a snapshot table), is rendered once.
+    is rendered once and repeats on every row of the block.  The cells of
+    each _ROWS rows are laid side by side and their NUL padding dropped (see
+    _cells for how a value is written).
     """
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
     with (contextlib.nullcontext(sys.stdout) if path is None
           else path.open("w", encoding="utf-8", newline="\n")) as out:
         out.write(",".join(header) + "\n")
-        prev, memo = [], {}
         for block in blocks:
-            once = [isinstance(col, float) or (j < len(prev) and col is prev[j])
-                    for j, col in enumerate(block)]
-            memo = {(j, lo): cells for (j, lo), cells in memo.items()
-                    if j < len(block) and block[j] is prev[j]}
-            prev = block
             n_rows = max((len(col) for col in block if not isinstance(col, float)), default=0)
+            block = [_narrow(g17.cells(np.array([col]))) if isinstance(col, float) else col
+                     for col in block]
             for lo in range(0, n_rows, _ROWS):
                 hi = min(lo + _ROWS, n_rows)
-                parts = []
-                for j, col in enumerate(block):
-                    if not once[j]:
-                        parts.append(_cells(col, lo, hi))
-                        continue
-                    key = (j, 0 if isinstance(col, float) else lo)
-                    if key not in memo:
-                        memo[key] = _narrow(_cells(col, lo, hi))
-                    parts.append(np.broadcast_to(memo[key], (hi - lo, memo[key].shape[1])))
-                chars = np.concatenate(parts, axis=1)
+                chars = np.concatenate([_cells(col, lo, hi) for col in block], axis=1)
                 chars[:, -1] = ord("\n")
                 out.write(chars.tobytes().translate(None, b"\0").decode("utf-8"))
     if path is not None:
@@ -143,7 +130,8 @@ def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str) -> None:
     and <stem>.svg with the rescaled profiles sqrt(t) n(t, y)."""
     ys = traj.grid.y_nodes()
     times = traj.times.tolist()
-    blocks = ([t, ys, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
+    y_cells = _narrow(_cells(ys, 0, ys.size))   # one column of text shared by every block
+    blocks = ([t, y_cells, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
     _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
     keep = slice(None, None, max(1, ys.size // 2000))
     curves = [(f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep])
@@ -161,7 +149,7 @@ def _load_config(args) -> config.RunConfig:
     cfg = config.load(args.config) if args.config else config.RunConfig()
     texts = {}
     for _, key, *_ in config.FIELDS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             texts[key] = ",".join(flag) if isinstance(flag, list) else flag  # --probe-y repeats
     return config.with_texts(cfg, texts)
@@ -240,8 +228,6 @@ def cmd_figures(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     p, params = cfg.profile, cfg.params
-    if isinstance(p, Dirac):
-        raise DomainError("analysis runs need a density profile, not a dirac atom")
     # each check is (report line or None, measured, tolerance, violation); one without
     # a tolerance only reports, the others pass only if measured <= tolerance (NaN fails)
     checks: list[tuple] = []
@@ -249,10 +235,14 @@ def cmd_analyze(args) -> int:
     src = analysis.GridSource(traj)
     u0_mass = moment(p, 1.0)
 
-    # period law along each tracked ray
+    # period law along each tracked ray; a bad ray is named before an empty window
     period_rows = []
-    for y in cfg.resolved_rays():
-        probe = analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)  # refuses y >= 0
+    probes = [analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)  # refuses y >= 0
+              for y in cfg.resolved_rays()]
+    if not cfg.t_min < cfg.t_end:
+        raise DomainError(f"t_min = {cfg.t_min} must be below t_end = {cfg.t_end}: "
+                          "the probe window [t_min, t_end] is empty")
+    for y, probe in zip(cfg.resolved_rays(), probes):
         expected = -params.log_alpha / y
         est = analysis.estimate_period(probe, expected_period=expected,
                                        amp_threshold=cfg.amp_threshold)
@@ -358,27 +348,20 @@ def cmd_compare(args) -> int:
 # --- argument parsing -----------------------------------------------------
 
 
+# flags named otherwise than --key-name, and the help of those that have one
+_FLAG_NAMES = {"rays": "probe-y", "directory": "out-dir"}
+_HELP = {"profile": 'e.g. "loggaussian mu=0 sigma=0.1 mass=1"', "m": "grid cells per log(alpha)",
+         "snapshots": "comma-separated times", "rays": "ray slope y < 0; repeatable",
+         "t_min": "start of the probe analysis window"}
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
+    """--config and one flag per config key; --probe-y repeats."""
     sp.add_argument("--config", help="config file; flags override its values")
-    sp.add_argument("--profile", help='e.g. "loggaussian mu=0 sigma=0.1 mass=1"')
-    sp.add_argument("--alpha")
-    sp.add_argument("--b")
-    sp.add_argument("--g")
-    sp.add_argument("--m", help="grid cells per log(alpha)")
-    sp.add_argument("--y-min")
-    sp.add_argument("--y-max")
-    sp.add_argument("--t-end")
-    sp.add_argument("--dt")
-    sp.add_argument("--snapshots", help="comma-separated times")
-    sp.add_argument("--record-every")
-    sp.add_argument("--probe-y", dest="rays", metavar="PROBE_Y", action="append",
-                    help="ray slope y < 0; repeatable")
-    sp.add_argument("--out-dir", dest="directory", metavar="OUT_DIR")
-    sp.add_argument("--period-tol")
-    sp.add_argument("--mass-tol")
-    sp.add_argument("--weak-tol")
-    sp.add_argument("--asymp-tol")
-    sp.add_argument("--t-min", help="start of the probe analysis window")
+    for _, key, *_ in config.FIELDS:
+        name = _FLAG_NAMES.get(key, key.replace("_", "-"))
+        sp.add_argument(f"--{name}", dest=key, metavar=name.replace("-", "_").upper(),
+                        action="append" if key == "rays" else "store", help=_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,10 +409,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GFLabError as exc:  # pragma: no cover - safety net
+    except GFLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -65,6 +65,7 @@ tables.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -307,7 +308,8 @@ class Trajectory:
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
             snapshot_times=None, probe_rays=(), record_every: int = 1) -> Trajectory:
-    """March the shift-coupled system to t_end on the fixed clock t_i = i * dt.
+    """March the shift-coupled system to t_end on the fixed clock t_i = i * dt;
+    a dt above MAX_STEP is silently capped, so the clock then runs at MAX_STEP.
 
     Diagnostics (mass and the tracked line values n(t, y t) for each probe
     ray) are recorded at t = 0 and after every `record_every`-th clock step,
@@ -338,6 +340,8 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         raise DomainError(f"horizon must be nonnegative, got {t_end}")
     if not dt > 0.0:
         raise DomainError(f"step size must be positive, got {dt}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise DomainError(f"record_every must be an integer >= 1, got {record_every!r}")
     dt = min(dt, MAX_STEP)
     if snapshot_times is None or len(snapshot_times) == 0:
         snapshot_times = [t_end]

@@ -309,6 +309,25 @@ class TestConfigMerging:
         value = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[2])
         assert value == pytest.approx(3.989422804014327, rel=1e-12)
 
+    def test_every_config_key_has_its_flag(self):
+        # a value other than the default for every config key, as config-file text
+        texts = {
+            "alpha": "3.0", "b": "2.0", "g": "0.5", "profile": "logheaviside a=-1 b=0 height=1",
+            "m": "32", "y_min": "-50.0", "y_max": "2.5", "t_end": "30.0", "dt": "0.02",
+            "snapshots": "1.0, 2.5", "record_every": "3", "rays": "-0.5", "directory": "elsewhere",
+            "period_tol": "0.05", "mass_tol": "1e-05", "weak_tol": "0.03", "pde_tol": "1e-06",
+            "mellin_tol": "1e-05", "asymp_tol": "0.2", "amp_threshold": "0.01", "t_min": "10.0",
+        }
+        assert list(texts) == [key for _, key, *_ in config.FIELDS]
+        renamed = {"rays": "--probe-y", "directory": "--out-dir"}
+        parser = cli.build_parser()
+        for section, key, *_ in config.FIELDS:
+            flag = renamed.get(key, "--" + key.replace("_", "-"))
+            from_file = config.loads(f"[{section}]\n{key} = {texts[key]}\n")
+            assert from_file != config.RunConfig(), key
+            args = parser.parse_args(["solve", f"{flag}={texts[key]}"])
+            assert cli._load_config(args) == from_file, key
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("[model]\nalpha = 2\nbogus = 1\n")
@@ -811,6 +830,17 @@ class TestAnalyze:
         assert main(["analyze", "--t-end", "40", "--out-dir", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err == "numerical guard: contour refused (error estimate 1.000e+00)\n"
+
+    @pytest.mark.parametrize("flags, window", [
+        (["--t-end", "10"], "t_min = 20.0 must be below t_end = 10.0"),
+        (["--t-min", "70"], "t_min = 70.0 must be below t_end = 60.0"),
+    ])
+    def test_empty_probe_window_names_t_min_and_t_end(self, flags, window, tmp_path, capsys):
+        assert main(["analyze", *flags, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {window}: the probe window [t_min, t_end] is empty\n"
+        # the other grid commands do not read t_min
+        assert main(["solve", *flags, "--snapshots", "1", "--out-dir", str(tmp_path / "s")]) == 0
 
     def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
         # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt

@@ -260,6 +260,15 @@ class TestSolveBookkeeping:
         with pytest.raises(DomainError):
             solve_n(g, 1.0, 0.01, snapshot_times=[2.0])
 
+    @pytest.mark.parametrize("record_every", [0, -2, 2.5])
+    def test_record_every_must_be_a_positive_integer(self, record_every):
+        g = build_grid(GAUSS, 2.0, -20.0, 1.7, 16)
+        with pytest.raises(DomainError, match=re.escape(
+                f"record_every must be an integer >= 1, got {record_every!r}")):
+            solve_n(g, 1.0, 0.1, record_every=record_every)
+        times = solve_n(g, 1.0, 0.1, record_every=np.int64(2)).diagnostics.times
+        np.testing.assert_allclose(times, 0.2 * np.arange(6), rtol=0.0, atol=1e-12)
+
     def test_probe_tracks_recorded(self):
         g = build_grid(GAUSS, 2.0, -22.0, 1.7, 32)
         traj = solve_n(g, 1.0, 0.1, snapshot_times=[1.0], probe_rays=[-LOG2])
