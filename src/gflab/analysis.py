@@ -93,26 +93,24 @@ class LineProbe:
 
 
 def line_probe(source: SeriesSource | GridSource, y: float, times=None,
-               t_min: float | None = None, t_max: float | None = None) -> LineProbe:
+               t_min: float = 0.0, t_max: float = math.inf) -> LineProbe:
     """Sample f_y along the ray.  Grid sources reuse their dense recorded track.
 
     For a grid source `times` may be omitted; the track recorded while solving
-    is windowed to [t_min, t_max].  A series source evaluates pointwise at
-    the requested times.
+    is windowed to [t_min, t_max].  Given `times`, a source evaluates pointwise
+    at them, and refuses a window.
     """
-    if y >= 0.0:
-        raise DomainError(f"line probes are defined for rays y < 0, got {y}")
     psi_y = psi(source.alpha, y)[0]
     if isinstance(source, GridSource) and times is None:
         ts, track = source.probe_track(y)
-        lo = t_min if t_min is not None else ts[0]
-        hi = t_max if t_max is not None else ts[-1]
-        mask = (ts >= lo) & (ts <= hi) & (ts > 0.0)
+        mask = (ts >= t_min) & (ts <= t_max) & (ts > 0.0)
         ts = ts[mask]
         vals = np.sqrt(ts) * np.exp(-psi_y * ts) * track[mask]
         return LineProbe(y=y, times=ts, values=vals)
     if times is None:
         raise DomainError("sample times are required for non-grid sources")
+    if (t_min, t_max) != (0.0, math.inf):
+        raise DomainError(f"t_min = {t_min}, t_max = {t_max}: only a recorded track is windowed")
     ts = np.asarray(times, dtype=float)
     if np.any(ts <= 0.0):
         raise DomainError("probe times must be positive")
@@ -232,21 +230,23 @@ def weak_test(source: SeriesSource | GridSource, phi: Callable[[float], float], 
               rescaled: bool = False, y_window: tuple[float, float] | None = None) -> float:
     """Integrated functional int phi(y) r(t, y) dy (or int phi(z) rtilde(t, z) dz).
 
-    Grid sources integrate with the grid's trapezoid rule after the exact
-    change of variables to node coordinates.  Series sources integrate the
-    series term by term over the compact initial support (series.integrate_n)
-    with 64 and 128 Gauss-Legendre nodes, and raise NumericsError when the
-    two rules disagree by more than 1e-10 of the mass or 1e-9 relative (a phi
-    that is not smooth on the support).  phi is zero outside a given y_window,
-    whose endpoints are checked to make sure the window contains the mass.
-    As t grows the plain form tends to U0(2) phi(-log alpha) and the rescaled
-    form to U0(2) int phi dG.
+    Grid sources integrate over the whole grid by its trapezoid rule after the
+    exact change of variables to node coordinates, and refuse a y_window.
+    Series sources integrate the series term by term over the compact initial
+    support (series.integrate_n) with 64 and 128 Gauss-Legendre nodes, and
+    raise NumericsError when the two rules disagree by more than 1e-10 of the
+    mass or 1e-9 relative (a phi that is not smooth on the support).  phi is
+    zero outside a given y_window, whose endpoints are checked to make sure
+    the window contains the mass.  As t grows the plain form tends to
+    U0(2) phi(-log alpha) and the rescaled form to U0(2) int phi dG.
     """
     if not t > 0.0:
         raise DomainError(f"weak tests need t > 0, got {t}")
     la = math.log(source.alpha)
 
     if isinstance(source, GridSource):
+        if y_window is not None:
+            raise DomainError(f"y_window = {y_window}: a grid source integrates its whole grid")
         g = source.traj.grid
         snap = source.traj.snapshots[source.traj.snapshot_index(t)]
         ys = g.y_nodes()

@@ -155,15 +155,19 @@ def _load_config(args) -> config.RunConfig:
     return config.with_texts(cfg, texts)
 
 
-def _solve_run(cfg: config.RunConfig) -> solver.Trajectory:
-    """Solve the configured run: v, the solution at unit rates (b = 1, g = 0)."""
+def _grid(cfg: config.RunConfig) -> solver.LogGrid:
+    """The configured run's grid; the grid commands solve at unit rates (b = 1, g = 0)."""
     if (cfg.params.b, cfg.params.g) != (1.0, 0.0):
         raise DomainError(f"the grid commands solve at b = 1, g = 0 (got b = {cfg.params.b!r}, "
                           f"g = {cfg.params.g!r}); evaluate applies other rates")
-    grid = solver.build_grid(cfg.profile, cfg.params.alpha,
+    return solver.build_grid(cfg.profile, cfg.params.alpha,
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
-    return solver.solve_n(grid, cfg.t_end, cfg.dt, snapshot_times=cfg.resolved_snapshots(),
-                          probe_rays=cfg.resolved_rays(),
+
+
+def _solve_run(cfg: config.RunConfig, grid: solver.LogGrid | None = None) -> solver.Trajectory:
+    """Solve the configured run (on its grid, unless one is given): v at b = 1, g = 0."""
+    return solver.solve_n(grid or _grid(cfg), cfg.t_end, cfg.dt,
+                          snapshot_times=cfg.resolved_snapshots(), probe_rays=cfg.resolved_rays(),
                           record_every=cfg.record_every)
 
 
@@ -228,55 +232,53 @@ def cmd_figures(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     p, params = cfg.profile, cfg.params
-    # each check is (report line or None, measured, tolerance, violation); one without
-    # a tolerance only reports, the others pass only if measured <= tolerance (NaN fails)
-    checks: list[tuple] = []
-    traj = _solve_run(cfg)
-    src = analysis.GridSource(traj)
-    u0_mass = moment(p, 1.0)
-
-    # period law along each tracked ray; a bad ray is named before an empty window
-    period_rows = []
-    probes = [analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)  # refuses y >= 0
-              for y in cfg.resolved_rays()]
+    smooth = isinstance(p, LogGaussian)
+    # refuse before solving, in this order: the grid, each ray, the probe window
+    grid = _grid(cfg)
+    for y in cfg.resolved_rays():
+        mellin.psi(params.alpha, y)
     if not cfg.t_min < cfg.t_end:
         raise DomainError(f"t_min = {cfg.t_min} must be below t_end = {cfg.t_end}: "
                           "the probe window [t_min, t_end] is empty")
-    for y, probe in zip(cfg.resolved_rays(), probes):
+    traj = _solve_run(cfg, grid)
+    src = analysis.GridSource(traj)
+    u0_mass = moment(p, 1.0)
+    # each check is (report line or None, failure label, measured, tolerance); one without
+    # a tolerance only reports, the others pass only if measured <= tolerance (NaN fails)
+    checks: list[tuple] = []
+
+    # period law along each tracked ray
+    period_rows = []
+    for y in cfg.resolved_rays():
+        probe = analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)
         expected = -params.log_alpha / y
         est = analysis.estimate_period(probe, expected_period=expected,
                                        amp_threshold=cfg.amp_threshold)
         period_rows.append((y, expected, est.period, est.amplitude,
                             est.confidence, est.n_cycles, est.oscillating))
-        if est.oscillating:
-            err = abs(est.period - expected) / expected
-            checks.append((f"ray y={y:.6g}: period {est.period:.4f} (law {expected:.4f}, "
-                           f"rel err {err:.2e}, amp {est.amplitude:.3e})", err, cfg.period_tol,
-                           f"period law violated on ray y={y:.6g}: measured {est.period:.4f}, "
-                           f"law {expected:.4f}, tolerance {cfg.period_tol}"))
-        else:
-            checks.append((f"ray y={y:.6g}: no oscillation (amplitude {est.amplitude:.3e})",
-                           math.nan, None, ""))
+        err = abs(est.period - expected) / expected   # NaN, and only reported, if none oscillates
+        seen = (f"period {est.period:.4f} (law {expected:.4f}, rel err {err:.2e}, "
+                f"amp {est.amplitude:.3e})" if est.oscillating
+                else f"no oscillation (amplitude {est.amplitude:.3e})")
+        checks.append((f"ray y={y:.6g}: {seen}", f"period law violated on ray y={y:.6g}: rel err",
+                       err, cfg.period_tol if est.oscillating else None))
 
     # mass functional; absolute for smooth data, drift for sampled jumps
     mass = traj.diagnostics.mass
-    ref = u0_mass if isinstance(p, LogGaussian) else mass[0]
+    ref = u0_mass if smooth else mass[0]
     mass_err = float(np.max(np.abs(mass - ref))) / u0_mass
-    checks.append((f"mass functional: max relative deviation {mass_err:.3e}", mass_err,
-                   cfg.mass_tol, f"mass conservation violated: {mass_err:.3e} > {cfg.mass_tol}"))
+    checks.append((f"mass functional: max relative deviation {mass_err:.3e}",
+                   "mass conservation violated:", mass_err, cfg.mass_tol))
 
     # weak limit against cos (smooth data only)
-    weak_rows = []
-    if isinstance(p, LogGaussian):
+    if smooth:
         t_w = float(traj.times[-1])
         val = analysis.weak_test(src, math.cos, t_w)
         target = u0_mass * math.cos(params.log_alpha)
         weak_err = abs(val - target) / abs(target)
-        weak_rows.append((t_w, val, target, weak_err))
         checks.append((f"weak cos functional at t={t_w:g}: {val:.6g} (limit {target:.6g}, "
-                       f"rel err {weak_err:.2e})", weak_err, cfg.weak_tol,
-                       f"weak limit violated: cos functional off by {weak_err:.3e} > "
-                       f"{cfg.weak_tol}"))
+                       f"rel err {weak_err:.2e})", "weak limit violated: cos functional off by",
+                       weak_err, cfg.weak_tol))
 
     # route agreement: solver vs series on the grid nodes themselves (no
     # interpolation in the comparison), contour inversion pointwise
@@ -289,44 +291,42 @@ def cmd_analyze(args) -> int:
         node_errs.append(np.max(np.abs(snap - exact)) / np.max(np.abs(exact)))
     pde_err = float(np.max(node_errs))  # np.max, unlike max(), keeps a NaN
     checks.append((f"solver vs series on nodes at t in {t_cmp}: max scaled error {pde_err:.3e}",
-                   pde_err, cfg.pde_tol,
-                   f"series vs solver mismatch {pde_err:.3e} > {cfg.pde_tol}"))
+                   "series vs solver mismatch", pde_err, cfg.pde_tol))
     cmp_tbl = analysis.compare_methods(
         p, params, t_cmp, (0.25, 0.5, 0.75), traj=traj,
         tol={frozenset({"series", "mellin"}): cfg.mellin_tol})
     if cmp_tbl.refusals:
         raise cmp_tbl.refusals[0][-1]
-    checks.append((cmp_tbl.summary(), math.nan, None, ""))
+    checks.append((cmp_tbl.summary(), "", math.nan, None))
     for (a, b), tol in {(r.method_a, r.method_b): r.tol for r in cmp_tbl.rows}.items():
         err = cmp_tbl.max_rel_err(a, b)  # NaN, and only reported, if no cell evaluates
         pair = "series vs contour inversion" if (a, b) == ("series", "mellin") else f"{a} vs {b}"
-        checks.append((None, err, None if math.isnan(err) else tol,
-                       f"{pair} mismatch {err:.3e} > {tol}"))
+        checks.append((None, f"{pair} mismatch", err, None if math.isnan(err) else tol))
 
     # asymptotics on the concentration line (smooth data only), at unit mass:
     # by linearity the relative error does not depend on it, and v cannot overflow
-    if isinstance(p, LogGaussian):
+    if smooth:
         unit = dataclasses.replace(p, mass=1.0)
         tx = [(t, params.alpha ** (-t)) for t in (10.0, 15.0, 20.0, 25.0, 30.0)]
         exact = np.array([series.eval_v(unit, params.alpha, t, x) for t, x in tx])
         approx = np.array([mellin.asymp_v_poisson(unit, params.alpha, t, x) for t, x in tx])
         errs = np.abs(approx - exact) / np.abs(exact)
         checks.append(("asymptotic relative error on x = alpha^-t at t = 10..30: "
-                       + ", ".join(f"{e:.3e}" for e in errs), errs[3], cfg.asymp_tol,
-                       f"asymptotics violated: relative error {errs[3]:.3e} at t=25 > "
-                       f"{cfg.asymp_tol}"))
-        checks.append((None, np.max(errs[1:] - errs[:-1] * (1.0 + 1e-9)), 0.0,
-                       "asymptotics violated: error not monotone non-increasing"))
+                       + ", ".join(f"{e:.3e}" for e in errs),
+                       "asymptotics violated: relative error at t=25", errs[3], cfg.asymp_tol))
+        checks.append((None, "asymptotics violated: largest rise of the error",
+                       np.max(errs[1:] - errs[:-1] * (1.0 + 1e-9)), 0.0))
 
     out_dir = Path(cfg.directory)
     _write_csv(out_dir / "periods.csv", ["y", "expected", "period", "amplitude", "confidence",
                                          "n_cycles", "oscillating"], [list(zip(*period_rows))])
-    if weak_rows:
+    if smooth:
         _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"],
-                   [list(zip(*weak_rows))])
+                   [[[t_w], [val], [target], [weak_err]]])
     _write_compare(out_dir / "compare.csv", cmp_tbl)
     print("\n".join(line for line, *_ in checks if line is not None))
-    failed = [why for _, measured, tol, why in checks if tol is not None and not measured <= tol]
+    failed = [f"{label} {measured:.3e} > {tol}" for _, label, measured, tol in checks
+              if tol is not None and not measured <= tol]
     if failed:
         raise ThresholdError("; ".join(failed))
     print("all checks passed")

@@ -81,7 +81,7 @@ def psi(alpha: float, y: float) -> tuple[float, float, float]:
     maximal (= 0) at y = -log alpha with curvature -1 / (log alpha)^2.
     """
     if y >= 0.0:
-        raise DomainError(f"ray exponent is defined for y < 0, got {y}")
+        raise DomainError(f"ray exponent is defined for rays y < 0, got {y}")
     la = math.log(alpha)
     lr = math.log(-y / la)
     return (lr * y / la - y / la - 1.0, lr / la, 1.0 / (y * la))

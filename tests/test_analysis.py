@@ -128,6 +128,12 @@ class TestLineProbe:
         with pytest.raises(DomainError):
             line_probe(SeriesSource(GAUSS, 2.0), -LOG2)
 
+    def test_series_probe_refuses_a_window(self):
+        # the window selects from a recorded track; sample times are not trimmed to it
+        with pytest.raises(DomainError, match="t_min = 8.0, t_max = 9.0"):
+            line_probe(SeriesSource(GAUSS, 2.0), -LOG2, times=[5.0, 10.0, 30.0],
+                       t_min=8.0, t_max=9.0)
+
 
 class TestEstimatePeriod:
     def make_sine(self, period, t0=0.0, t1=40.0, dt=0.01, amp=0.3, drift=0.0):
@@ -210,6 +216,11 @@ class TestWeakFunctionals:
 
         val = weak_test(ss, bump, 40.0, y_window=(1.0, 2.0))
         assert abs(val) < 1e-6 * moment(GAUSS, 1.0)
+
+    def test_grid_source_refuses_a_window(self, traj_g01):
+        # the grid integrates every node: this window would have read the whole mass
+        with pytest.raises(DomainError, match="y_window"):
+            weak_test(GridSource(traj_g01), lambda y: 1.0, 20.0, y_window=(1.0, 2.0))
 
     def test_window_must_contain_mass(self):
         ss = SeriesSource(GAUSS, 2.0)

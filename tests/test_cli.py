@@ -265,6 +265,7 @@ class TestRefusals:
         (["solve", "--b", "2"], None, "got b = 2.0, g = 0.0"),
         (["analyze", "--g", "0.5"], None, "got b = 1.0, g = 0.5"),
         (["figures", "--id", "1"], "[model]\ng = 0.5\n", "got b = 1.0, g = 0.5"),
+        (["figures", "--id", "1", "--t-end", "5", "--probe-y", "0"], None, "rays y < 0, got 0.0"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -362,7 +363,7 @@ class TestSolve:
         assert "leftmost 64 nodes, one per residue class" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, trip", [
-        (["analyze"], "0.36"),
+        (["analyze", "--t-min", "10"], "0.36"),   # a probe window, so that it solves
         (["compare"], "0.36"),
         (["figures", "--id", "1"], "0.37"),     # a probe figure, on its own profile
         (["figures", "--id", "2"], "0.37"),     # a profile figure, no tracks at all
@@ -768,7 +769,8 @@ class TestAnalyze:
         (["--weak-tol", "1e-9"], None, "weak limit violated"),
         ([], "[analyze]\npde_tol = 1e-20\n", "series vs solver mismatch"),
         ([], "[analyze]\nmellin_tol = 1e-20\n", "series vs contour inversion mismatch"),
-    ], ids=["period_tol", "mass_tol", "weak_tol", "pde_tol", "mellin_tol"])
+        (["--asymp-tol", "1e-12"], None, "asymptotics violated: relative error at t=25"),
+    ], ids=["period_tol", "mass_tol", "weak_tol", "pde_tol", "mellin_tol", "asymp_tol"])
     def test_each_threshold_exits_4_naming_its_check(self, tmp_path, capsys,
                                                       argv, config_text, check):
         if config_text is not None:
@@ -779,6 +781,9 @@ class TestAnalyze:
         assert err.startswith("check failed: ")
         violations = err.removeprefix("check failed: ").rstrip("\n").split("; ")
         assert all(v.startswith(check) for v in violations), err
+        # each violation is its label, the measured value and the tolerance as set
+        tol = float((config_text or " ".join(argv)).split()[-1])
+        assert all(v.endswith(f" > {tol}") for v in violations), err
 
     def test_asymptotics_verdict_does_not_depend_on_the_mass(self, tmp_path, capsys):
         # at mass 1e300 v itself overflows to inf; the check runs at unit mass
