@@ -280,8 +280,8 @@ def cmd_analyze(args) -> int:
                        f"rel err {weak_err:.2e})", "weak limit violated: cos functional off by",
                        weak_err, cfg.weak_tol))
 
-    # route agreement: solver vs series on the grid nodes themselves (no
-    # interpolation in the comparison), contour inversion pointwise
+    # route agreement: solver vs series on the grid nodes themselves (the
+    # snapshots' node values), contour inversion pointwise
     t_cmp = [float(t) for t in traj.times if 0.5 <= t <= 10.0] or [float(traj.times[-1])]
     ys = traj.grid.y_nodes()
     node_errs = []

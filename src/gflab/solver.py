@@ -38,17 +38,17 @@ convolution per step) instead of the field: the same finite sums in another
 order, not an approximation.  Only the entries of d that can reach the
 nonzero range [lo, hi] of n_0 from a grid node are kept; a convolution moves
 weight only to higher k, so dropping the rest changes no kept entry.  Every
-value the solver emits (probe stencil nodes, leak monitor, mass, snapshots)
-comes from d and the m-blocks B_q[r] = n_0[lo + q m + r] through one node
-kernel
+node value the solver emits (leak monitor, mass, snapshots) comes from d and
+the m-blocks B_q[r] = n_0[lo + q m + r] through one node kernel
 
     n[j] = sum_q d[p + q] B_q[r],    j = lo + r - p m,  0 <= r < m,
 
-summed in fixed q order, so a probe node and the same node of a snapshot
-are the same floating-point number.  `step` stays the oracle the
-propagator is tested against; the weights come only from the RK4
-coefficients, never from the series, so the solver stays an independent
-route.
+summed in fixed q order.  Between nodes (the probe records, Trajectory.n_at)
+the same identity is read at y as sum_k d[k] n_0(y + k log alpha), with n_0
+from the profile the grid sampled: nothing is interpolated.  `step` stays the
+oracle the propagator is tested against; d comes only from the RK4
+coefficients and n_0 only from the profile, never from the series, so the
+solver stays an independent route.
 
 The step loop only advances the weight row by one np.correlate with the
 reversed c(dt) and stores it, _CHUNK clock steps at a time.  The correlate
@@ -74,7 +74,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, MassLeakError
-from .model import Dirac, InitialProfile, profile_eval_y, support_y
+from .model import Dirac, InitialProfile, dilation_window, profile_eval_y, support_y
 
 MAX_STEP = 0.5          # positivity-preserving cap for the explicit scheme
 _LEAK_TOL = 1e-12       # left-edge monitor threshold, relative to the initial mass
@@ -89,7 +89,9 @@ class LogGrid:
     Nodes sit at y_j = j * dy for j in [j_lo, j_lo + len(values) - 1], so the
     shift y -> y + log alpha is exactly m nodes and y = 0 is on-grid whenever
     it lies inside the domain.  `values` holds n at the nodes; treat it as
-    immutable (stepping returns a fresh grid).
+    immutable (stepping returns a fresh grid).  `profile` is the initial data
+    build_grid sampled, which solve_n reads between the nodes; a grid of
+    hand-set or stepped values has none.
     """
 
     alpha: float
@@ -97,6 +99,7 @@ class LogGrid:
     dy: float
     j_lo: int
     values: np.ndarray
+    profile: InitialProfile | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -144,7 +147,7 @@ def build_grid(p: InitialProfile, alpha: float, y_min: float, y_max: float, m: i
             f"grid of {nodes} nodes for alpha = {alpha}, m = {m} over y in [{y_min}, {y_max}] "
             f"exceeds the limit of {_MAX_NODES} nodes")
     values = profile_eval_y(p, (j_lo + np.arange(nodes)) * dy)
-    return LogGrid(alpha=alpha, m=m, dy=dy, j_lo=j_lo, values=values)
+    return LogGrid(alpha=alpha, m=m, dy=dy, j_lo=j_lo, values=values, profile=p)
 
 
 @lru_cache(maxsize=64)
@@ -246,31 +249,21 @@ class _ShiftBlocks:
                 + Q * np.finfo(float).smallest_subnormal)
 
 
-def _cubic_stencil(n: int, j_lo: int, dy: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weights, shape y.shape + (4,), of interpolation at log-sizes y.
-
-    Four-point Lagrange interpolation on the uniform grid, linear in the first
-    and last cell and exact on a node.  Those branches put zero weights on the
-    unused nodes, whose indices are clipped into the grid.  _stencil_sum adds
-    the four terms in a fixed order.  The caller checks the range.
-    """
-    u = np.minimum(np.maximum(y / dy - j_lo, 0.0), float(n - 1))
-    i = np.floor(u).astype(np.int64)
-    f = u - i
-    w = np.stack([-f * (f - 1.0) * (f - 2.0) / 6.0,
-                  (f * f - 1.0) * (f - 2.0) / 2.0,
-                  -f * (f + 1.0) * (f - 2.0) / 2.0,
-                  f * (f * f - 1.0) / 6.0], axis=-1)
-    linear = (i == 0) | (i == n - 2)
-    w[linear] = np.stack([np.zeros_like(f), 1.0 - f, f, np.zeros_like(f)], axis=-1)[linear]
-    w[(f == 0.0) | (i >= n - 1)] = (0.0, 1.0, 0.0, 0.0)
-    idx = np.clip(i[..., None] + np.arange(-1, 3), 0, n - 1)
-    return idx, w
-
-
-def _stencil_sum(w: np.ndarray, node_values: np.ndarray) -> np.ndarray:
-    terms = w * node_values
-    return ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
+def _dilation_sum(p: InitialProfile, log_alpha: float, D: np.ndarray, rows,
+                  y: np.ndarray) -> np.ndarray:
+    """n(y) = sum_k D[rows, k] n_0(y + k log alpha) for weight rows D (rows and y
+    broadcast), over the k of model.dilation_window clamped to the row, added
+    in k order so that the value does not depend on m."""
+    first, last = dilation_window(p, log_alpha, y)
+    first = np.maximum(first, 0.0)                  # the solver has no weights for k < 0
+    last = np.minimum(last, D.shape[1] - 1)         # for y on the grid, later k meet n_0 = 0
+    n = np.zeros(np.shape(y))
+    for j in range(int(np.max(last - first, initial=-1.0)) + 1):
+        k = first + j
+        inside = k <= last
+        d = D[rows, np.where(inside, k, 0.0).astype(np.intp)]
+        n = n + np.where(inside, d * profile_eval_y(p, y + k * log_alpha), 0.0)
+    return n
 
 
 @dataclass
@@ -289,6 +282,7 @@ class Trajectory:
     grid: LogGrid                         # geometry reference (initial values)
     times: np.ndarray
     snapshots: np.ndarray                 # shape (len(times), n_nodes)
+    weights: np.ndarray                   # shape (len(times), K): each snapshot's row d
     diagnostics: Diagnostics
 
     def snapshot_index(self, t: float) -> int:
@@ -298,12 +292,12 @@ class Trajectory:
         return idx
 
     def n_at(self, t: float, y: float) -> float:
-        """Interpolated n(t, y) from the snapshot at t; zero outside the grid."""
-        snap = self.snapshots[self.snapshot_index(t)]
-        if y > self.grid.y_max + 1e-12 or y < self.grid.y_min - 1e-12:
+        """n(t, y) at any y, from the weight row of the snapshot at t and the grid's
+        profile (module docstring); zero outside the grid."""
+        g, i = self.grid, self.snapshot_index(t)
+        if y > g.y_max + 1e-12 or y < g.y_min - 1e-12:
             return 0.0
-        idx, w = _cubic_stencil(snap.size, self.grid.j_lo, self.grid.dy, np.array([y]))
-        return float(_stencil_sum(w, snap[idx])[0])
+        return float(_dilation_sum(g.profile, math.log(g.alpha), self.weights, i, np.asarray(y)))
 
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
@@ -329,13 +323,15 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
 
     The field itself is never stepped: the RK4 shift weights are propagated
     (module docstring) a chunk of _CHUNK = 256 clock steps at a time, and the
-    clock, the records and their probe stencils are built chunk by chunk, so
-    no table is sized by t_end.  Once a chunk's rows are stepped, each pending
-    snapshot is placed by np.searchsorted on the chunk's ends (i + 1) dt -
-    on_clock (inf at the last step): the first step whose next clock time it
-    falls short of.  There it is that row when within on_clock of the step's
-    time, else one partial step from it.
+    clock and the records (probes summed from the chunk's weight rows) are
+    built chunk by chunk, so no table is sized by t_end.  Once a chunk's rows
+    are stepped, each pending snapshot is placed by np.searchsorted on the
+    chunk's ends (i + 1) dt - on_clock (inf at the last step): the first step
+    whose next clock time it falls short of.  There it is that row when
+    within on_clock of the step's time, else one partial step from it.
     """
+    if grid.profile is None:
+        raise DomainError("solve_n needs a grid from build_grid: it reads the sampled profile")
     if t_end < 0.0:
         raise DomainError(f"horizon must be nonnegative, got {t_end}")
     if not dt > 0.0:
@@ -350,7 +346,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         raise DomainError(f"snapshot times {snaps} fall outside [0, {t_end}]")
 
     rays = np.array([float(y) for y in probe_rays])
-    j_lo, dy = grid.j_lo, grid.dy
+    dy, log_alpha = grid.dy, math.log(grid.alpha)
     n_steps = int(math.floor(t_end / dt + 1e-9))
     kernel = _ShiftBlocks(grid)
     leak_tol = _LEAK_TOL * grid.trapezoid(grid.values)
@@ -366,7 +362,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
                 f"threshold {leak_tol:.3e}); extend y_min")
 
     rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "probes": []}
-    out_snaps: list[np.ndarray] = []
+    out_rows: list[np.ndarray] = []      # the snapshots' weight rows
     taps = np.array(_rk4_shift_coeffs(dt)[::-1])
     w = np.zeros(kernel.width)
     w[kernel.right] = 1.0
@@ -407,7 +403,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
             heads = kernel.nodes(kernel.windows(checked), np.arange(len(checked))[:, None],
                                  np.arange(watch))
             check_leak(checked_t, heads.max(axis=1))
-        out_snaps.extend(kernel.field(x) for x in taken)
+        out_rows.extend(x.copy() for x in taken)      # a view would keep W alive
 
         on_record = clock % record_every == 0
         if not on_record.any():
@@ -417,11 +413,10 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         end = kernel.nodes(V, rows[:, None], np.array([0, grid.n_nodes - 1]))
         rec["t"].append(t_rec)
         rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, 1])))
-        # a probe outside the grid records 0 through all-zero weights
+        # below the grid a probe records 0; above it the dilation window is empty
         pos = t_rec[:, None] * rays
-        idx, probe_w = _cubic_stencil(grid.n_nodes, j_lo, dy, pos)
-        probe_w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
-        rec["probes"].append(_stencil_sum(probe_w, kernel.nodes(V, rows[:, None, None], idx)))
+        n = _dilation_sum(grid.profile, log_alpha, Wr[:, kernel.right:], rows[:, None], pos)
+        rec["probes"].append(np.where(pos < grid.y_min, 0.0, n))
 
     probes = np.concatenate(rec["probes"])
     diag = Diagnostics(
@@ -430,7 +425,8 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         probes={y: probes[:, r].copy() for r, y in enumerate(rays.tolist())},
     )
     return Trajectory(grid=grid, times=np.asarray(snaps),
-                      snapshots=np.asarray(out_snaps), diagnostics=diag)
+                      snapshots=np.asarray([kernel.field(x) for x in out_rows]),
+                      weights=np.asarray(out_rows)[:, kernel.right:], diagnostics=diag)
 
 
 def v_from_grid(traj: Trajectory, t: float, x: float) -> float:

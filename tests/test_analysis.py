@@ -33,7 +33,7 @@ GAUSS = LogGaussian(0.0, 0.1, 1.0)
 class TestRescalings:
     def test_r_is_t_times_n_on_the_ray(self, traj_g01):
         # same identity evaluated through two different sources, on a point
-        # where the grid needs no interpolation (t y lands on a node)
+        # where t y lands on a node
         gs = GridSource(traj_g01)
         ss = SeriesSource(GAUSS, 2.0)
         t = 5.0

@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from gflab.config import RunConfig
 from gflab.errors import DomainError, MassLeakError
-from gflab.model import Dirac, LogGaussian, LogHeaviside, parse_profile, profile_eval_y
+from gflab.model import (
+    Dirac, LogGaussian, LogHeaviside, parse_profile, profile_eval_y, support_y)
 from gflab import solver
-from gflab.series import eval_n_series, eval_v
+from gflab.series import eval_n, eval_n_series, eval_v
 from gflab.solver import (
     Diagnostics,
     LogGrid,
     Trajectory,
     _advance,
-    _cubic_stencil,
-    _stencil_sum,
     build_grid,
     solve_n,
     step,
@@ -255,6 +254,12 @@ class TestSolveBookkeeping:
             exact = eval_n_series(GAUSS, 2.0, float(t), g.y_nodes())
             assert np.max(np.abs(snap - exact)) < 1e-7
 
+    def test_grid_without_profile_rejected(self):
+        # off-node values read the profile; a stepped grid's values are not its samples
+        g = step(build_grid(GAUSS, 2.0, -10.0, 1.7, 32), 0.1)
+        with pytest.raises(DomainError, match="needs a grid from build_grid"):
+            solve_n(g, 1.0, 0.1)
+
     def test_snapshots_outside_horizon_rejected(self):
         g = build_grid(GAUSS, 2.0, -10.0, 1.7, 32)
         with pytest.raises(DomainError):
@@ -278,52 +283,13 @@ class TestSolveBookkeeping:
         assert track[0] == pytest.approx(3.989422804014327, rel=1e-12)
 
 
-def _cubic_interp(values: np.ndarray, j_lo: int, dy: float, y: float) -> float:
-    """Four-point Lagrange interpolation on the uniform grid (linear at the edges),
-    one point at a time: the oracle of _cubic_stencil."""
-    n = values.size
-    u = y / dy - j_lo
-    if u < -1e-9 or u > n - 1 + 1e-9:
-        raise DomainError(f"log-size {y} is outside the grid [{j_lo * dy}, {(j_lo + n - 1) * dy}]")
-    u = min(max(u, 0.0), float(n - 1))
-    i = int(math.floor(u))
-    f = u - i
-    if f == 0.0 or i >= n - 1:
-        return float(values[i])
-    if i == 0 or i == n - 2:
-        return float((1.0 - f) * values[i] + f * values[i + 1])
-    wm1 = -f * (f - 1.0) * (f - 2.0) / 6.0
-    w0 = (f * f - 1.0) * (f - 2.0) / 2.0
-    w1 = -f * (f + 1.0) * (f - 2.0) / 2.0
-    w2 = f * (f * f - 1.0) / 6.0
-    return float(wm1 * values[i - 1] + w0 * values[i] + w1 * values[i + 1] + w2 * values[i + 2])
+class TestOffNodeValues:
+    """Between nodes the solver sums its weight rows against the profile."""
 
-
-class TestProbeStencil:
-    """Probes are gathered through precomputed stencils; _cubic_interp is the oracle."""
-
-    def test_stencil_repeats_cubic_interp_bit_for_bit(self):
-        rng = np.random.default_rng(7)
-        g = build_grid(GAUSS, 2.0, -6.0, 1.7, 16)
-        vals = rng.random(g.n_nodes) * 10.0 ** rng.uniform(-30.0, 3.0, g.n_nodes)
-        ys = np.concatenate([
-            rng.uniform(g.y_min, g.y_max, 850),      # interior cubic branch
-            g.y_nodes()[rng.integers(0, g.n_nodes, 30)],  # on a node (f == 0)
-            g.y_min + g.dy * rng.random(8),          # first cell: linear
-            g.y_max - g.dy * rng.random(8),          # last cell: linear
-            [g.y_min, g.y_max, g.y_max - g.dy, g.y_min + g.dy],
-        ])
-        assert ys.size == 900
-        idx, w = _cubic_stencil(g.n_nodes, g.j_lo, g.dy, ys)
-        terms = w * vals[idx]
-        got = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
-        want = np.array([_cubic_interp(vals, g.j_lo, g.dy, float(y)) for y in ys])
-        assert got.tobytes() == want.tobytes()
-
-    def test_recorded_probes_equal_interpolated_clock_states(self):
-        # every record time is also a snapshot (a copy of the clock state), so
-        # each probe sample must be _cubic_interp of that snapshot; the rays
-        # leave the grid (recorded as 0) on both sides
+    def test_recorded_probes_equal_snapshot_values(self):
+        # every record time is also a snapshot, so each probe sample must be
+        # n_at of that snapshot, bit for bit; the rays leave the grid (recorded
+        # as 0) on both sides
         g = build_grid(GAUSS, 2.0, -22.0, 1.7, 32)
         rays = [-LOG2, -1.9, -8.0, 1.0]
         rec_times = [i * 0.05 for i in range(0, 61, 3)]
@@ -331,11 +297,34 @@ class TestProbeStencil:
                        record_every=3)
         assert traj.diagnostics.times.tolist() == traj.times.tolist()
         for y in rays:
-            want = [_cubic_interp(s, g.j_lo, g.dy, y * t) if g.y_min <= y * t <= g.y_max else 0.0
-                    for t, s in zip(traj.times, traj.snapshots)]
+            want = [traj.n_at(t, y * t) if g.y_min <= y * t <= g.y_max else 0.0
+                    for t in traj.times]
             assert traj.diagnostics.probes[y].tolist() == want
         assert traj.diagnostics.probes[-8.0][-1] == 0.0
         assert traj.diagnostics.probes[1.0][-1] == 0.0
+
+    @pytest.mark.parametrize("profile", [
+        LogHeaviside(-1.0, 0.0, 1.0), LogGaussian(0.0, 0.05, 1.0), GAUSS],
+        ids=["heaviside", "sigma 0.05", "sigma 0.1"])
+    def test_probes_match_the_series_pointwise(self, profile):
+        # the jumps of heaviside data and a narrow gaussian are where an
+        # interpolation of the nodes went wrong
+        cfg = RunConfig(profile=profile)
+        g = build_grid(profile, 2.0, cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
+        traj = solve_n(g, cfg.t_end, cfg.dt, probe_rays=cfg.resolved_rays())
+        times = traj.diagnostics.times[::37]
+        for y, track in traj.diagnostics.probes.items():
+            exact = [eval_n(profile, 2.0, t, y * t) for t in times.tolist()]
+            np.testing.assert_allclose(track[::37], exact, rtol=1e-7, atol=0.0)
+
+    def test_probe_tracks_do_not_depend_on_m(self):
+        cfg = RunConfig(profile=LogHeaviside(-1.0, 0.0, 1.0), t_end=20.0)
+        tracks = []
+        for m in (8, 64):
+            g = build_grid(cfg.profile, 2.0, cfg.resolved_y_min(), cfg.resolved_y_max(), m)
+            probes = solve_n(g, cfg.t_end, cfg.dt, probe_rays=cfg.resolved_rays()).diagnostics.probes
+            tracks.append([(y, track.tobytes()) for y, track in probes.items()])
+        assert tracks[0] == tracks[1]
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +343,14 @@ class TestVFromGrid:
                 expected = math.exp(-2.0 * y) * traj2.snapshots[0][idx]
                 assert v_from_grid(traj2, 2.0, math.exp(y)) == pytest.approx(
                     expected, rel=1e-12, abs=1e-300)
+
+    def test_matches_series_between_nodes(self, traj2):
+        g = traj2.grid
+        for j in (-96, -64, -13, 5):
+            y = (j + 0.37) * g.dy
+            got = v_from_grid(traj2, 2.0, math.exp(y))
+            ref = eval_v(GAUSS, 2.0, 2.0, math.exp(y))
+            assert got == pytest.approx(ref, rel=1e-7, abs=1e-30)
 
     def test_matches_series_on_node_points(self, traj2):
         g = traj2.grid
@@ -377,47 +374,60 @@ class TestVFromGrid:
 
 def _field_solve(grid, t_end, dt, snapshot_times, probe_rays=(), record_every=1):
     """solve_n's clock, records, snapshots and leak monitor, stepping the whole
-    field with `step`: the oracle of the weight propagator."""
+    field with `step`: the oracle of the weight propagator.  The probes sum,
+    point by point, the weights of a unit impulse stepped by `_advance`
+    against the profile at every dilate inside its support."""
     snaps = sorted(set(float(t) for t in snapshot_times))
     n_steps = int(math.floor(t_end / dt + 1e-9))
     rec_t = np.array([i * dt for i in range(0, n_steps + 1, record_every)])
     leak_tol = 1e-12 * grid.trapezoid(grid.values)
+    log_alpha, (lo, hi) = math.log(grid.alpha), support_y(grid.profile)
     mass, gathered = [], []
 
-    def record(vals, t):
+    def off_node(d, y):
+        if y < grid.y_min:
+            return 0.0
+        total = 0.0
+        for k in range(d.size):
+            if lo <= y + k * log_alpha <= hi:
+                total += d[k] * profile_eval_y(grid.profile, y + k * log_alpha)
+        return total
+
+    def record(vals, d, t):
         mass.append(grid.trapezoid(vals))
-        pos = t * np.array(probe_rays)
-        idx, w = _cubic_stencil(grid.n_nodes, grid.j_lo, grid.dy, pos)
-        w[(pos < grid.y_min) | (pos > grid.y_max)] = 0.0
-        gathered.append(_stencil_sum(w, vals[idx]))
+        gathered.append([off_node(d, t * y) for y in probe_rays])
 
     def check_leak(t, vals):
         if vals[:grid.m].max() > leak_tol:    # one node per residue class
             raise MassLeakError(f"mass reached the left grid edge at t = {t:.6g} ")
 
-    out, current = [], grid
-    record(current.values, 0.0)
+    out, out_d, current = [], [], grid
+    d = np.zeros(int((hi - grid.y_min) / log_alpha) + 2)    # every k a grid point can reach
+    d[0] = 1.0
+    record(current.values, d, 0.0)
     pending = iter(snaps)
     target = next(pending, None)
     for i in range(n_steps + 1):
         t = i * dt
         if i > 0:
-            current = step(current, dt)
+            current, d = step(current, dt), _advance(d, dt)
             check_leak(t, current.values)
             if i % record_every == 0:
-                record(current.values, t)
+                record(current.values, d, t)
         t_next = (i + 1) * dt if i < n_steps else math.inf
         while target is not None and target < t_next - 1e-9 * dt:
             if target <= t + 1e-9 * dt:
                 out.append(current.values.copy())
+                out_d.append(d)
             else:
                 partial = step(current, target - t)
                 check_leak(target, partial.values)
                 out.append(partial.values)
+                out_d.append(_advance(d, target - t))
             target = next(pending, None)
     probes = np.array(gathered).reshape(rec_t.size, -1)
     diag = Diagnostics(rec_t, np.array(mass), {y: probes[:, r] for r, y in enumerate(probe_rays)})
-    return Trajectory(grid, np.array(snaps), np.array(out), diag)
+    return Trajectory(grid, np.array(snaps), np.array(out), np.array(out_d), diag)
 
 
 def _assert_normal_values_close(got, want, rtol=1e-13):
@@ -638,16 +648,9 @@ class TestSolverCovariance:
         np.testing.assert_allclose(ds.mass, c * d.mass, rtol=1e-13)
         np.testing.assert_allclose(scaled.snapshots, c * base.snapshots, rtol=1e-13,
                                    atol=c * 1e-290)
-        # a probe interpolates nodes with weights of both signs, so it is scaled
-        # to 1e-13 of its stencil's terms: the records are the snapshot times
-        assert d.times.tolist() == base.times.tolist()
-        g = base.grid
+        # every term of a probe's sum is nonnegative, so the sum scales to rounding
         for y, track in d.probes.items():
-            pos = d.times * y
-            idx, w = _cubic_stencil(g.n_nodes, g.j_lo, g.dy, pos)
-            w[(pos < g.y_min) | (pos > g.y_max)] = 0.0
-            terms = np.abs(w * np.take_along_axis(base.snapshots, idx, axis=1)).sum(axis=1)
-            assert np.all(np.abs(ds.probes[y] - c * track) <= 1e-13 * c * terms + c * 1e-290)
+            np.testing.assert_allclose(ds.probes[y], c * track, rtol=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(k=st.integers(-40, 40), mu=st.floats(-0.3, 0.3), sigma=st.floats(0.05, 0.3),
