@@ -38,17 +38,19 @@ convolution per step) instead of the field: the same finite sums in another
 order, not an approximation.  Only the entries of d that can reach the
 nonzero range [lo, hi] of n_0 from a grid node are kept; a convolution moves
 weight only to higher k, so dropping the rest changes no kept entry.  Every
-node value the solver emits (leak monitor, mass, snapshots) comes from d and
-the m-blocks B_q[r] = n_0[lo + q m + r] through one node kernel
+node value the solver emits (leak monitor, mass, snapshots) is that sum as
+written, read over a run of nodes j0..j1-1 in k-ordered slices: for each k
+whose dilate S^k n_0 meets [lo, hi], in increasing k,
 
-    n[j] = sum_q d[p + q] B_q[r],    j = lo + r - p m,  0 <= r < m,
+    n[j0:j1] += d[k] * n_0[j0 + k m : j1 + k m]    (clipped to [lo, hi]),
 
-summed in fixed q order.  Between nodes (the probe records, Trajectory.n_at)
-the same identity is read at y as sum_k d[k] n_0(y + k log alpha), with n_0
-from the profile the grid sampled: nothing is interpolated.  `step` stays the
-oracle the propagator is tested against; d comes only from the RK4
-coefficients and n_0 only from the profile, never from the series, so the
-solver stays an independent route.
+so a node gets the same terms in the same order from any run that holds
+it.  Between nodes (the probe records, Trajectory.n_at) the same identity is
+read at y as sum_k d[k] n_0(y + k log alpha), with n_0 from the profile the
+grid sampled: nothing is interpolated.  `step` stays the oracle the
+propagator is tested against; d comes only from the RK4 coefficients and n_0
+only from the profile, never from the series, so the solver stays an
+independent route.
 
 The step loop only advances the weight row by one np.correlate with the
 reversed c(dt) and stores it, _CHUNK clock steps at a time.  The correlate
@@ -71,7 +73,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, MassLeakError
 from .model import Dirac, InitialProfile, dilation_window, profile_eval_y, support_y
@@ -182,29 +183,28 @@ def _advance(w: np.ndarray, h: float) -> np.ndarray:
     return np.correlate(w, _rk4_shift_coeffs(h)[::-1], "full")[:w.size]  # w * c(h)
 
 
-class _ShiftBlocks:
-    """The initial data cut into m-blocks, and the node kernel on them.
+class _ShiftSum:
+    """The shift polynomial sum_k d[k] S^k n_0 at the grid nodes, for weight rows d.
 
-    B[q, r] = n_0[lo + q m + r] over the nonzero range [lo, hi] of n_0, zero
-    padded.  Node j = lo + r - p m sits in block column c = p + right, where
-    `right` counts the whole blocks of nodes right of lo.  A weight row w holds
-    `right` zeros and then d, so that n[j] = sum_q w[c + q] B[q, r] for every
-    grid node, with no index out of range.
+    Only the nonzero range [lo, hi] of n_0 is read.  A weight row as solve_n
+    propagates it holds `right` leading zeros and then d, `width` entries in
+    all.  The zeros only keep d's bits: np.correlate rounds its partial-overlap
+    outputs differently from the full ones.
     """
 
     def __init__(self, grid: LogGrid):
         v, m = grid.values, grid.m
         nz = np.flatnonzero(v)
         lo, hi = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
-        q = (hi - lo) // m + 1
-        self.B = np.zeros((q, m))
-        self.B.flat[:hi - lo + 1] = v[lo:hi + 1]
-        self.m, self.n, self.lo = m, v.size, lo
+        self.v, self.m, self.lo, self.hi = v, m, lo, hi
         self.right = (v.size - 1 - lo) // m
-        left = -(-lo // m)                              # blocks reaching node 0
-        self.cols = self.right + left + 1
-        self.width = self.cols + q - 1
-        self.top = np.abs(self.B).max(axis=1)          # for the leak monitor
+        self.width = self.right - (-lo // m) + (hi - lo) // m + 1
+        # the leak monitor's nodes, one per residue class, and top[k], the largest
+        # |n_0| over the cell [k m, k m + watch), zero where it misses [lo, hi]
+        self.watch = min(m, v.size)
+        self.top = np.zeros(self.width - self.right)
+        for k in range(-((self.watch - 1 - lo) // m), hi // m + 1):
+            self.top[k] = np.abs(v[max(k * m, lo):k * m + self.watch]).max()
         # sum_j n[j] = sum_k d[k] sum(n_0[k m:]); the suffix sums from fsums per cell
         cells = [math.fsum(v[max(k * m, lo):min(k * m + m, hi + 1)].tolist())
                  for k in range(lo // m, hi // m + 1)]
@@ -212,41 +212,23 @@ class _ShiftBlocks:
         self.suffix = np.zeros(self.width)
         k = np.arange(self.width - self.right)
         self.suffix[self.right:] = tails[np.clip(k - lo // m, 0, len(cells))]
-        self.start = left * m - lo                      # node 0 in the reversed columns
 
-    def windows(self, W: np.ndarray) -> np.ndarray:
-        """The view V[i, c] = W[i, c:c + Q] of weight rows W, shape (rows, cols, Q)."""
-        return sliding_window_view(W, self.B.shape[0], axis=1)
-
-    def nodes(self, V: np.ndarray, rows: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """n at nodes j for the weight rows `rows` of windows V (rows and j broadcast)."""
-        terms = V[rows, self.right - (j - self.lo) // self.m] * self.B.T[(j - self.lo) % self.m]
-        n = terms[..., 0]
-        for q in range(1, terms.shape[-1]):             # q order, as in `field`
-            n = n + terms[..., q]
+    def nodes(self, D: np.ndarray, j0: int, j1: int) -> np.ndarray:
+        """n at the nodes j0..j1-1 for every weight row of D, shape (rows, j1 - j0):
+        each S^k n_0 that meets [lo, hi] is added in increasing k."""
+        m, lo, hi = self.m, self.lo, self.hi
+        n = np.zeros((len(D), j1 - j0))
+        for k in range(max(0, -((j1 - 1 - lo) // m)), (hi - j0) // m + 1):
+            a, b = max(j0, lo - k * m), min(j1, hi + 1 - k * m)
+            n[:, a - j0:b - j0] += D[:, k, None] * self.v[a + k * m:b + k * m]
         return n
 
-    def field(self, w: np.ndarray) -> np.ndarray:
-        """Every node of the weight row w, by the same kernel as `nodes`."""
-        cols = np.zeros((self.cols, self.m))
-        for q, block in enumerate(self.B):
-            cols += w[q:q + self.cols, None] * block
-        return cols[::-1].ravel()[self.start:self.start + self.n]
-
-    def head_bound(self, W: np.ndarray, n: int) -> np.ndarray:
-        """For each weight row of W, a bound on |n[j]| over the nodes j < n: the
-        largest column sum sum_q w[c + q] max_r |B[q, r]| over their columns,
-        raised by more than the rounding of the kernel's and the sum's Q
-        products and additions (and their underflow) can move either.  The sums
-        are Q shifted multiply-adds over the columns of W, with no (rows, cols, Q)
-        copy of the windows."""
-        Q = self.B.shape[0]
-        first = self.cols - 1 - (self.start + n - 1) // self.m     # the column of node n - 1
-        U = np.zeros((len(W), self.cols - first))
-        for q, top in enumerate(self.top):
-            U += W[:, first + q:self.cols + q] * top
-        return (U.max(axis=1) * (1.0 + 4.0 * Q * np.finfo(float).eps)
-                + Q * np.finfo(float).smallest_subnormal)
+    def head_bound(self, D: np.ndarray) -> np.ndarray:
+        """For each weight row of D, a bound on |n| over the leftmost `watch` nodes:
+        sum_k d[k] top[k], raised by more than the rounding of the c nonzero products
+        and their additions in either sum (and their underflow) can move it."""
+        c, f = np.count_nonzero(self.top), np.finfo(float)
+        return (D @ self.top) * (1.0 + 4.0 * c * f.eps) + c * f.smallest_subnormal
 
 
 def _dilation_sum(p: InitialProfile, log_alpha: float, D: np.ndarray, rows,
@@ -348,9 +330,9 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
     rays = np.array([float(y) for y in probe_rays])
     dy, log_alpha = grid.dy, math.log(grid.alpha)
     n_steps = int(math.floor(t_end / dt + 1e-9))
-    kernel = _ShiftBlocks(grid)
+    kernel = _ShiftSum(grid)
     leak_tol = _LEAK_TOL * grid.trapezoid(grid.values)
-    watch = min(grid.m, grid.n_nodes)      # the leak monitor's nodes, one per residue class
+    watch, right, last = kernel.watch, kernel.right, grid.n_nodes - 1
 
     def check_leak(times: np.ndarray, heads: np.ndarray) -> None:
         over = np.flatnonzero(heads > leak_tol)
@@ -362,10 +344,11 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
                 f"threshold {leak_tol:.3e}); extend y_min")
 
     rec: dict[str, list[np.ndarray]] = {"t": [], "mass": [], "probes": []}
-    out_rows: list[np.ndarray] = []      # the snapshots' weight rows
+    out = np.empty((len(snaps), kernel.width))      # the snapshots' weight rows
+    done = 0
     taps = np.array(_rk4_shift_coeffs(dt)[::-1])
     w = np.zeros(kernel.width)
-    w[kernel.right] = 1.0
+    w[right] = 1.0
     on_clock = 1e-9 * dt       # a snapshot this close to a clock time is taken there
     pending = np.array(snaps)
     for first in range(0, n_steps + 1, _CHUNK):
@@ -381,41 +364,38 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
             ends[-1] = math.inf
         at = np.searchsorted(ends, pending, side="right")
         placed = int(np.count_nonzero(at < clock.size))
-        taken: list[np.ndarray] = []
         partial_t: list[float] = []
-        partial_w: list[np.ndarray] = []
+        partial_d: list[np.ndarray] = []
         for target, s in zip(pending[:placed].tolist(), at[:placed].tolist()):
             t = (first + s) * dt
             if target <= t + on_clock:
-                taken.append(W[s])
+                out[done] = W[s]
             else:
+                out[done] = _advance(W[s], target - t)
                 partial_t.append(target)
-                partial_w.append(_advance(W[s], target - t))
-                taken.append(partial_w[-1])
+                partial_d.append(out[done, right:])
+            done += 1
         pending = pending[placed:]
         # the leak monitor sees every clock state but the initial one, and every
         # partial step; the kernel runs on its nodes only where a bound cannot clear them
         skip = 1 if first == 0 else 0
-        checked, checked_t = W[skip:], clock[skip:] * dt
-        if partial_w:
-            checked, checked_t = np.vstack([checked, *partial_w]), np.r_[checked_t, partial_t]
-        if (kernel.head_bound(checked, watch) > leak_tol).any():
-            heads = kernel.nodes(kernel.windows(checked), np.arange(len(checked))[:, None],
-                                 np.arange(watch))
-            check_leak(checked_t, heads.max(axis=1))
-        out_rows.extend(x.copy() for x in taken)      # a view would keep W alive
+        checked, checked_t = W[skip:, right:], clock[skip:] * dt
+        if partial_d:
+            checked, checked_t = np.vstack([checked, *partial_d]), np.r_[checked_t, partial_t]
+        if (kernel.head_bound(checked) > leak_tol).any():
+            check_leak(checked_t, kernel.nodes(checked, 0, watch).max(axis=1))
 
         on_record = clock % record_every == 0
         if not on_record.any():
             continue
         Wr, t_rec = W[on_record], clock[on_record] * dt
-        V, rows = kernel.windows(Wr), np.arange(len(Wr))
-        end = kernel.nodes(V, rows[:, None], np.array([0, grid.n_nodes - 1]))
+        Dr = Wr[:, right:]
+        edges = kernel.nodes(Dr, 0, 1)[:, 0] + kernel.nodes(Dr, last, last + 1)[:, 0]
         rec["t"].append(t_rec)
-        rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * (end[:, 0] + end[:, 1])))
+        rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * edges))
         # below the grid a probe records 0; above it the dilation window is empty
         pos = t_rec[:, None] * rays
-        n = _dilation_sum(grid.profile, log_alpha, Wr[:, kernel.right:], rows[:, None], pos)
+        n = _dilation_sum(grid.profile, log_alpha, Dr, np.arange(len(Dr))[:, None], pos)
         rec["probes"].append(np.where(pos < grid.y_min, 0.0, n))
 
     probes = np.concatenate(rec["probes"])
@@ -424,9 +404,9 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         mass=np.concatenate(rec["mass"]),
         probes={y: probes[:, r].copy() for r, y in enumerate(rays.tolist())},
     )
-    return Trajectory(grid=grid, times=np.asarray(snaps),
-                      snapshots=np.asarray([kernel.field(x) for x in out_rows]),
-                      weights=np.asarray(out_rows)[:, kernel.right:], diagnostics=diag)
+    D = out[:, right:]
+    return Trajectory(grid=grid, times=np.asarray(snaps), snapshots=kernel.nodes(D, 0, last + 1),
+                      weights=D, diagnostics=diag)
 
 
 def v_from_grid(traj: Trajectory, t: float, x: float) -> float:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gflab.config import RunConfig
 from gflab.errors import DomainError, MassLeakError
 from gflab.model import (
-    Dirac, LogGaussian, LogHeaviside, parse_profile, profile_eval_y, support_y)
+    Dirac, LogGaussian, LogHeaviside, ModelParams, parse_profile, profile_eval_y, support_y)
 from gflab import solver
 from gflab.series import eval_n, eval_n_series, eval_v
 from gflab.solver import (
@@ -560,8 +560,8 @@ class TestChunkSize:
         assert f"at t = {trip} " in messages[0]
 
     def test_default_solve_peak_memory(self):
-        # the chunk's weight rows and record tables set the peak: 2.1 MB at 256
-        # steps per chunk, 3.0 MB at 512 and 5.4 MB at 1024
+        # the chunk's weight rows and record tables set the peak: 1.5 MB at 256
+        # steps per chunk, 2.4 MB at 512 and 4.4 MB at 1024
         cfg = RunConfig()
         g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
                        cfg.resolved_y_max(), cfg.m)
@@ -575,34 +575,78 @@ class TestChunkSize:
         assert peak < 3.5e6, peak
 
 
+def _shift_sum(d, values, m):
+    """sum_k d[k] S^k n_0 at every node: one shifted axpy per k, from zero."""
+    out = np.zeros(values.size)
+    for k in range(min(d.size, -(-values.size // m))):
+        out[:values.size - k * m] += d[k] * values[k * m:]
+    return out
+
+
+class TestNodeValues:
+    """Node values are the shift polynomial of each snapshot's weight row."""
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(),
+        RunConfig(profile=parse_profile("logheaviside a=-1 b=0 height=1")),
+        _ORACLE_CONFIGS["dt 0.03 off clock"],
+        RunConfig(params=ModelParams(g=0.0, b=1.0, alpha=3.0), m=17),
+        _ORACLE_CONFIGS["gaussian sigma 0.5"],
+    ], ids=["gaussian", "heaviside", "dt 0.03 off clock", "alpha 3, m 17", "gaussian sigma 0.5"])
+    def test_snapshots_are_the_shift_sum_bitwise(self, cfg):
+        # a node of the wide gaussian sums about nine dilates, so its bits also
+        # pin the order of the terms, which a sum of two cannot show
+        g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
+                       cfg.resolved_y_max(), cfg.m)
+        traj = solve_n(g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), (), cfg.record_every)
+        for snapshot, d in zip(traj.snapshots, traj.weights):
+            assert snapshot.tobytes() == _shift_sum(d, g.values, g.m).tobytes()
+
+    def test_dense_heaviside_solve_peak_memory(self):
+        # the chunk tables, the 30 snapshots' weight rows and one array of their
+        # node values set the peak: 3.4 MB
+        cfg = _ORACLE_CONFIGS["heaviside ladder"]
+        g = build_grid(cfg.profile, cfg.params.alpha, cfg.resolved_y_min(),
+                       cfg.resolved_y_max(), cfg.m)
+        tracemalloc.start()
+        try:
+            solve_n(g, cfg.t_end, cfg.dt, cfg.resolved_snapshots(), cfg.resolved_rays(),
+                    cfg.record_every)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6, peak
+
+
 @pytest.fixture(scope="module", params=[
-    (LogHeaviside(-1.0, 0.0, 1.0), -20.3, 2),   # constant data: two distinct columns
-    (GAUSS, -15.1, 64),
+    (LogHeaviside(-1.0, 0.0, 1.0), -20.3, True),
+    (GAUSS, -15.1, False),
 ], ids=["heaviside", "gaussian"])
 def weight_rows(request):
-    """A kernel whose leftmost block column is partly off the grid, its number of
-    distinct block columns, and 800 weight rows to t = 40, past the left edge."""
-    profile, y_min, groups = request.param
-    kernel = solver._ShiftBlocks(build_grid(profile, 2.0, y_min, 1.7, 64))
+    """A shift sum whose node 0 is not a cell boundary, its grid, whether its data
+    are constant, and 800 weight rows d to t = 40, past the left edge."""
+    profile, y_min, constant = request.param
+    g = build_grid(profile, 2.0, y_min, 1.7, 64)
+    kernel = solver._ShiftSum(g)
     w = np.zeros(kernel.width)
     w[kernel.right] = 1.0
     rows = []
     for _ in range(800):
         w = _advance(w, 0.05)
         rows.append(w)
-    return kernel, groups, np.array(rows)
+    return kernel, g, constant, np.array(rows)[:, kernel.right:]
 
 
 class TestKernelScreens:
-    """The leak monitor's bound, against the field."""
+    """The leak monitor's bound, against the node values."""
 
     def test_head_bound_covers_the_leftmost_nodes(self, weight_rows):
-        kernel, groups, W = weight_rows
-        assert kernel.lo % kernel.m != 0          # node 0 is not a block boundary
-        heads = np.array([kernel.field(row)[:kernel.m] for row in W])
-        bound = kernel.head_bound(W, kernel.m)
+        kernel, g, constant, D = weight_rows
+        assert kernel.lo % kernel.m != 0 and kernel.watch == kernel.m
+        heads = np.array([_shift_sum(d, g.values, g.m)[:kernel.m] for d in D])
+        bound = kernel.head_bound(D)
         assert np.all(bound >= np.abs(heads).max(axis=1))
-        if groups == 2:    # constant data: some node of a column is its bound
+        if constant:    # constant data: some node meets every cell at its top
             assert np.any(bound <= np.abs(heads).max(axis=1) * (1.0 + 1e-12))
 
 
