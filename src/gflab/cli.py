@@ -9,12 +9,12 @@ CSV output (fixed summation orders, 17 significant digits, no wall-clock
 content).  Float cells are exactly the text of "%.17g" % x: the g17 kernel
 renders a whole column at once, exactly, and falls back to "%.17g" per value
 outside the range where its rounding is proven (zero, non-finite, |x| outside
-[1e-280, 1e280], fractions within 1e-12 of a tie).  A run of equal bit
-patterns in a float column is rendered once and its text repeated, which is
+[1e-280, 1e280], fractions within 1e-12 of a tie).  A float column's runs of
+equal bit patterns are found once per block and each rendered once, which is
 exact because the text is a function of the bits; on piecewise constant data
 the solver's nodes between two breakpoints are such runs.  CSV tables are
-streamed to the file a bounded number of rows (_ROWS) at a time, so no
-whole-file or whole-block text is ever held in memory.
+streamed to the file as bytes, a bounded number of rows (_ROWS) at a time, so
+no whole-file text (and no whole-block text but a cell per run) is held.
 """
 
 from __future__ import annotations
@@ -49,37 +49,38 @@ _FIGURES = {
 _ROWS = 2048    # rows of a table laid out as cells at a time
 
 
-def _cells(col, lo: int, hi: int) -> np.ndarray:
-    """Fixed-width cells of rows lo:hi of one column, each ending in a
-    separator column; a 2-d uint8 array is a column already rendered as
-    cells, and one with a single row repeats on every row.
+def _column(col):
+    """The cells of one column of a block: a function of (lo, hi) that gives
+    rows lo:hi as fixed-width cells, each ending in a separator column.
 
-    NUL bytes are padding.  A column whose first value is a float is rendered
-    by the g17 kernel as "%.17g" would, once per run of equal bit patterns:
-    equal bits give equal text, and bits (not ==) keep -0.0 apart from 0.0.
-    Any other column (text without NUL characters, ints, bools) is rendered
-    by str, right-aligned so that its separator too is the last column.
+    NUL bytes are padding.  A float stands for a column of one value, and a
+    2-d uint8 array is a column already rendered as cells; one with a single
+    row repeats on every row.  A float column is rendered by the g17 kernel
+    as "%.17g" would: chunk by chunk if no two neighbours have equal bits,
+    else once per run, _ROWS heads at a time, in g17.TEXT columns (one width
+    for every chunk, so the allocator reuses their memory; bits, not ==, keep
+    -0.0 apart from 0.0).  Any other column (text without NUL characters,
+    ints, bools) is rendered by str, right-aligned like the rest.
     """
+    if isinstance(col, float):
+        col = _narrow(g17.cells(np.array([col])))
     if isinstance(col, np.ndarray) and col.ndim == 2:
-        return np.broadcast_to(col, (hi - lo, col.shape[1])) if len(col) == 1 else col[lo:hi]
-    if isinstance(col[0], float):
-        x = np.asarray(col[lo:hi], dtype=np.float64)
-        bits = x.view(np.int64)
-        repeats = bits[1:] == bits[:-1]
-        if not np.count_nonzero(repeats):
-            return g17.cells(x)
-        # the widest cell's width, not the least, keeps the chunks one size, so the
-        # allocator reuses their memory (the least width grew the peak RSS of the
-        # dense heaviside solve by 3 MB)
-        heads = np.flatnonzero(np.r_[True, ~repeats])
-        cells = _narrow(g17.cells(x[heads]), g17.TEXT)
-        return np.repeat(cells, np.diff(np.r_[heads, x.size]), axis=0)
-    part = col[lo:hi]
-    part = part.tolist() if isinstance(part, np.ndarray) else part
-    text = [str(v).encode() + b"," for v in part]
-    width = max(map(len, text))
-    chars = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in text), dtype=np.uint8)
-    return chars.reshape(len(text), width)
+        if len(col) == 1:
+            return lambda lo, hi: np.broadcast_to(col, (hi - lo, col.shape[1]))
+        return lambda lo, hi: col[lo:hi]
+    if not isinstance(col[0], float):
+        values = col.tolist() if isinstance(col, np.ndarray) else col
+        return lambda lo, hi: g17.text_cells([str(v).encode() + b"," for v in values[lo:hi]])
+    x = np.asarray(col, dtype=np.float64)
+    bits = x.view(np.int64)
+    new = np.r_[True, bits[1:] != bits[:-1]]
+    if new.all():
+        return lambda lo, hi: g17.cells(x[lo:hi])
+    heads = x[new]
+    text = np.concatenate([_narrow(g17.cells(heads[i:i + _ROWS]), g17.TEXT)
+                           for i in range(0, heads.size, _ROWS)])
+    run = np.cumsum(new) - 1
+    return lambda lo, hi: text[run[lo:hi]]
 
 
 def _narrow(cells: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -97,23 +98,23 @@ def _write_csv(path: Path | None, header: list[str], blocks) -> None:
 
     A block is a list of equal-length columns; a float in place of a column
     is rendered once and repeats on every row of the block.  The cells of
-    each _ROWS rows are laid side by side and their NUL padding dropped (see
-    _cells for how a value is written).
+    each _ROWS rows are laid side by side, their NUL padding dropped, and the
+    bytes written (see _column for how a value is written).
     """
-    if path is not None:
+    if path is None:
+        sys.stdout.flush()      # text printed before goes first
+    else:
         path.parent.mkdir(parents=True, exist_ok=True)
-    with (contextlib.nullcontext(sys.stdout) if path is None
-          else path.open("w", encoding="utf-8", newline="\n")) as out:
-        out.write(",".join(header) + "\n")
+    with (contextlib.nullcontext(sys.stdout.buffer) if path is None else path.open("wb")) as out:
+        out.write((",".join(header) + "\n").encode())
         for block in blocks:
             n_rows = max((len(col) for col in block if not isinstance(col, float)), default=0)
-            block = [_narrow(g17.cells(np.array([col]))) if isinstance(col, float) else col
-                     for col in block]
+            columns = [_column(col) for col in block] if n_rows else []
             for lo in range(0, n_rows, _ROWS):
                 hi = min(lo + _ROWS, n_rows)
-                chars = np.concatenate([_cells(col, lo, hi) for col in block], axis=1)
+                chars = np.concatenate([cells(lo, hi) for cells in columns], axis=1)
                 chars[:, -1] = ord("\n")
-                out.write(chars.tobytes().translate(None, b"\0").decode("utf-8"))
+                out.write(chars.tobytes().translate(None, b"\0"))
     if path is not None:
         print(f"wrote {path}")
 
@@ -130,7 +131,7 @@ def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str) -> None:
     and <stem>.svg with the rescaled profiles sqrt(t) n(t, y)."""
     ys = traj.grid.y_nodes()
     times = traj.times.tolist()
-    y_cells = _narrow(_cells(ys, 0, ys.size))   # one column of text shared by every block
+    y_cells = _narrow(_column(ys)(0, ys.size))   # one column of text shared by every block
     blocks = ([t, y_cells, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
     _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
     keep = slice(None, None, max(1, ys.size // 2000))
@@ -164,10 +165,13 @@ def _grid(cfg: config.RunConfig) -> solver.LogGrid:
                              cfg.resolved_y_min(), cfg.resolved_y_max(), cfg.m)
 
 
-def _solve_run(cfg: config.RunConfig, grid: solver.LogGrid | None = None) -> solver.Trajectory:
-    """Solve the configured run (on its grid, unless one is given): v at b = 1, g = 0."""
+def _solve_run(cfg: config.RunConfig, grid: solver.LogGrid | None = None,
+               probes: bool = True) -> solver.Trajectory:
+    """Solve the configured run (on its grid, unless one is given): v at b = 1, g = 0,
+    recording the configured probe rays if `probes` (the rays size the grid either way)."""
     return solver.solve_n(grid or _grid(cfg), cfg.t_end, cfg.dt,
-                          snapshot_times=cfg.resolved_snapshots(), probe_rays=cfg.resolved_rays(),
+                          snapshot_times=cfg.resolved_snapshots(),
+                          probe_rays=cfg.resolved_rays() if probes else (),
                           record_every=cfg.record_every)
 
 
@@ -215,7 +219,7 @@ def cmd_figures(args) -> int:
     profile_line, kind = _FIGURES[fig_id]
     cfg = config.with_texts(cfg, {"profile": profile_line})
     out_dir = Path(cfg.directory)
-    traj = _solve_run(cfg)
+    traj = _solve_run(cfg, probes=kind == "probes")
     if kind == "profiles":
         _write_snapshots(traj, out_dir, f"figure{fig_id}")
         return 0
@@ -338,7 +342,7 @@ def cmd_compare(args) -> int:
     ts = (1.0, 5.0) if args.t is None else _flag_floats("t", args.t)
     xs = (0.25, 0.5, 0.75) if args.x is None else _flag_floats("x", args.x)
     # the horizon sizes the grid for the run; the requested times are its snapshots
-    traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts))
+    traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts), probes=False)
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)
     _write_compare(Path(cfg.directory) / "compare.csv", tbl)
     print(tbl.summary())

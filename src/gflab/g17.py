@@ -4,7 +4,9 @@
 without its NUL bytes, is ``"%.17g" % x[i]``, byte for byte, followed by the
 separator in the last column (a ","; the CSV writer turns the last cell of a
 row into its newline).  The writer lays the cells of a table's columns side by
-side and drops the NUL bytes of the whole.
+side and drops the NUL bytes of the whole.  ``text_cells`` lays out any other
+byte strings in the same way (the CSV writer's str cells and the SVG writer's
+point texts).
 
 Digits.  For |x| in [1e-280, 1e280] and e = floor(log10 |x|), the scaled
 value S = |x| 10^(16 - e) lies in [1e16, 1e17).  It is formed as a
@@ -179,3 +181,11 @@ def cells(x: np.ndarray) -> np.ndarray:
         chars[i, :-1] = 0
         chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return chars
+
+
+def text_cells(texts: list[bytes]) -> np.ndarray:
+    """The byte strings as cells of the widest one's width, right-aligned
+    (each separator, if it ends with one, in the last column), NUL padded."""
+    width = max(map(len, texts), default=0)
+    chars = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in texts), dtype=np.uint8)
+    return chars.reshape(len(texts), width)

@@ -11,12 +11,16 @@ fixed strings made here, so they need no escaping.
 Point text is "%.6g" of the screen coordinates.  It is a function of the bits
 of a coordinate, so each run of equal coordinates is formatted once, and the
 x text once for consecutive curves with bitwise equal finite x (the profile
-and probe figures share theirs); the document is the same byte for byte.
+and probe figures share theirs); the document is the same byte for byte.  The
+texts are byte cells, "x," and "y " a row per point, and a polyline's points
+are its rows' bytes without the NUL padding and the last space.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import g17
 
 WIDTH, HEIGHT = 720, 480
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -27,14 +31,14 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _texts(v: np.ndarray) -> list[str]:
-    """_fmt of every value of v, formatted once per run of equal bit patterns."""
+def _cells(v: np.ndarray, sep: bytes) -> np.ndarray:
+    """Cells of "%.6g" % x + sep (the text of _fmt) for every x of v, laid out
+    by g17.text_cells; each run of equal bit patterns is formatted once."""
     bits = v.view(np.int64)
     new = np.ones(v.size, dtype=bool)
     new[1:] = bits[1:] != bits[:-1]
-    heads = np.flatnonzero(new)
-    text = np.array(list(map(_fmt, v[heads].tolist())), dtype=object)
-    return np.repeat(text, np.diff(np.r_[heads, v.size])).tolist()
+    text = g17.text_cells(list(map((b"%.6g" + sep).__mod__, v[new].tolist())))
+    return text[np.cumsum(new) - 1]
 
 
 def _el(tag: str, text: str = "", **attrs) -> str:
@@ -112,20 +116,21 @@ def line_plot(curves, title: str = "", xlabel: str = "", ylabel: str = "") -> st
         out.append(_el("text", ylabel, x=14, y=mid, fill="black", text_anchor="middle",
                        font_size=12, transform=f"rotate(-90 14 {mid})"))
 
-    prev_x, x_text = np.empty(0), []
+    prev_x, x_cells = np.empty(0), np.empty((0, 0), dtype=np.uint8)
     for idx, (label, xs, ys) in enumerate(curves):
         color = _COLORS[idx % len(_COLORS)]
         ok = np.isfinite(xs) & np.isfinite(ys)
         px = sx(xs[ok])
         if not np.array_equal(px.view(np.int64), prev_x.view(np.int64)):
-            prev_x, x_text = px, _texts(px)
-        pts = list(map("{},{}".format, x_text, _texts(sy(ys[ok]))))
+            prev_x, x_cells = px, _cells(px, b",")
+        pts = np.concatenate([x_cells, _cells(sy(ys[ok]), b" ")], axis=1)   # "x,y " a row
         # a non-finite point ends a polyline: cut where the finite indices jump
         jumps = np.flatnonzero(np.diff(np.flatnonzero(ok)) > 1) + 1
         cuts = [0, *jumps.tolist(), len(pts)]
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo >= 2:
-                out.append(_el("polyline", points=" ".join(pts[lo:hi]), fill="none", stroke=color))
+                points = pts[lo:hi].tobytes().translate(None, b"\0")[:-1].decode()
+                out.append(_el("polyline", points=points, fill="none", stroke=color))
         out.append(_el("text", label, x=margin_l + 8, y=margin_t + 14 + 13 * idx, fill=color,
                        font_size=11))
     out.append("</svg>\n")

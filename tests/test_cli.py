@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gflab
-from gflab import analysis, cli, config, series, solver, svg
+from gflab import analysis, cli, config, g17, series, solver, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
 from gflab.errors import DomainError, QuadratureError
@@ -539,6 +539,30 @@ class TestWriters:
         assert (b"\n".join(text[:10_001] + text[-10_001:])
                 == oracle_csv(["t", "y", "n", "sqrt_t_n"], rows))
 
+    def test_runs_are_rendered_once_per_column(self, tmp_path, capsys, monkeypatch):
+        # a column of three _ROWS chunks with at most _ROWS runs takes one
+        # g17.cells call for all its heads; one with more takes a call per
+        # _ROWS heads; a column without runs is rendered chunk by chunk and
+        # never narrowed
+        rng = np.random.default_rng(11)
+        n = 3 * cli._ROWS
+        runs = np.repeat(rng.random(300) * 10.0 ** rng.integers(-300, 300, 300),
+                         rng.multinomial(n - 300, np.full(300, 1 / 300)) + 1)
+        many = np.repeat(rng.random(cli._ROWS + 1), 2)[:n]
+        plain = rng.random(n)
+        sizes, narrowed, cells, narrow = [], [], g17.cells, cli._narrow
+        monkeypatch.setattr(g17, "cells", lambda x: sizes.append(len(x)) or cells(x))
+        monkeypatch.setattr(cli, "_narrow", lambda c, *w: narrowed.append(len(c)) or narrow(c, *w))
+        for name, col, calls in (("runs", runs, [300]), ("many", many, [cli._ROWS, 1]),
+                                 ("plain", plain, [cli._ROWS] * 3)):
+            sizes.clear()
+            narrowed.clear()
+            cli._write_csv(tmp_path / f"{name}.csv", ["v"], [[col]])
+            assert sizes == calls, name
+            assert narrowed == (calls if name != "plain" else []), name
+            assert (tmp_path / f"{name}.csv").read_bytes() == oracle_csv(["v"], zip(col.tolist()))
+        capsys.readouterr()
+
     @pytest.mark.parametrize("method", ["series", "asymp-theta"])
     def test_evaluate_stdout_matches_row_oracle(self, method, capsys):
         ts, xs = [0.5, 1.0, 5.0], [0.25, 0.5, 1e-3]
@@ -669,6 +693,25 @@ class TestFigures:
         probe = LineProbe(y=-1.0, times=data[window, 0], values=data[window, 1])
         est = estimate_period(probe, expected_period=1.0)
         assert est.oscillating and est.amplitude > 1e-3
+
+    @pytest.mark.parametrize("argv, rays", [
+        (["figures", "--id", "2", "--t-end", "2"], 0), (["figures", "--id", "1", "--t-end", "2"], 3),
+        (["compare", "--t", "1"], 0), (["solve", "--t-end", "2"], 3)])
+    def test_only_probe_readers_record_rays(self, argv, rays, tmp_path, capsys, monkeypatch):
+        # compare and the profile figures never read a probe track; the rays
+        # still size the grid, so it is the default config's grid either way
+        # (figures 1 and 2 take the default profile)
+        seen, solve_n = [], solver.solve_n
+
+        def spy(grid, *args, **kwargs):
+            seen.append((grid.y_min, len(kwargs["probe_rays"])))
+            return solve_n(grid, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_n", spy)
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        grid = cli._grid(config.RunConfig(t_end=1.0 if argv[0] == "compare" else 2.0))
+        assert seen == [(grid.y_min, rays)]
 
 
 class TestCompare:

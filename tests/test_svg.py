@@ -1,9 +1,11 @@
-"""SVG writer: escaping and the bytes of a small document."""
+"""SVG writer: escaping, the bytes of a small document, and the polyline points."""
 
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gflab import svg
 
@@ -81,3 +83,80 @@ def test_empty_curve_label_is_a_self_closed_element():
     doc = svg.line_plot([("", [0.0, 1.0], [0.0, 1.0])])
     assert doc.endswith('<text x="72" y="42" fill="#1f77b4" font-size="11" /></svg>\n')
     assert _element_texts(doc)[-1] == ""
+
+
+def _points_oracle(curves) -> list[str]:
+    """The points of every polyline of line_plot(curves): per curve, each run of
+    at least two consecutive finite points, one f"{x:.6g},{y:.6g}" pair each of
+    the screen coordinates (the 720 x 480 frame with margins 64, 16, 28, 44)."""
+    curves = [(np.asarray(xs, float), np.asarray(ys, float)) for _, xs, ys in curves]
+    fx = np.concatenate([xs[np.isfinite(xs) & np.isfinite(ys)] for xs, ys in curves])
+    fy = np.concatenate([ys[np.isfinite(xs) & np.isfinite(ys)] for xs, ys in curves])
+    x_lo, x_hi = float(fx.min()), float(fx.max())
+    y_lo, y_hi = float(fy.min()), float(fy.max())
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    expected = []
+    for xs, ys in curves:
+        segment = []
+        for x, y in [*zip(xs.tolist(), ys.tolist()), (np.nan, np.nan)]:
+            if np.isfinite(x) and np.isfinite(y):
+                px = 64 + (x - x_lo) / (x_hi - x_lo) * 640
+                py = 28 + (y_hi - y) / (y_hi - y_lo) * 408
+                segment.append(f"{px:.6g},{py:.6g}")
+                continue
+            if len(segment) >= 2:
+                expected.append(" ".join(segment))
+            segment = []
+    return expected
+
+
+def _points(doc: str) -> list[str]:
+    root = ET.fromstring(doc.split("\n", 1)[1])
+    return [pl.get("points") for pl in root.iter(f"{NS}polyline")]
+
+
+def test_points_match_pair_oracle():
+    # runs of equal y, nan and inf mid-curve (one leaves a single-point
+    # segment, which draws nothing), a first curve with no finite point, and
+    # x shared by consecutive curves, also across a curve that cuts it
+    xs = np.linspace(-3.0, 2.0, 50)
+    steps = np.repeat([0.5, 0.5, 2.0, -1.0, 0.0], 10)
+    cut = steps.copy()
+    cut[[4, 6, 20, 21]] = [np.nan, np.inf, -np.inf, np.nan]
+    curves = [("none", xs, np.full(50, np.nan)), ("steps", xs, steps), ("twice", xs, 2.0 * steps),
+              ("cut", xs, cut), ("x cut", np.where(np.arange(50) == 30, np.nan, xs), steps),
+              ("own x", xs[::-1].copy(), np.sin(xs)), ("flat", xs, np.zeros(50)),
+              ("pair", [0.0, 1.0], [3.0, 3.0])]
+    got = _points(svg.line_plot(curves))
+    assert got == _points_oracle(curves)
+    assert len(got) == 10
+
+
+def test_first_curves_without_finite_points():
+    curves = [("a", [0.0, 1.0], [np.nan, np.inf]), ("b", [], []),
+              ("c", [0.0, 1.0, 2.0], [1.0, 1.0, 2.0])]
+    got = _points(svg.line_plot(curves))
+    assert got == _points_oracle(curves) == [_points_oracle(curves[2:])[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(),
+                          st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.5, -2.25, 1e-9, 3e5,
+                                                    np.nan, np.inf, -np.inf]),
+                                   min_size=0, max_size=30)),
+                min_size=1, max_size=5))
+def test_random_curves_match_pair_oracle(specs):
+    # values from a small pool, so runs of equal y are common; a curve shares
+    # the x of the curve before it when its flag is set and the lengths agree
+    curves, prev = [], np.empty(0)
+    for idx, (share, ys) in enumerate(specs):
+        xs = prev if share and len(prev) == len(ys) else np.arange(len(ys)) * (0.5 + idx)
+        curves.append((f"c{idx}", xs, np.array(ys, dtype=float)))
+        prev = xs
+    finite = [np.isfinite(ys) for _, _, ys in curves]
+    fy = np.concatenate([ys[k] for (_, _, ys), k in zip(curves, finite)])
+    fx = np.concatenate([xs[k] for (_, xs, _), k in zip(curves, finite)])
+    if fx.size == 0 or fx.min() == fx.max() or fy.min() == fy.max():
+        return      # the oracle does not widen a degenerate range as line_plot does
+    assert _points(svg.line_plot(curves)) == _points_oracle(curves)
