@@ -202,17 +202,12 @@ def estimate_period(probe: LineProbe, expected_period: float | None = None,
         best = float(np.max(ac[peaks]))
         k = int(peaks[np.nonzero(ac[peaks] >= 0.7 * best)[0][0]])
 
-    # sub-sample refinement with a parabola through the peak
-    if 1 <= k < ac.size - 1:
-        denom = ac[k - 1] - 2.0 * ac[k] + ac[k + 1]
-        shift = 0.5 * (ac[k - 1] - ac[k + 1]) / denom if denom != 0.0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    period = (k + shift) * dt
+    # sub-sample refinement with a parabola through the peak (2 <= k <= ac.size - 2)
+    denom = ac[k - 1] - 2.0 * ac[k] + ac[k + 1]
+    shift = 0.5 * (ac[k - 1] - ac[k + 1]) / denom if denom != 0.0 else 0.0
+    period = (k + float(np.clip(shift, -0.5, 0.5))) * dt
 
-    mid = ac[max(1, int(0.25 * k)): max(2, int(0.75 * k))]
-    baseline = max(float(np.max(mid)) if mid.size else 0.0, 1e-3)
+    baseline = max(float(np.max(ac[max(1, int(0.25 * k)): max(2, int(0.75 * k))])), 1e-3)
     confidence = float(ac[k]) / baseline
     n_cycles = (dt * (detrended.size - 1)) / period
     if n_cycles < 3.0:

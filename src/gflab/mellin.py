@@ -276,54 +276,38 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     return value
 
 
-@dataclass(frozen=True)
-class AsympTruncation:
-    """Truncations for the asymptotic sums: |k| <= k_max and n in n_range (must contain 0)."""
-
-    k_max: int
-    n_range: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if self.k_max < 0:
-            raise DomainError(f"theta-sum truncation must be >= 0, got {self.k_max}")
-        lo, hi = self.n_range
-        if not lo <= 0 <= hi:
-            raise DomainError(f"dilation-sum window must contain 0, got {self.n_range}")
-
-
 def default_poisson_range(p: InitialProfile, alpha: float, x: float) -> tuple[int, int]:
     """Dilation indices n with alpha^n x inside the (effective) profile support, padded by one."""
     first, last = dilation_window(p, math.log(alpha), math.log(x))
     return (min(int(first) - 1, 0), max(int(last) + 1, 0))
 
 
-def poisson_sum(p: InitialProfile, alpha: float, s_plus_value: float, x: float,
-                n_range: tuple[int, int]) -> float:
-    """sum_{n in n_range} u0(alpha^n x) alpha^{s_plus n} (the resummed dilation lattice)."""
+def poisson_sum(p: InitialProfile, alpha: float, s_plus_value: float, x: float) -> float:
+    """sum_n u0(alpha^n x) alpha^{s_plus n} over default_poisson_range (the dilation lattice)."""
     la = math.log(alpha)
     lx = math.log(x)
-    ns = np.arange(n_range[0], n_range[1] + 1)
+    n_lo, n_hi = default_poisson_range(p, alpha, x)
+    ns = np.arange(n_lo, n_hi + 1)
     dens = density_from_log_x(p, lx + ns * la)
     return float(np.sum(dens * np.exp(s_plus_value * ns * la)))
 
 
-def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float,
-                  tr: AsympTruncation | None = None) -> float:
+def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float) -> float:
     """Saddle asymptotics of v(t, x) in theta form, for log-gaussian data, 0 < x < 1 and t > 0.
 
     The contour integrand summed by the trapezoid rule at step 2 pi / log alpha,
     one node on each s_k with |k| <= k_max, over sqrt(2 pi t) alpha^{1 - s_plus / 2}.
-    k_max = 0 gives the single-saddle formula of smooth fragmentation kernels,
-    the baseline of the oscillation story; the 1 + o(t^-beta) correction is
-    omitted.  k_max defaults to the contour's width rule (past it |U0(s_k)| <
-    1e-16 |U0(s_plus)|).  Past THETA_K_CAP terms a TruncationError is raised,
+    The k = 0 term is the smooth-kernel baseline, the single-saddle formula of
+    the oscillation story; the 1 + o(t^-beta) correction is omitted.  k_max
+    comes from the contour's width rule (past it |U0(s_k)| < 1e-16
+    |U0(s_plus)|).  Past THETA_K_CAP terms a TruncationError is raised,
     and a QuadratureError where the rounding estimate exceeds ERR_TOL * |value|.
     """
     if not isinstance(p, LogGaussian):
         raise DomainError(f"theta asymptotics need a log-gaussian profile, got {type(p).__name__}")
     sp = s_plus(alpha, t, x)  # validates the (t, x) domain
     la = math.log(alpha)
-    k_max = tr.k_max if tr is not None else int(_DECAY_WIDTHS * la / (2.0 * math.pi * p.sigma)) + 1
+    k_max = int(_DECAY_WIDTHS * la / (2.0 * math.pi * p.sigma)) + 1
     if k_max > THETA_K_CAP:  # the bound is |U0(s_k) / U0(s_plus)| at k = THETA_K_CAP
         tail = math.exp(-0.5 * (2.0 * math.pi * THETA_K_CAP * p.sigma / la) ** 2)
         raise TruncationError(f"theta sum needs {k_max} terms but the cap is {THETA_K_CAP}", tail)
@@ -339,8 +323,7 @@ def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float,
     return v
 
 
-def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float,
-                    tr: AsympTruncation | None = None) -> float:
+def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float) -> float:
     """Saddle asymptotics of v(t, x) in Poisson-resummed form, for 0 < x < 1 and t > 0.
 
     e^{(alpha^{2 - s_plus} - 1) t} sum_n u0(alpha^n x) alpha^{s_plus n}
@@ -348,11 +331,10 @@ def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float,
     the finitely many n with alpha^n x inside the support contribute.
     """
     sp = s_plus(alpha, t, x)
-    n_range = tr.n_range if tr is not None else default_poisson_range(p, alpha, x)
     pref = math.exp((alpha ** (2.0 - sp) - 1.0) * t)
     denom = math.sqrt(2.0 * math.pi * t) * alpha ** (1.0 - sp / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):     # the guard below names an overflow
-        v = pref * poisson_sum(p, alpha, sp, x, n_range) / denom
+        v = pref * poisson_sum(p, alpha, sp, x) / denom
     if not math.isfinite(v):
         raise NumericsError(f"Poisson asymptotics: v({t:g}, {x:g}) = {v} is not finite")
     return v

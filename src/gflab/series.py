@@ -52,16 +52,10 @@ from .model import (
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Absolute tail tolerance and a hard safety cap on the number of terms."""
+    """Tail tolerance (a share of the Poisson mass) and term cap of every series sum."""
 
     eps: float = 1e-14
     k_max_cap: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise DomainError(f"tail tolerance must be positive, got {self.eps}")
-        if self.k_max_cap < 1:
-            raise DomainError(f"term cap must be at least 1, got {self.k_max_cap}")
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
@@ -88,17 +82,17 @@ def poisson_cutoff(lam: float, eps: float) -> int:
     return first_true(lambda k: _poisson_tail_log_bound(lam, k) < target, int(math.ceil(lam)) - 1)
 
 
-def truncation_order(lam: float, trunc: SeriesTruncation, k_support: int = 0) -> int:
-    """Last term K = max(poisson_cutoff(lam, trunc.eps), k_support) of a series sum.
+def truncation_order(lam: float, k_support: int = 0) -> int:
+    """Last term K = max(poisson_cutoff(lam, eps), k_support) of a series sum.
 
-    Raises TruncationError, carrying the tail bound the cap would reach, when K
-    exceeds trunc.k_max_cap.
+    eps and the cap are DEFAULT_TRUNCATION's.  Past the cap a TruncationError
+    carries the bound on the Poisson tail mass the cap leaves, clamped at 1.
     """
-    k_cap = max(poisson_cutoff(lam, trunc.eps), k_support)
-    if k_cap > trunc.k_max_cap:
-        achieved = math.exp(min(_poisson_tail_log_bound(lam, trunc.k_max_cap) - lam, 700.0))
-        raise TruncationError(
-            f"series needs {k_cap} terms but the cap is {trunc.k_max_cap}", achieved)
+    eps, cap = DEFAULT_TRUNCATION.eps, DEFAULT_TRUNCATION.k_max_cap
+    k_cap = max(poisson_cutoff(lam, eps), k_support)
+    if k_cap > cap:
+        achieved = math.exp(min(_poisson_tail_log_bound(lam, cap) - lam, 0.0))
+        raise TruncationError(f"series needs {k_cap} terms but the cap is {cap}", achieved)
     return k_cap
 
 
@@ -122,14 +116,14 @@ def poisson_log_weights(lam: float, k_cap: int, start: float = 0.0) -> np.ndarra
 
 
 def _series_sum(density: Callable, p: InitialProfile, lam: float, start: float,
-                log_alpha: float, prefactor_log: float, trunc: SeriesTruncation) -> float:
+                log_alpha: float, prefactor_log: float) -> float:
     """sum_k density(p, start + k log_alpha) exp(k log lam - log k! + prefactor_log).
 
     One array evaluation over k = 0..K, summed exactly rounded.  Zero density
     values are dropped before the weights are exponentiated, so a weight that
     overflows never meets a vanishing profile factor.
     """
-    k_cap = truncation_order(lam, trunc, int(dilation_window(p, log_alpha, start)[1]) + 1)
+    k_cap = truncation_order(lam, int(dilation_window(p, log_alpha, start)[1]) + 1)
     u = density(p, start + np.arange(k_cap + 1) * log_alpha)
     nz = u != 0.0
     terms = u[nz] * np.exp(poisson_log_weights(lam, k_cap)[nz] + prefactor_log)
@@ -143,8 +137,7 @@ def _check_density_time(p: InitialProfile, t: float) -> None:
         raise DomainError(f"time must be nonnegative, got {t}")
 
 
-def eval_v(p: InitialProfile, alpha: float, t: float, x: float,
-           trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+def eval_v(p: InitialProfile, alpha: float, t: float, x: float) -> float:
     """Pure-fragmentation solution v(t, x) (unit division rate, no growth)."""
     _check_density_time(p, t)
     if not x > 0.0:
@@ -153,14 +146,13 @@ def eval_v(p: InitialProfile, alpha: float, t: float, x: float,
         return profile_eval_x(p, x)
     log_alpha = math.log(alpha)
     with np.errstate(over="ignore", invalid="ignore"):     # the guard below names an overflow
-        v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t, trunc)
+        v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t)
     if not math.isfinite(v):
         raise NumericsError(f"series: v({t:g}, {x:g}) = {v} is not finite")
     return v
 
 
-def eval_n(p: InitialProfile, alpha: float, t: float, y: float,
-           trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+def eval_n(p: InitialProfile, alpha: float, t: float, y: float) -> float:
     """Log-coordinate series n(t, y) at one point, through the same kernel as eval_v.
 
     Works on n(0, .) directly and never forms e^y, so deep tails are safe.
@@ -168,15 +160,14 @@ def eval_n(p: InitialProfile, alpha: float, t: float, y: float,
     _check_density_time(p, t)
     if t == 0.0:
         return profile_eval_y(p, y)
-    return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t, trunc)
+    return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t)
 
 
 # a part of a sum below this share of it is left out
 _LOG_NEGLIGIBLE = math.log(1e-17)
 
 
-def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
-                  trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> np.ndarray:
+def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray) -> np.ndarray:
     """Log-coordinate series n(t, y) = e^{-t} sum_k n(0, y + k log alpha) t^k / k!.
 
     Vectorized over the node array y; this is the oracle the grid solver is
@@ -201,7 +192,7 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray,
         return profile_eval_y(p, y)
     log_alpha = math.log(alpha)
     first, last = dilation_window(p, log_alpha, y)
-    k_cap = truncation_order(t, trunc, int(np.max(last)) + 1)
+    k_cap = truncation_order(t, int(np.max(last)) + 1)
     # the most terms a node can have in the support (one on its left edge), plus one
     n_pass = int(dilation_window(p, log_alpha, support_y(p)[0])[1]) + 2
     # index k + 1 holds the weight e^{-t} t^k / k! of term k; zero (log -inf)
@@ -257,23 +248,24 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate_n(p: InitialProfile, alpha: float, t: float,
                 psi: Callable[[np.ndarray], np.ndarray], n_nodes: int,
-                z_window: tuple[float, float] | None = None,
-                trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+                z_window: tuple[float, float] | None = None) -> float:
     """int psi(z) n(t, z) dz, integrated term by term over the initial support:
 
         e^{-t} sum_{k <= K} t^k / k! int_{supp n0} psi(w - k log alpha) n0(w) dw,
 
-    K = truncation_order(t, trunc).  Each inner integral uses an n_nodes-point
-    Gauss-Legendre rule on support_y(p), which for a heaviside is exactly
-    [a, b], so the integrand is as smooth as psi.  psi maps an array of
-    log-sizes to an array of values; with a z_window it is taken as zero
-    outside the window, and each term's interval is clipped to it.
+    K = truncation_order(t): the Poisson tail left out is below 1e-14 of the
+    mass, or a TruncationError is raised past the term cap.  Each inner
+    integral uses an n_nodes-point Gauss-Legendre rule on support_y(p), which
+    for a heaviside is exactly [a, b], so the integrand is as smooth as psi.
+    psi maps an array of log-sizes to an array of values; with a z_window it
+    is taken as zero outside the window, and each term's interval is clipped
+    to it.
     """
     if not t > 0.0:
         raise DomainError(f"termwise integration needs t > 0, got {t}")
     la = math.log(alpha)
     a, b = support_y(p)
-    k_cap = truncation_order(t, trunc)
+    k_cap = truncation_order(t)
     ks = np.arange(k_cap + 1)
     lo, hi = np.full(k_cap + 1, a), np.full(k_cap + 1, b)
     if z_window is not None:
@@ -298,8 +290,7 @@ def moment_of_v(p: InitialProfile, alpha: float, q: float, t: float) -> float:
     return moment(p, q) * math.exp(t * (alpha ** (1.0 - q) - 1.0))
 
 
-def support_set(p: InitialProfile, params: ModelParams, t: float,
-                k_max: int | None = None) -> list[tuple[float, float]]:
+def support_set(p: InitialProfile, params: ModelParams, t: float) -> list[tuple[float, float]]:
     """Atom lattice of the measure solution for a dirac initial datum.
 
     Returns (location, weight) pairs with locations x_k = alpha^{-k} x0 e^{gt}.
@@ -317,9 +308,8 @@ def support_set(p: InitialProfile, params: ModelParams, t: float,
         raise DomainError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return [(p.x0, p.weight)]
-    if k_max is None:
-        # weights carry (b alpha t)^k / k!, a Poisson profile in k
-        k_max = poisson_cutoff(params.b * params.alpha * t, 1e-16)
+    # weights carry (b alpha t)^k / k!, a Poisson profile in k
+    k_max = poisson_cutoff(params.b * params.alpha * t, 1e-16)
     la = params.log_alpha
     pref = -(params.b + params.g) * t
     shift = params.g * t

@@ -194,6 +194,21 @@ class TestEvaluate:
         assert len(captured.err.splitlines()) == 1
         assert not caught
 
+    @pytest.mark.parametrize("t, terms, bound",
+                             [("3000", 12848, None), ("2400", 10359, "2.565e-05")],
+                             ids=["bulk-past-cap", "tail-past-cap"])
+    def test_series_past_its_term_cap_exits_3(self, t, terms, bound, capsys):
+        # lam = alpha^2 t: at t = 3000 the Poisson bulk lies past the cap, and the
+        # tail bound the message reports is a tail probability, so at most 1
+        assert main(["evaluate", "--method", "series", "--t", t, "--x", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"series needs {terms} terms but the cap is 10000" in captured.err
+        achieved = re.search(r"achieved tail bound (\S+)\)$", captured.err.strip()).group(1)
+        assert float(achieved) <= 1.0
+        if bound is not None:
+            assert achieved == bound
+
     def test_point_grid(self, capsys):
         assert main(["evaluate", "--method", "series", "--t", "0.5,1", "--x", "0.4,0.6"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5

@@ -75,7 +75,7 @@ class TestEvalV:
     def test_matches_brute_force(self, t, x):
         for p in (GAUSS, HEAVI):
             expected = brute_v(p, 2.0, t, x)
-            got = eval_v(p, 2.0, t, x, SeriesTruncation(eps=1e-14))
+            got = eval_v(p, 2.0, t, x)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-280)
 
     def test_heaviside_outside_union_is_exactly_zero(self):
@@ -117,8 +117,9 @@ class TestEvalV:
             eval_v(Dirac(1.0, 1.0), 2.0, 1.0, 0.5)
 
     def test_truncation_cap_carries_bound(self):
+        # lam = alpha^2 t = 12,000 puts the Poisson bulk past the 10,000-term cap
         with pytest.raises(TruncationError) as err:
-            eval_v(GAUSS, 2.0, 30.0, 0.5, SeriesTruncation(eps=1e-14, k_max_cap=40))
+            eval_v(GAUSS, 2.0, 3000.0, 0.5)
         assert err.value.achieved_bound > 0.0
 
     def test_poisson_cutoff_bound_holds(self):
@@ -156,7 +157,7 @@ class TestPoissonLogWeights:
         assert poisson_log_weights(lam, k_cap, want[0]).tolist() == want
 
 
-def direct_u(params, p, t, x, trunc=SeriesTruncation()):
+def direct_u(params, p, t, x):
     """u(t, x) = e^{-(b+g)t} sum_k u0(alpha^k x e^{-gt}) (b alpha^2 t)^k / k!, summed
     directly rather than through the characteristic rescaling: the oracle of route_u."""
     if t == 0.0:
@@ -164,7 +165,7 @@ def direct_u(params, p, t, x, trunc=SeriesTruncation()):
     lam = params.b * params.alpha**2 * t
     log_x_eff = math.log(x) - params.g * t
     return _series_sum(density_from_log_x, p, lam, log_x_eff, params.log_alpha,
-                       -(params.b + params.g) * t, trunc)
+                       -(params.b + params.g) * t)
 
 
 class TestEvalU:
@@ -264,7 +265,7 @@ class TestGridSeries:
                            rtol=1e-12)
 
 
-def all_k_series(p, alpha, t, y, trunc=SeriesTruncation()):
+def all_k_series(p, alpha, t, y):
     """Oracle: every node sums every k = 0..K in order, with Neumaier compensation.
 
     This is the node-array loop eval_n_series ran before it summed only the
@@ -274,7 +275,7 @@ def all_k_series(p, alpha, t, y, trunc=SeriesTruncation()):
     log_alpha = math.log(alpha)
     hi = support_y(p)[1]
     k_support = int(math.ceil(max(0.0, (hi - float(np.min(y))) / log_alpha)))
-    k_cap = truncation_order(t, trunc, k_support)
+    k_cap = truncation_order(t, k_support)
     total = np.zeros_like(y)
     comp = np.zeros_like(y)
     log_t = math.log(t)
@@ -373,7 +374,7 @@ class TestSupportSet:
     def test_lattice_realignment_at_growth_period(self):
         # when g t = log(alpha) the atom set is {alpha^{1-k} x0}
         params = ModelParams(g=LOG2, b=1.0, alpha=2.0)
-        atoms = support_set(self.ATOM, params, 1.0, k_max=6)
+        atoms = support_set(self.ATOM, params, 1.0)[:7]
         locs = [x for x, _ in atoms]
         assert locs == pytest.approx([2.0 ** (1 - k) for k in range(7)], rel=1e-12)
 
