@@ -120,18 +120,23 @@ def saddle_abscissa(p: LogGaussian, alpha: float, t: float, x: float) -> float:
     return nu_0 + u / la
 
 
-def _log_integrand(p: LogGaussian, alpha: float, t: float, log_x: float, s):
-    """log of U0(s) e^{(K(s) - 1) t} x^{-s} for log-gaussian data.
+def _log_integrand(p: LogGaussian, alpha: float, t: float, log_x: float, nu: float, tau):
+    """(Re z, Im z) for z the log of U0(s) e^{(K(s) - 1) t} x^{-s} at s = nu + i tau.
 
-    One exponent, so that no factor overflows or underflows on its own when
-    the saddle sits far from s = 2; log U0 is the closed form of
-    model.mellin_U0.
+    Log-gaussian data.  One exponent, so that no factor overflows or
+    underflows on its own when the saddle sits far from s = 2; log U0 is the
+    closed form of model.mellin_U0.  In real arithmetic, with K(nu + i tau) =
+    K(nu) e^{-i tau log alpha}, a node costs one cos/sin pair.
     """
-    w = s - 2.0
-    out = math.log(p.mass) + p.mu * w + 0.5 * p.sigma**2 * w * w - s * log_x
+    w = nu - 2.0
+    s2 = p.sigma**2
+    re = math.log(p.mass) + p.mu * w + 0.5 * s2 * (w * w - tau * tau) - nu * log_x
+    im = (p.mu + s2 * w - log_x) * tau
     if t > 0.0:  # at t = 0 the saddle may sit where K(s) overflows
-        out = out + (K_of_s(alpha, s) - 1.0) * t
-    return out
+        k, phase = K_of_s(alpha, nu).real, tau * math.log(alpha)
+        re = re + (k * np.cos(phase) - 1.0) * t
+        im = im - k * t * np.sin(phase)
+    return re, im
 
 
 # log of the share of its mode below which the Poisson pmf counts as zero
@@ -155,7 +160,15 @@ def _poisson_reach(lam: float) -> int:
 
 @dataclass(frozen=True)
 class ContourQuad:
-    """Trapezoid rule on the truncated vertical contour nu + i [-tau_max, tau_max]."""
+    """Trapezoid rule on the truncated vertical contour nu + i [-tau_max, tau_max].
+
+    n_nodes = 4j + 1 (j >= 1), so that every other node is itself a trapezoid
+    rule with a node at each end and one on the real axis: the error estimate
+    takes its half-resolution sum from the fine rule's own nodes.  An even n
+    cannot nest: there every other node mirrors onto the other half under
+    tau -> -tau, so for a conjugate-symmetric integrand the half sum's real
+    part would equal the fine sum exactly and the estimate would read 0.
+    """
 
     nu: float
     tau_max: float
@@ -164,8 +177,8 @@ class ContourQuad:
     def __post_init__(self) -> None:
         if not self.tau_max > 0.0:
             raise DomainError(f"contour truncation must be positive, got {self.tau_max}")
-        if self.n_nodes < 2 or self.n_nodes % 2 != 0:
-            raise DomainError(f"node count must be even and >= 2, got {self.n_nodes}")
+        if self.n_nodes < 5 or self.n_nodes % 4 != 1:
+            raise DomainError(f"node count must be 4j + 1 with j >= 1, got {self.n_nodes}")
 
     @classmethod
     def for_gaussian(cls, p: LogGaussian, alpha: float, t: float, nu: float = 2.0) -> "ContourQuad":
@@ -177,7 +190,8 @@ class ContourQuad:
         The tilted density is a Poisson(t alpha^{2 - nu}) comb of gaussians
         spaced log alpha apart, so it is negligible past D = log(alpha) times
         the Poisson reach (1e-17 of the mode) plus 8.6 widths on either side;
-        h = pi / D keeps even the half-resolution pass clear of the copies.
+        h = pi / D keeps even the half-resolution rule, at step 2h, clear of
+        the copies, and the node count is rounded up to the next 4j + 1.
         tau_max puts the transform factor exp(-sigma^2 tau^2 / 2) below 1e-16
         and adds one period 2 pi / log alpha of e^{K(s) t}.
         """
@@ -187,42 +201,43 @@ class ContourQuad:
         width = la * _poisson_reach(lam) + 2.0 * _DECAY_WIDTHS * sigma
         h = math.pi / width
         tau_max = _DECAY_WIDTHS / sigma + 2.0 * math.pi / la
-        n = int(math.ceil(2.0 * tau_max / h)) + 1
-        n += n % 2
-        return cls(nu=nu, tau_max=tau_max, n_nodes=n)
+        return cls(nu=nu, tau_max=tau_max, n_nodes=4 * math.ceil(0.5 * tau_max / h) + 1)
 
 
-def _exp_sum(weights: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """sum of weights * Re e^z, and an estimate of its rounding error.
+def _exp_sum(weights: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """weights @ Re e^z for z = re + i im, and an estimate of its rounding error.
 
     A term e^z carries a relative rounding error of about eps (1 + |z|), since
     z (mostly the phase tau log x) is rounded before the exponential; summed
     over the terms that bounds what the cancellation between them can leave.
-    An overflow leaves a non-finite sum, without a warning, for the callers to name.
+    Each row of a 2-d weights array gives one sum over the same terms.  An
+    overflow leaves a non-finite sum, without a warning, for the callers to name.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(z)
-        return (float(np.dot(weights, terms.real)),
-                _EPS * float(np.dot(weights, np.abs(terms) * (1.0 + np.abs(z)))))
+        size = np.exp(re)
+        return weights @ (size * np.cos(im)), _EPS * (weights @ (size * (1.0 + np.hypot(re, im))))
 
 
 def _contour_value(p: LogGaussian, alpha: float, t: float, log_x: float,
-                   nu: float, tau_max: float, n_nodes: int) -> tuple[float, float]:
+                   nu: float, tau_max: float, n_nodes: int) -> tuple[float, float, float]:
     """(1 / 2 pi) times the n_nodes-point trapezoid sum over nu + i [-tau_max, tau_max],
-    and an estimate of its rounding error (_exp_sum).
+    the same for the half-resolution rule on every other node (step 2h), and an
+    estimate of the fine sum's rounding error (_exp_sum).
 
     For real data the integrand at nu - i tau is the conjugate of the one at
-    nu + i tau, so only the nodes with tau >= 0 are evaluated and the real
-    part is doubled.
+    nu + i tau, so only the (n_nodes + 1) / 2 nodes with tau >= 0 are
+    evaluated, once for both rules, and the real part is doubled.  With
+    n_nodes = 4j + 1 (ContourQuad) both rules have a node at tau_max and one
+    on the real axis, which is not doubled.
     """
     h = 2.0 * tau_max / (n_nodes - 1)
-    taus = tau_max - h * np.arange((n_nodes + 1) // 2)
-    weights = np.full(taus.size, 2.0 * h)
-    weights[0] = h
-    if n_nodes % 2:
-        weights[-1] = h  # the node on the real axis is not doubled
-    value, rounding = _exp_sum(weights, _log_integrand(p, alpha, t, log_x, nu + 1j * taus))
-    return value / (2.0 * math.pi), rounding / (2.0 * math.pi)
+    taus = h * np.arange((n_nodes + 1) // 2)   # exact near tau = 0, where the terms are largest
+    weights = np.full((2, taus.size), h / math.pi)   # rows: fine rule, half rule
+    weights[:, 0] = weights[:, -1] = h / (2.0 * math.pi)
+    weights[1, ::2] *= 2.0
+    weights[1, 1::2] = 0.0
+    (fine, half), rounding = _exp_sum(weights, *_log_integrand(p, alpha, t, log_x, nu, taus))
+    return float(fine), float(half), float(rounding[0])
 
 
 def _tail_bound(p: LogGaussian, alpha: float, t: float, log_x: float,
@@ -236,7 +251,7 @@ def _tail_bound(p: LogGaussian, alpha: float, t: float, log_x: float,
     gauss_tail = math.erfc(p.sigma * tau_max / math.sqrt(2.0)) / (p.sigma * math.sqrt(2.0 * math.pi))
     if gauss_tail == 0.0:
         return 0.0
-    log_bound = _log_integrand(p, alpha, t, log_x, nu).real + math.log(gauss_tail)
+    log_bound = _log_integrand(p, alpha, t, log_x, nu, 0.0)[0] + math.log(gauss_tail)
     return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
@@ -249,10 +264,11 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     given cq the line sits at the real saddle nu* = saddle_abscissa(p, alpha,
     t, x), where the integrand does not cancel, and the rule is sized there
     by Poisson summation (ContourQuad.for_gaussian).  The result is checked
-    against a half-resolution pass: if the difference, plus the bound on the
-    truncated tails and the rounding estimate of the sum, exceeds
-    ERR_TOL * |value|, a QuadratureError carrying that estimate is raised, so
-    a small value is held to the same relative accuracy as a large one.
+    against the half-resolution rule on every other node of the same pass:
+    if the difference, plus the bound on the truncated tails and the rounding
+    estimate of the sum, exceeds ERR_TOL * |value|, a QuadratureError
+    carrying that estimate is raised, so a small value is held to the same
+    relative accuracy as a large one.
     """
     if not isinstance(p, LogGaussian):
         raise DomainError(
@@ -265,10 +281,9 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
     if cq is None:
         cq = ContourQuad.for_gaussian(p, alpha, t, saddle_abscissa(p, alpha, t, x))
     log_x = math.log(x)
-    value, rounding = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, cq.n_nodes)
+    value, coarse, rounding = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, cq.n_nodes)
     if not math.isfinite(value):
         raise NumericsError(f"inverse Mellin: v({t:g}, {x:g}) = {value} is not finite")
-    coarse = _contour_value(p, alpha, t, log_x, cq.nu, cq.tau_max, max(2, cq.n_nodes // 2))[0]
     estimate = (abs(value - coarse) + rounding
                 + _tail_bound(p, alpha, t, log_x, cq.nu, cq.tau_max))
     if not estimate <= ERR_TOL * abs(value):
@@ -312,10 +327,10 @@ def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float) -> float:
         tail = math.exp(-0.5 * (2.0 * math.pi * THETA_K_CAP * p.sigma / la) ** 2)
         raise TruncationError(f"theta sum needs {k_max} terms but the cap is {THETA_K_CAP}", tail)
     ks = np.arange(k_max + 1)
-    value, rounding = _exp_sum(np.where(ks > 0, 2.0, 1.0),  # the real saddle is not doubled
-                               _log_integrand(p, alpha, t, math.log(x), s_k(sp, ks, alpha)))
+    z = _log_integrand(p, alpha, t, math.log(x), sp, s_k(0.0, ks, alpha).imag)
+    value, rounding = _exp_sum(np.where(ks > 0, 2.0, 1.0), *z)  # the real saddle is not doubled
     denom = math.sqrt(2.0 * math.pi * t) * la * alpha ** (1.0 - sp / 2.0)
-    v = value / denom
+    v = float(value) / denom
     if not math.isfinite(v):
         raise NumericsError(f"theta asymptotics: v({t:g}, {x:g}) = {v} is not finite")
     if not rounding <= ERR_TOL * abs(value):

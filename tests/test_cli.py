@@ -894,7 +894,7 @@ class TestAnalyze:
         monkeypatch.setattr(analysis, "inverse_mellin_v", watched)
         assert main(["analyze", "--alpha", "4", "--out-dir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == ("numerical guard: contour quadrature did not "
-                                           "converge (error estimate 2.468e-14)\n")
+                                           "converge (error estimate 1.396e-14)\n")
         assert refused == [(1.0, 0.5), (5.0, 0.5), (10.0, 0.5)]
 
     def test_nan_node_error_fails(self, tmp_path, capsys, monkeypatch):
