@@ -74,15 +74,6 @@ def r_of(source: SeriesSource | GridSource, t: float, y: float) -> float:
     return t * source.n(t, t * y)
 
 
-def r_tilde_of(source: SeriesSource | GridSource, t: float, z: float) -> float:
-    """Gaussian-window rescaling of r around y0 = -log alpha with sigma = log alpha."""
-    if not t > 0.0:
-        raise DomainError(f"rescaling needs t > 0, got {t}")
-    la = math.log(source.alpha)
-    scale = la / math.sqrt(t)
-    return r_of(source, t, -la + scale * z) * scale
-
-
 @dataclass(frozen=True)
 class LineProbe:
     """Samples of f_y(t) = sqrt(t) e^{-Psi(y) t} n(t, y t) along one ray y < 0."""

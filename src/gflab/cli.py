@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
+import gc
 import math
 import sys
 from pathlib import Path
@@ -372,31 +374,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gflab",
                                  description="growth-fragmentation equation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    add = functools.partial(sub.add_parser, parents=[common])   # the shared flags, made once
 
-    sp = sub.add_parser("evaluate", help="evaluate u(t, x) by one route, emit CSV")
-    _add_common(sp)
+    sp = add("evaluate", help="evaluate u(t, x) by one route, emit CSV")
     sp.add_argument("--method", required=True, choices=list(analysis.ROUTES))
     sp.add_argument("--t", required=True, help="comma-separated times")
     sp.add_argument("--x", required=True, help="comma-separated sizes")
     sp.add_argument("--out", help="CSV path (default: stdout)")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("solve", help="run the log-grid solver, write snapshots and diagnostics")
-    _add_common(sp)
+    sp = add("solve", help="run the log-grid solver, write snapshots and diagnostics")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("figures", help="reproduce a figure analog as CSV plus SVG")
-    _add_common(sp)
+    sp = add("figures", help="reproduce a figure analog as CSV plus SVG")
     sp.add_argument("--id", required=True, help=f"one of {sorted(_FIGURES, key=int)}")
     sp.set_defaults(func=cmd_figures)
 
-    sp = sub.add_parser("analyze", help="period, weak-limit and cross-route checks; "
-                                        "nonzero exit on violation")
-    _add_common(sp)
+    sp = add("analyze", help="period, weak-limit and cross-route checks; nonzero exit on violation")
     sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("compare", help="cross-route value table at chosen (t, x) points")
-    _add_common(sp)
+    sp = add("compare", help="cross-route value table at chosen (t, x) points")
     sp.add_argument("--t", help="comma-separated times")
     sp.add_argument("--x", help="comma-separated sizes")
     sp.set_defaults(func=cmd_compare)
@@ -419,4 +418,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and `python -m gflab`.  Once the command has
+    returned, its objects (the numpy and gflab import graph) go to the
+    permanent generation, so the interpreter's final collections at exit skip
+    them; atexit handlers, stdio flushing and module teardown still run.  The
+    library never freezes: a host program's exit is its own."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)

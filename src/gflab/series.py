@@ -43,7 +43,6 @@ from .model import (
     density_from_log_x,
     dilation_window,
     first_true,
-    moment,
     profile_eval_x,
     profile_eval_y,
     support_y,
@@ -280,14 +279,6 @@ def integrate_n(p: InitialProfile, alpha: float, t: float,
     w = (0.5 * (hi + lo)) + half * x
     term_w = np.exp(poisson_log_weights(t, k_cap)[keep] - t)[:, None] * half
     return float(np.sum(term_w * wq * psi(w - ks[:, None] * la) * profile_eval_y(p, w)))
-
-
-def moment_of_v(p: InitialProfile, alpha: float, q: float, t: float) -> float:
-    """q-th moment of v(t, .), by termwise integration: moment(p, q) e^{t (alpha^{1-q} - 1)}.
-
-    q = 1 is conserved exactly; q = 0 grows like e^{(alpha - 1) t}.
-    """
-    return moment(p, q) * math.exp(t * (alpha ** (1.0 - q) - 1.0))
 
 
 def support_set(p: InitialProfile, params: ModelParams, t: float) -> list[tuple[float, float]]:

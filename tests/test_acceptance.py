@@ -15,8 +15,9 @@ from conftest import BUILD_SECONDS, LOG2, RAYS_A2, run_solver
 from gflab.analysis import GridSource, SeriesSource, estimate_period, line_probe, weak_test
 from gflab.mellin import asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
 from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, moment
-from gflab.series import eval_n_series, eval_v, moment_of_v, support_set
+from gflab.series import eval_n_series, eval_v, support_set
 from gflab.solver import build_grid, solve_n
+from test_series import moment_of_v
 
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
 

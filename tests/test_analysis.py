@@ -19,7 +19,6 @@ from gflab.analysis import (
     estimate_period,
     line_probe,
     r_of,
-    r_tilde_of,
     weak_test,
 )
 from gflab.errors import DomainError, NumericsError
@@ -28,6 +27,15 @@ from gflab.series import eval_n_series, eval_v, poisson_cutoff
 
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
+
+
+def r_tilde_of(source, t: float, z: float) -> float:
+    """Gaussian-window rescaling of r around y0 = -log alpha with sigma = log alpha."""
+    if not t > 0.0:
+        raise DomainError(f"rescaling needs t > 0, got {t}")
+    la = math.log(source.alpha)
+    scale = la / math.sqrt(t)
+    return r_of(source, t, -la + scale * z) * scale
 
 
 class TestRescalings:

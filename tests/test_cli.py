@@ -1,5 +1,6 @@
 """Front end: config round trip, exit codes, CSV/SVG emission, determinism."""
 
+import gc
 import math
 import os
 import pathlib
@@ -350,6 +351,50 @@ class TestConfigMerging:
         assert main(["evaluate", "--config", str(cfg_file),
                      "--method", "series", "--t", "0", "--x", "1"]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+
+class TestParser:
+    """The shared flags are defined once and handed to every subcommand."""
+
+    OWN = {"evaluate": ["--method", "--t", "--x", "--out"], "solve": [], "figures": ["--id"],
+           "analyze": [], "compare": ["--t", "--x"]}
+
+    def test_top_level_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{evaluate,solve,figures,analyze,compare}" in out
+        assert "--config" not in out
+
+    @pytest.mark.parametrize("command", list(OWN))
+    def test_help_lists_config_then_fields_then_own_flags(self, command, capsys):
+        renamed = {"rays": "--probe-y", "directory": "--out-dir"}
+        fields = [renamed.get(key, "--" + key.replace("_", "-")) for _, key, *_ in config.FIELDS]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert flags == ["--config", *fields, *self.OWN[command]]
+
+    @pytest.mark.parametrize("argv, command, given", [
+        (["analyze"], "analyze", {}),
+        (["evaluate", "--method", "series", "--t", "1", "--x", "0.5",
+          "--probe-y", "-1", "--probe-y=-0.5"], "evaluate",
+         {"method": "series", "t": "1", "x": "0.5", "out": None, "rays": ["-1", "-0.5"]}),
+        (["solve", "--config", "x.cfg", "--m", "32"], "solve", {"config": "x.cfg", "m": "32"}),
+        (["compare", "--probe-y", "-2", "--t-end", "5", "--out-dir", "o", "--t", "1"], "compare",
+         {"rays": ["-2"], "t_end": "5", "directory": "o", "t": "1", "x": None}),
+        (["figures", "--id", "3", "--alpha", "3"], "figures", {"id": "3", "alpha": "3"}),
+    ])
+    def test_parse_args_namespaces(self, argv, command, given):
+        want = {"command": command, "func": getattr(cli, f"cmd_{command}"), "config": None,
+                **{key: None for _, key, *_ in config.FIELDS}, **given}
+        parser = cli.build_parser()
+        assert vars(parser.parse_args(argv)) == want
+        # the subcommands share the flags' actions: a second parse starts afresh
+        assert vars(parser.parse_args(argv)) == want
+        assert parser.parse_args(["solve"]).rays is None
 
 
 class TestSolve:
@@ -942,6 +987,23 @@ class TestAnalyze:
         assert code == 2
         assert "sampling too coarse: 16.7 samples per expected cycle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("j", [-30, 0, 30])
+    def test_verdicts_do_not_depend_on_the_mass(self, j, tmp_path, capsys):
+        # the equation is linear: scaling the mass by 2^j changes no exit code and
+        # no failed check; labels are compared, not values, since the contour puts
+        # log(mass) into its exponent
+        profile = f"loggaussian mu=0 sigma=0.1 mass={2.0 ** j!r}"
+        assert main(["analyze", "--profile", profile, "--out-dir", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--profile", profile, "--period-tol", "1e-9",
+                     "--out-dir", str(tmp_path / "b")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: ")
+        labels = [re.sub(r" \S+ > \S+$", "", failed)
+                  for failed in err[len("check failed: "):].strip().split("; ")]
+        assert labels == [f"period law violated on ray y={y}: rel err"
+                          for y in ("-1.38629", "-0.693147", "-0.346574")]
+
 
 class TestImportCost:
     def test_package_import_leaves_scipy_unloaded(self):
@@ -976,6 +1038,46 @@ class TestImportCost:
         code = "import sys, gflab.cli; sys.exit(any(m.startswith('xml') for m in sys.modules))"
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestEntry:
+    """entry() freezes the interpreter's objects once main has returned, so the
+    final collections at exit skip them; main itself never freezes."""
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_freezes_after_main_and_exits_with_its_code(self, code, monkeypatch):
+        calls = []
+
+        def fake_main():
+            calls.append("main")
+            return code
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+        assert calls == ["main", "freeze"]
+
+    def test_main_in_process_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["evaluate", "--method", "series", "--t", "1", "--x", "0.5"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv, code", [
+        (["evaluate", "--method", "series", "--t", "1,5", "--x", "0.25,0.5"], 0),
+        (["evaluate", "--method", "series", "--t", "3000", "--x", "0.5"], 3),
+    ])
+    def test_exit_keeps_output_and_code(self, argv, code, capsys):
+        # python -m gflab goes through entry(): what it prints and its exit code
+        # are those of main run in-process
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "gflab", *argv], env=env,
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
+        assert captured.out if code == 0 else captured.err
 
 
 _PROFILES = st.one_of(

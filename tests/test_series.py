@@ -30,7 +30,6 @@ from gflab.series import (
     eval_n,
     eval_n_series,
     eval_v,
-    moment_of_v,
     poisson_cutoff,
     poisson_log_weights,
     support_set,
@@ -41,6 +40,14 @@ from gflab.solver import build_grid
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
 HEAVI = LogHeaviside(-0.2, 0.0, 1.0)
+
+
+def moment_of_v(p, alpha: float, q: float, t: float) -> float:
+    """q-th moment of v(t, .), by termwise integration: moment(p, q) e^{t (alpha^{1-q} - 1)}.
+
+    q = 1 is conserved exactly; q = 0 grows like e^{(alpha - 1) t}.
+    """
+    return moment(p, q) * math.exp(t * (alpha ** (1.0 - q) - 1.0))
 
 
 def brute_v(p, alpha, t, x, terms=200):
