@@ -20,12 +20,13 @@ solved grid trajectory; the pointwise v-routes are named in ROUTES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import series    # checks() looks eval_n_series up on it at call time
 from .errors import DomainError, NumericsError
 from .mellin import asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
 from .model import InitialProfile, LogGaussian, ModelParams, moment
@@ -400,3 +401,102 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
                 rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err,
                                           pair_tol[frozenset({a, b})]))
     return MethodComparison(rows, refusals)
+
+
+class Check(NamedTuple):
+    """One `analyze` check: report line (None if it only gates), failure label,
+    measured value and tolerance (None if it only reports)."""
+
+    line: str | None
+    label: str
+    measured: float
+    tol: float | None
+
+    @property
+    def failed(self) -> bool:
+        return self.tol is not None and not self.measured <= self.tol    # NaN fails
+
+
+def checks(cfg, traj: Trajectory):
+    """The checks of `analyze` on the solved run of a config.RunConfig, in
+    report order, and the tables they read: the period rows (y, expected,
+    period, amplitude, confidence, n_cycles, oscillating), the weak row (t,
+    value, limit, rel_err; None for data that is not smooth) and the route
+    comparison.  A route value refused by its guard raises the guard's error."""
+    p, params = cfg.profile, cfg.params
+    smooth = isinstance(p, LogGaussian)
+    src = GridSource(traj)
+    u0_mass = moment(p, 1.0)
+    rows: list[Check] = []
+
+    # period law along each tracked ray
+    period_rows = []
+    for y in cfg.resolved_rays():
+        probe = line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)
+        expected = -params.log_alpha / y
+        est = estimate_period(probe, expected_period=expected, amp_threshold=cfg.amp_threshold)
+        period_rows.append((y, expected, est.period, est.amplitude,
+                            est.confidence, est.n_cycles, est.oscillating))
+        err = abs(est.period - expected) / expected   # NaN, and only reported, if none oscillates
+        seen = (f"period {est.period:.4f} (law {expected:.4f}, rel err {err:.2e}, "
+                f"amp {est.amplitude:.3e})" if est.oscillating
+                else f"no oscillation (amplitude {est.amplitude:.3e})")
+        rows.append(Check(f"ray y={y:.6g}: {seen}",
+                          f"period law violated on ray y={y:.6g}: rel err",
+                          err, cfg.period_tol if est.oscillating else None))
+
+    # mass functional; absolute for smooth data, drift for sampled jumps
+    mass = traj.diagnostics.mass
+    ref = u0_mass if smooth else mass[0]
+    mass_err = float(np.max(np.abs(mass - ref))) / u0_mass
+    rows.append(Check(f"mass functional: max relative deviation {mass_err:.3e}",
+                      "mass conservation violated:", mass_err, cfg.mass_tol))
+
+    # weak limit against cos (smooth data only)
+    weak_row = None
+    if smooth:
+        t_w = float(traj.times[-1])
+        val = weak_test(src, math.cos, t_w)
+        target = u0_mass * math.cos(params.log_alpha)
+        weak_err = abs(val - target) / abs(target)
+        weak_row = (t_w, val, target, weak_err)
+        rows.append(Check(f"weak cos functional at t={t_w:g}: {val:.6g} (limit {target:.6g}, "
+                          f"rel err {weak_err:.2e})", "weak limit violated: cos functional off by",
+                          weak_err, cfg.weak_tol))
+
+    # route agreement: solver vs series on the grid nodes themselves (the
+    # snapshots' node values), contour inversion pointwise
+    t_cmp = [float(t) for t in traj.times if 0.5 <= t <= 10.0] or [float(traj.times[-1])]
+    ys = traj.grid.y_nodes()
+    node_errs = []
+    for t in t_cmp:
+        exact = series.eval_n_series(p, params.alpha, t, ys)
+        snap = traj.snapshots[traj.snapshot_index(t)]
+        node_errs.append(np.max(np.abs(snap - exact)) / np.max(np.abs(exact)))
+    pde_err = float(np.max(node_errs))  # np.max, unlike max(), keeps a NaN
+    rows.append(Check(f"solver vs series on nodes at t in {t_cmp}: max scaled error {pde_err:.3e}",
+                      "series vs solver mismatch", pde_err, cfg.pde_tol))
+    cmp_tbl = compare_methods(p, params, t_cmp, (0.25, 0.5, 0.75), traj=traj,
+                              tol={frozenset({"series", "mellin"}): cfg.mellin_tol})
+    if cmp_tbl.refusals:
+        raise cmp_tbl.refusals[0][-1]
+    rows.append(Check(cmp_tbl.summary(), "", math.nan, None))
+    for (a, b), tol in {(r.method_a, r.method_b): r.tol for r in cmp_tbl.rows}.items():
+        err = cmp_tbl.max_rel_err(a, b)  # NaN, and only reported, if no cell evaluates
+        pair = "series vs contour inversion" if (a, b) == ("series", "mellin") else f"{a} vs {b}"
+        rows.append(Check(None, f"{pair} mismatch", err, None if math.isnan(err) else tol))
+
+    # asymptotics on the concentration line (smooth data only), at unit mass:
+    # by linearity the relative error does not depend on it, and v cannot overflow
+    if smooth:
+        unit = replace(p, mass=1.0)
+        tx = [(t, params.alpha ** (-t)) for t in (10.0, 15.0, 20.0, 25.0, 30.0)]
+        exact = np.array([eval_v(unit, params.alpha, t, x) for t, x in tx])
+        approx = np.array([asymp_v_poisson(unit, params.alpha, t, x) for t, x in tx])
+        errs = np.abs(approx - exact) / np.abs(exact)
+        rows.append(Check("asymptotic relative error on x = alpha^-t at t = 10..30: "
+                          + ", ".join(f"{e:.3e}" for e in errs),
+                          "asymptotics violated: relative error at t=25", errs[3], cfg.asymp_tol))
+        rows.append(Check(None, "asymptotics violated: largest rise of the error",
+                          np.max(errs[1:] - errs[:-1] * (1.0 + 1e-9)), 0.0))
+    return rows, period_rows, weak_row, cmp_tbl

@@ -30,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, config, g17, mellin, series, solver, svg
+from . import analysis, config, g17, mellin, solver, svg
 from .errors import DomainError, GFLabError, NumericsError, ThresholdError
-from .model import LogGaussian, moment
 
 # figure id -> (profile line, kind); probe figures track the three standard
 # rays, profile figures export sqrt(t) n(t, y) at the snapshot ladder
@@ -237,102 +236,23 @@ def cmd_figures(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    p, params = cfg.profile, cfg.params
-    smooth = isinstance(p, LogGaussian)
     # refuse before solving, in this order: the grid, each ray, the probe window
     grid = _grid(cfg)
     for y in cfg.resolved_rays():
-        mellin.psi(params.alpha, y)
+        mellin.psi(cfg.params.alpha, y)
     if not cfg.t_min < cfg.t_end:
         raise DomainError(f"t_min = {cfg.t_min} must be below t_end = {cfg.t_end}: "
                           "the probe window [t_min, t_end] is empty")
-    traj = _solve_run(cfg, grid)
-    src = analysis.GridSource(traj)
-    u0_mass = moment(p, 1.0)
-    # each check is (report line or None, failure label, measured, tolerance); one without
-    # a tolerance only reports, the others pass only if measured <= tolerance (NaN fails)
-    checks: list[tuple] = []
-
-    # period law along each tracked ray
-    period_rows = []
-    for y in cfg.resolved_rays():
-        probe = analysis.line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)
-        expected = -params.log_alpha / y
-        est = analysis.estimate_period(probe, expected_period=expected,
-                                       amp_threshold=cfg.amp_threshold)
-        period_rows.append((y, expected, est.period, est.amplitude,
-                            est.confidence, est.n_cycles, est.oscillating))
-        err = abs(est.period - expected) / expected   # NaN, and only reported, if none oscillates
-        seen = (f"period {est.period:.4f} (law {expected:.4f}, rel err {err:.2e}, "
-                f"amp {est.amplitude:.3e})" if est.oscillating
-                else f"no oscillation (amplitude {est.amplitude:.3e})")
-        checks.append((f"ray y={y:.6g}: {seen}", f"period law violated on ray y={y:.6g}: rel err",
-                       err, cfg.period_tol if est.oscillating else None))
-
-    # mass functional; absolute for smooth data, drift for sampled jumps
-    mass = traj.diagnostics.mass
-    ref = u0_mass if smooth else mass[0]
-    mass_err = float(np.max(np.abs(mass - ref))) / u0_mass
-    checks.append((f"mass functional: max relative deviation {mass_err:.3e}",
-                   "mass conservation violated:", mass_err, cfg.mass_tol))
-
-    # weak limit against cos (smooth data only)
-    if smooth:
-        t_w = float(traj.times[-1])
-        val = analysis.weak_test(src, math.cos, t_w)
-        target = u0_mass * math.cos(params.log_alpha)
-        weak_err = abs(val - target) / abs(target)
-        checks.append((f"weak cos functional at t={t_w:g}: {val:.6g} (limit {target:.6g}, "
-                       f"rel err {weak_err:.2e})", "weak limit violated: cos functional off by",
-                       weak_err, cfg.weak_tol))
-
-    # route agreement: solver vs series on the grid nodes themselves (the
-    # snapshots' node values), contour inversion pointwise
-    t_cmp = [float(t) for t in traj.times if 0.5 <= t <= 10.0] or [float(traj.times[-1])]
-    ys = traj.grid.y_nodes()
-    node_errs = []
-    for t in t_cmp:
-        exact = series.eval_n_series(p, params.alpha, t, ys)
-        snap = traj.snapshots[traj.snapshot_index(t)]
-        node_errs.append(np.max(np.abs(snap - exact)) / np.max(np.abs(exact)))
-    pde_err = float(np.max(node_errs))  # np.max, unlike max(), keeps a NaN
-    checks.append((f"solver vs series on nodes at t in {t_cmp}: max scaled error {pde_err:.3e}",
-                   "series vs solver mismatch", pde_err, cfg.pde_tol))
-    cmp_tbl = analysis.compare_methods(
-        p, params, t_cmp, (0.25, 0.5, 0.75), traj=traj,
-        tol={frozenset({"series", "mellin"}): cfg.mellin_tol})
-    if cmp_tbl.refusals:
-        raise cmp_tbl.refusals[0][-1]
-    checks.append((cmp_tbl.summary(), "", math.nan, None))
-    for (a, b), tol in {(r.method_a, r.method_b): r.tol for r in cmp_tbl.rows}.items():
-        err = cmp_tbl.max_rel_err(a, b)  # NaN, and only reported, if no cell evaluates
-        pair = "series vs contour inversion" if (a, b) == ("series", "mellin") else f"{a} vs {b}"
-        checks.append((None, f"{pair} mismatch", err, None if math.isnan(err) else tol))
-
-    # asymptotics on the concentration line (smooth data only), at unit mass:
-    # by linearity the relative error does not depend on it, and v cannot overflow
-    if smooth:
-        unit = dataclasses.replace(p, mass=1.0)
-        tx = [(t, params.alpha ** (-t)) for t in (10.0, 15.0, 20.0, 25.0, 30.0)]
-        exact = np.array([series.eval_v(unit, params.alpha, t, x) for t, x in tx])
-        approx = np.array([mellin.asymp_v_poisson(unit, params.alpha, t, x) for t, x in tx])
-        errs = np.abs(approx - exact) / np.abs(exact)
-        checks.append(("asymptotic relative error on x = alpha^-t at t = 10..30: "
-                       + ", ".join(f"{e:.3e}" for e in errs),
-                       "asymptotics violated: relative error at t=25", errs[3], cfg.asymp_tol))
-        checks.append((None, "asymptotics violated: largest rise of the error",
-                       np.max(errs[1:] - errs[:-1] * (1.0 + 1e-9)), 0.0))
-
+    checks, period_rows, weak_row, cmp_tbl = analysis.checks(cfg, _solve_run(cfg, grid))
     out_dir = Path(cfg.directory)
     _write_csv(out_dir / "periods.csv", ["y", "expected", "period", "amplitude", "confidence",
                                          "n_cycles", "oscillating"], [list(zip(*period_rows))])
-    if smooth:
+    if weak_row is not None:
         _write_csv(out_dir / "weak.csv", ["t", "value", "limit", "rel_err"],
-                   [[[t_w], [val], [target], [weak_err]]])
+                   [[[v] for v in weak_row]])
     _write_compare(out_dir / "compare.csv", cmp_tbl)
-    print("\n".join(line for line, *_ in checks if line is not None))
-    failed = [f"{label} {measured:.3e} > {tol}" for _, label, measured, tol in checks
-              if tol is not None and not measured <= tol]
+    print("\n".join(c.line for c in checks if c.line is not None))
+    failed = [f"{c.label} {c.measured:.3e} > {c.tol}" for c in checks if c.failed]
     if failed:
         raise ThresholdError("; ".join(failed))
     print("all checks passed")
@@ -342,6 +262,8 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     ts = (1.0, 5.0) if args.t is None else _flag_floats("t", args.t)
+    if min(ts) < 0.0:
+        raise DomainError(f"--t needs times >= 0, got {args.t!r}")
     xs = (0.25, 0.5, 0.75) if args.x is None else _flag_floats("x", args.x)
     # the horizon sizes the grid for the run; the requested times are its snapshots
     traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts), probes=False)

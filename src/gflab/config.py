@@ -116,7 +116,7 @@ class RunConfig:
 
     def resolved_rays(self) -> tuple[float, ...]:
         if self.rays:
-            return self.rays
+            return tuple(dict.fromkeys(self.rays))     # the first of exact repeats
         la = self.params.log_alpha
         return (-2.0 * la, -la, -0.5 * la)
 

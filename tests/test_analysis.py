@@ -12,6 +12,7 @@ import pytest
 import gflab
 
 from gflab.analysis import (
+    Check,
     GridSource,
     LineProbe,
     SeriesSource,
@@ -340,3 +341,14 @@ class TestCompareMethods:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             compare_methods(GAUSS, ModelParams(alpha=2.0), [1.0], [0.5], methods=["magic"])
+
+
+class TestCheck:
+    @pytest.mark.parametrize("measured, tol, failed", [
+        (1e-3, 1e-2, False), (1e-2, 1e-2, False), (2e-2, 1e-2, True),
+        (math.nan, 1e-2, True), (math.inf, 1e-2, True), (math.nan, None, False),
+        (1e300, None, False), (np.float64(-1.0), 0.0, False),
+    ])
+    def test_fails_unless_measured_is_within_tolerance(self, measured, tol, failed):
+        # a row without a tolerance only reports; a NaN is never within one
+        assert Check("line", "label", measured, tol).failed is failed

@@ -1,5 +1,6 @@
 """Front end: config round trip, exit codes, CSV/SVG emission, determinism."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -282,6 +283,8 @@ class TestRefusals:
         (["analyze", "--g", "0.5"], None, "got b = 1.0, g = 0.5"),
         (["figures", "--id", "1"], "[model]\ng = 0.5\n", "got b = 1.0, g = 0.5"),
         (["figures", "--id", "1", "--t-end", "5", "--probe-y", "0"], None, "rays y < 0, got 0.0"),
+        (["compare", "--t", "-1"], None, "--t needs times >= 0, got '-1'"),
+        (["compare", "--t=-1,5"], None, "--t needs times >= 0, got '-1,5'"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -1003,6 +1006,51 @@ class TestAnalyze:
                   for failed in err[len("check failed: "):].strip().split("; ")]
         assert labels == [f"period law violated on ray y={y}: rel err"
                           for y in ("-1.38629", "-0.693147", "-0.346574")]
+
+    @staticmethod
+    def checks(profile, **changes):
+        """analyze's check rows for the default config with the given profile."""
+        cfg = config.with_texts(config.RunConfig(), {"profile": profile})
+        traj = cli._solve_run(cfg)
+        return analysis.checks(dataclasses.replace(cfg, **changes), traj)
+
+    @pytest.mark.parametrize("j", [-64, -7, -1, 1, 7, 64])
+    def test_verdicts_do_not_depend_on_whole_cell_shifts(self, j):
+        # mu = j whole grid cells at m = 64 (up to one log-alpha period either
+        # way): every check passes at the defaults, and a period tolerance of
+        # 1e-9 fails exactly the three period-law rows
+        profile = f"loggaussian mu={j * math.log(2.0) / 64!r} sigma=0.1 mass=1"
+        rows = self.checks(profile)[0]
+        assert [row.label for row in rows if row.failed] == []
+        tight = self.checks(profile, period_tol=1e-9)[0]
+        assert [row.label for row in tight if row.failed] == [
+            f"period law violated on ray y={y}: rel err"
+            for y in ("-1.38629", "-0.693147", "-0.346574")]
+
+    def test_repeated_ray_is_tracked_and_reported_once(self, tmp_path, capsys):
+        cfg = config.with_texts(config.RunConfig(), {"rays": "-1, -0.5, -1, -0.5"})
+        assert cfg.resolved_rays() == (-1.0, -0.5)
+        checks, period_rows, _, _ = analysis.checks(cfg, cli._solve_run(cfg))
+        assert [row[0] for row in period_rows] == [-1.0, -0.5]
+        assert [row.label for row in checks if row.label.startswith("period law")] == [
+            "period law violated on ray y=-1: rel err",
+            "period law violated on ray y=-0.5: rel err"]
+        assert main(["analyze", "--probe-y", "-1", "--probe-y", "-1",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert len((tmp_path / "o" / "periods.csv").read_text().splitlines()) == 2
+
+    def test_rows_give_the_exit_code_and_the_failure_message(self, tmp_path, capsys):
+        # the CLI renders the rows: its failure message joins the failed ones
+        cfg = config.with_texts(config.RunConfig(), {"t_end": "40", "period_tol": "1e-9"})
+        checks, period_rows, weak_row, cmp_tbl = analysis.checks(cfg, cli._solve_run(cfg))
+        assert len(period_rows) == 3 and weak_row[0] == 40.0 and cmp_tbl.rows
+        failed = [row for row in checks if row.failed]
+        assert [row.tol for row in failed] == [1e-9] * 3
+        assert main(["analyze", "--t-end", "40", "--period-tol", "1e-9",
+                     "--out-dir", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "check failed: " + "; ".join(
+            f"{row.label} {row.measured:.3e} > {row.tol}" for row in failed) + "\n"
 
 
 class TestImportCost:
