@@ -14,7 +14,9 @@ and reads the first dominant autocorrelation peak, and weak limits are tested
 only through integrated functionals (pointwise limits do not exist).
 
 The instruments read n from one of two sources, the explicit series or a
-solved grid trajectory; the pointwise v-routes are named in ROUTES.
+solved grid trajectory.  Both give n(t, .) as sum_k w_k n0(. + k log alpha),
+with Poisson(t) or RK4 weights w, and weak functionals integrate it term by
+term; the pointwise v-routes are named in ROUTES.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from . import series    # checks() looks eval_n_series up on it at call time
 from .errors import DomainError, NumericsError
 from .mellin import asymp_v_poisson, asymp_v_theta, inverse_mellin_v, psi
-from .model import InitialProfile, LogGaussian, ModelParams, moment
-from .series import eval_n, eval_v, integrate_n
+from .model import InitialProfile, LogGaussian, ModelParams, integrate_dilates, moment
+from .series import eval_n, eval_v, poisson_log_weights, truncation_order
 from .solver import Trajectory, v_from_grid
 
 
@@ -38,8 +40,8 @@ class SeriesSource:
     """Evaluate n through the explicit series.
 
     n goes through the one pointwise kernel of `series` (it works on n(0, .)
-    directly and never forms e^y); weak_test integrates the series term by
-    term instead of sampling it.
+    directly and never forms e^y); weights(t) are the Poisson masses e^{-t} t^k / k!
+    for k <= truncation_order(t), a TruncationError past the term cap.
     """
 
     def __init__(self, profile: InitialProfile, alpha: float):
@@ -49,16 +51,24 @@ class SeriesSource:
     def n(self, t: float, y: float) -> float:
         return eval_n(self.profile, self.alpha, t, y)
 
+    def weights(self, t: float) -> np.ndarray:
+        return np.exp(poisson_log_weights(t, truncation_order(t)) - t)
+
 
 class GridSource:
-    """Evaluate from a solved trajectory; probes reuse the densely recorded tracks."""
+    """Evaluate from a solved trajectory; probes reuse the densely recorded tracks,
+    and weights(t) is the RK4 weight row of the snapshot at t."""
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self.alpha = traj.grid.alpha
+        self.profile = traj.grid.profile
 
     def n(self, t: float, y: float) -> float:
         return self.traj.n_at(t, y)
+
+    def weights(self, t: float) -> np.ndarray:
+        return self.traj.weights[self.traj.snapshot_index(t)]
 
     def probe_track(self, y: float) -> tuple[np.ndarray, np.ndarray]:
         for ray, vals in self.traj.diagnostics.probes.items():
@@ -217,59 +227,38 @@ def weak_test(source: SeriesSource | GridSource, phi: Callable[[float], float], 
               rescaled: bool = False, y_window: tuple[float, float] | None = None) -> float:
     """Integrated functional int phi(y) r(t, y) dy (or int phi(z) rtilde(t, z) dz).
 
-    Grid sources integrate over the whole grid by its trapezoid rule after the
-    exact change of variables to node coordinates, and refuse a y_window.
-    Series sources integrate the series term by term over the compact initial
-    support (series.integrate_n) with 64 and 128 Gauss-Legendre nodes, and
-    raise NumericsError when the two rules disagree by more than 1e-10 of the
-    mass or 1e-9 relative (a phi that is not smooth on the support).  phi is
-    zero outside a given y_window, whose endpoints are checked to make sure
-    the window contains the mass.  As t grows the plain form tends to
-    U0(2) phi(-log alpha) and the rescaled form to U0(2) int phi dG.
+    The source's weight row w = source.weights(t) is integrated term by term
+    over the initial support (model.integrate_dilates) with 64 and 128
+    Gauss-Legendre nodes, and NumericsError is raised when the two disagree by
+    more than 1e-10 of the mass or 1e-9 relative (phi not smooth on the
+    support).  phi is zero outside a given y_window, whose endpoints are
+    checked to make sure the window contains the mass.  As t grows the plain
+    form tends to U0(2) phi(-log alpha), the rescaled one to U0(2) int phi dG.
     """
     if not t > 0.0:
         raise DomainError(f"weak tests need t > 0, got {t}")
     la = math.log(source.alpha)
-
-    if isinstance(source, GridSource):
-        if y_window is not None:
-            raise DomainError(f"y_window = {y_window}: a grid source integrates its whole grid")
-        g = source.traj.grid
-        snap = source.traj.snapshots[source.traj.snapshot_index(t)]
-        ys = g.y_nodes()
-        if rescaled:
-            args = (ys / t + la) * math.sqrt(t) / la
-        else:
-            args = ys / t
-        phi_vals = np.array([phi(a) for a in args])
-        return g.trapezoid(phi_vals * snap)
-
     scale = moment(source.profile, 1.0)
-    if y_window is not None:
-        _check_window(source, t, y_window, scale)
+    for edge in y_window or ():
+        if abs(r_of(source, t, edge)) > 1e-9 * scale:
+            raise NumericsError(
+                f"integration window [{y_window[0]:.3g}, {y_window[1]:.3g}] does not contain "
+                f"the mass (r at {edge:.3g} is not negligible)")
 
     def phi_of_z(z: np.ndarray) -> np.ndarray:
-        ys = [zi / t for zi in z.ravel().tolist()]
-        vals = [phi((y + la) * math.sqrt(t) / la) if rescaled else phi(y) for y in ys]
-        return np.array(vals, dtype=float).reshape(z.shape)
+        y = z / t
+        args = (y + la) * math.sqrt(t) / la if rescaled else y
+        return np.fromiter(map(phi, args.ravel().tolist()), float, z.size).reshape(z.shape)
 
     z_window = None if y_window is None else (t * y_window[0], t * y_window[1])
-    coarse, fine = (integrate_n(source.profile, source.alpha, t, phi_of_z, n, z_window)
+    weights = source.weights(t)
+    coarse, fine = (integrate_dilates(source.profile, la, weights, phi_of_z, n, z_window)
                     for n in (_WEAK_NODES, 2 * _WEAK_NODES))
     if abs(fine - coarse) > max(1e-10 * scale, 1e-9 * abs(fine)):
         raise NumericsError(
             f"termwise weak functional: {_WEAK_NODES} and {2 * _WEAK_NODES} Gauss nodes "
             f"disagree by {abs(fine - coarse):.3e} (phi is not smooth on the support)")
     return fine
-
-
-def _check_window(source: SeriesSource | GridSource, t: float, y_window: tuple[float, float],
-                  scale: float) -> None:
-    for edge in y_window:
-        if abs(r_of(source, t, edge)) > 1e-9 * scale:
-            raise NumericsError(
-                f"integration window [{y_window[0]:.3g}, {y_window[1]:.3g}] does not contain "
-                f"the mass (r at {edge:.3g} is not negligible)")
 
 
 @dataclass(frozen=True)
@@ -452,7 +441,8 @@ def checks(cfg, traj: Trajectory):
     rows.append(Check(f"mass functional: max relative deviation {mass_err:.3e}",
                       "mass conservation violated:", mass_err, cfg.mass_tol))
 
-    # weak limit against cos (smooth data only)
+    # weak limit against cos, smooth data only: no rule yet gates the row by its 1/t
+    # term, which grows with the data's width (heaviside a=-1 b=0, t=60: 2.6e-2 at alpha 3)
     weak_row = None
     if smooth:
         t_w = float(traj.times[-1])

@@ -265,6 +265,8 @@ def cmd_compare(args) -> int:
     if min(ts) < 0.0:
         raise DomainError(f"--t needs times >= 0, got {args.t!r}")
     xs = (0.25, 0.5, 0.75) if args.x is None else _flag_floats("x", args.x)
+    if min(xs) <= 0.0:
+        raise DomainError(f"--x needs sizes > 0, got {args.x!r}")
     # the horizon sizes the grid for the run; the requested times are its snapshots
     traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts), probes=False)
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)

@@ -22,8 +22,8 @@ overflow; pointwise sums over k = 0..K are evaluated as one array and summed
 exactly rounded (math.fsum), node-array sums with Neumaier compensation.
 
 Weak functionals need no pointwise values at all: integrating the sum term
-by term moves every integral onto the compact initial support (see
-integrate_n).
+by term moves every integral onto the compact initial support
+(model.integrate_dilates, with the Poisson weights of analysis.SeriesSource).
 """
 
 from __future__ import annotations
@@ -237,48 +237,6 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray) -> n
             edge = np.where(widen, edge + step, edge)
             log_last = np.where(widen, log_next, log_last)
     return total + comp
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use (128 nodes take ~20 ms)."""
-    return np.polynomial.legendre.leggauss(n)
-
-
-def integrate_n(p: InitialProfile, alpha: float, t: float,
-                psi: Callable[[np.ndarray], np.ndarray], n_nodes: int,
-                z_window: tuple[float, float] | None = None) -> float:
-    """int psi(z) n(t, z) dz, integrated term by term over the initial support:
-
-        e^{-t} sum_{k <= K} t^k / k! int_{supp n0} psi(w - k log alpha) n0(w) dw,
-
-    K = truncation_order(t): the Poisson tail left out is below 1e-14 of the
-    mass, or a TruncationError is raised past the term cap.  Each inner
-    integral uses an n_nodes-point Gauss-Legendre rule on support_y(p), which
-    for a heaviside is exactly [a, b], so the integrand is as smooth as psi.
-    psi maps an array of log-sizes to an array of values; with a z_window it
-    is taken as zero outside the window, and each term's interval is clipped
-    to it.
-    """
-    if not t > 0.0:
-        raise DomainError(f"termwise integration needs t > 0, got {t}")
-    la = math.log(alpha)
-    a, b = support_y(p)
-    k_cap = truncation_order(t)
-    ks = np.arange(k_cap + 1)
-    lo, hi = np.full(k_cap + 1, a), np.full(k_cap + 1, b)
-    if z_window is not None:
-        lo = np.maximum(lo, z_window[0] + ks * la)
-        hi = np.minimum(hi, z_window[1] + ks * la)
-    keep = hi > lo
-    if not keep.any():
-        return 0.0
-    ks, lo, hi = ks[keep], lo[keep, None], hi[keep, None]
-    x, wq = _gauss_legendre(n_nodes)
-    half = 0.5 * (hi - lo)
-    w = (0.5 * (hi + lo)) + half * x
-    term_w = np.exp(poisson_log_weights(t, k_cap)[keep] - t)[:, None] * half
-    return float(np.sum(term_w * wq * psi(w - ks[:, None] * la) * profile_eval_y(p, w)))
 
 
 def support_set(p: InitialProfile, params: ModelParams, t: float) -> list[tuple[float, float]]:

@@ -11,6 +11,7 @@ import pytest
 
 import gflab
 
+from conftest import run_solver
 from gflab.analysis import (
     Check,
     GridSource,
@@ -226,15 +227,25 @@ class TestWeakFunctionals:
         val = weak_test(ss, bump, 40.0, y_window=(1.0, 2.0))
         assert abs(val) < 1e-6 * moment(GAUSS, 1.0)
 
-    def test_grid_source_refuses_a_window(self, traj_g01):
-        # the grid integrates every node: this window would have read the whole mass
-        with pytest.raises(DomainError, match="y_window"):
-            weak_test(GridSource(traj_g01), lambda y: 1.0, 20.0, y_window=(1.0, 2.0))
+    def test_grid_source_honours_a_window(self, traj_g01):
+        # the window clips each dilate of the grid's weight row, as for the series
+        def bump(y):
+            if 1.0 < y < 2.0:
+                u = 2.0 * (y - 1.0) - 1.0
+                return math.exp(-1.0 / (1.0 - u * u))
+            return 0.0
+
+        val = weak_test(GridSource(traj_g01), bump, 40.0, y_window=(1.0, 2.0))
+        assert abs(val) < 1e-6 * moment(GAUSS, 1.0)
 
     def test_window_must_contain_mass(self):
         ss = SeriesSource(GAUSS, 2.0)
         with pytest.raises(NumericsError, match="does not contain the mass"):
             weak_test(ss, lambda y: 1.0, 2.0, y_window=(-0.75, -0.65))
+
+    def test_grid_window_must_contain_mass(self, traj_g01):
+        with pytest.raises(NumericsError, match="does not contain the mass"):
+            weak_test(GridSource(traj_g01), lambda y: 1.0, 1.0, y_window=(-0.75, -0.65))
 
     def test_cos_functional_converges(self, traj_g01):
         gs = GridSource(traj_g01)
@@ -293,6 +304,21 @@ class TestTermwiseWeakFunctional:
         ss = SeriesSource(GAUSS, 2.0)
         with pytest.raises(NumericsError, match="Gauss nodes disagree"):
             weak_test(ss, lambda y: 1.0 if y < -0.6 else 0.0, 10.0)
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0])
+    @pytest.mark.parametrize("profile", [GAUSS, LogGaussian(0.3, 0.5, 2.0),
+                                         LogHeaviside(-1.0, 0.0, 1.0)],
+                             ids=["gaussian", "wide-gaussian", "heaviside"])
+    def test_grid_and_series_agree(self, profile, alpha):
+        # one termwise integral over two weight rows, RK4 and Poisson: they differ
+        # by the time-stepping error alone, also across the heaviside's jumps
+        traj = run_solver(profile, alpha, 60.0, 0.01, snapshots=[1.0, 10.0, 60.0], rays=())
+        gs, ss = GridSource(traj), SeriesSource(profile, alpha)
+        for t in (1.0, 10.0, 60.0):
+            for rescaled in (False, True):
+                err = abs(weak_test(gs, math.cos, t, rescaled=rescaled)
+                          - weak_test(ss, math.cos, t, rescaled=rescaled))
+                assert err <= 1e-9 * moment(profile, 1.0), (t, rescaled, err)
 
     def test_series_weak_test_leaves_scipy_unloaded(self):
         code = ("import math, sys\n"

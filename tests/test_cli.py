@@ -285,6 +285,8 @@ class TestRefusals:
         (["figures", "--id", "1", "--t-end", "5", "--probe-y", "0"], None, "rays y < 0, got 0.0"),
         (["compare", "--t", "-1"], None, "--t needs times >= 0, got '-1'"),
         (["compare", "--t=-1,5"], None, "--t needs times >= 0, got '-1,5'"),
+        (["compare", "--t", "1", "--x", "0"], None, "--x needs sizes > 0, got '0'"),
+        (["compare", "--x=-1,0.5"], None, "--x needs sizes > 0, got '-1,0.5'"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]

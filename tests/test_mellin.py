@@ -296,6 +296,22 @@ class TestSaddleLine:
             return
         assert got == pytest.approx(eval_v(p, 2.0, t, x), rel=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(0.08, 0.5), mu=st.floats(-1.0, 1.0), j=st.integers(-30, 30),
+           alpha=st.floats(1.5, 4.0), t=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+           y=st.floats(-3.0, 0.5))
+    def test_random_data_within_tolerance_or_raises(self, sigma, mu, j, alpha, t, y):
+        # relative agreement with the series over random data, alpha, times and
+        # rays around the mean; past the support both are exactly 0
+        p = LogGaussian(mu, sigma, 2.0 ** j)
+        x = math.exp(y * math.log(alpha) * max(t, 1.0) + mu)
+        try:
+            got = inverse_mellin_v(p, alpha, t, x)
+        except QuadratureError:
+            return
+        ref = eval_v(p, alpha, t, x)
+        assert abs(got - ref) <= 1e-6 * abs(ref), (got, ref)
+
     def test_mellin_source_uses_the_saddle(self):
         assert inverse_mellin_v(GAUSS, 2.0, 40.0, 0.75) == pytest.approx(
             eval_v(GAUSS, 2.0, 40.0, 0.75), rel=1e-9)

@@ -12,6 +12,7 @@ from gflab.model import (
     LogGaussian,
     LogHeaviside,
     ModelParams,
+    _gauss_legendre,
     dilation_window,
     format_profile,
     mellin_U0,
@@ -120,6 +121,19 @@ class TestDilationWindow:
         np.testing.assert_array_equal(last[has], ks[-1 - inside[has][:, ::-1].argmax(axis=1)])
         for i in range(0, y.size, 41):
             assert dilation_window(p, la, float(y[i])) == (first[i], last[i])
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_numpy_and_is_exact_to_degree_2n_minus_1(self, n):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=2e-16)
+        # leggauss's end weights are themselves off by about 1e-11 relative
+        np.testing.assert_allclose(w, ref_w, rtol=1e-10)
+        for k in range(n):
+            assert math.fsum(w * x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), abs=2e-15)
+            assert abs(math.fsum(w * x ** (2 * k + 1))) <= 2e-15
 
 
 class TestMellin:
