@@ -47,10 +47,11 @@ whose dilate S^k n_0 meets [lo, hi], in increasing k,
 so a node gets the same terms in the same order from any run that holds
 it.  Between nodes (the probe records, Trajectory.n_at) the same identity is
 read at y as sum_k d[k] n_0(y + k log alpha), with n_0 from the profile the
-grid sampled: nothing is interpolated.  `step` stays the oracle the
-propagator is tested against; d comes only from the RK4 coefficients and n_0
-only from the profile, never from the series, so the solver stays an
-independent route.
+grid sampled: nothing is interpolated.  That sum, `_dilation_sum`, alone
+owns the edges: it reads 0 below y_min, and above y_max its window is empty.
+`step` stays the oracle the propagator is tested against; d comes only from
+the RK4 coefficients and n_0 only from the profile, never from the series, so
+the solver stays an independent route.
 
 The step loop only advances the weight row by one np.correlate with the
 reversed c(dt) and stores it, _CHUNK clock steps at a time.  The correlate
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -231,11 +231,14 @@ class _ShiftSum:
         return (D @ self.top) * (1.0 + 4.0 * c * f.eps) + c * f.smallest_subnormal
 
 
-def _dilation_sum(p: InitialProfile, log_alpha: float, D: np.ndarray, rows,
-                  y: np.ndarray) -> np.ndarray:
-    """n(y) = sum_k D[rows, k] n_0(y + k log alpha) for weight rows D (rows and y
-    broadcast), over the k of model.dilation_window clamped to the row, added
-    in k order so that the value does not depend on m."""
+def _dilation_sum(grid: LogGrid, D: np.ndarray, rows, y: np.ndarray) -> np.ndarray:
+    """n(y) = sum_k D[rows, k] n_0(y + k log alpha) for weight rows D of a run on
+    the grid (rows and y broadcast), n_0 the profile it sampled, over the k of
+    model.dilation_window clamped to the row, added in k order so that the value
+    does not depend on m.  The solver's one edge rule: below y_min n reads 0 (the
+    leak monitor bounds it there by 1e-12 of the mass); above y_max the window is
+    empty, as n is exactly 0 right of the initial support."""
+    p, log_alpha = grid.profile, math.log(grid.alpha)
     first, last = dilation_window(p, log_alpha, y)
     first = np.maximum(first, 0.0)                  # the solver has no weights for k < 0
     last = np.minimum(last, D.shape[1] - 1)         # for y on the grid, later k meet n_0 = 0
@@ -245,7 +248,7 @@ def _dilation_sum(p: InitialProfile, log_alpha: float, D: np.ndarray, rows,
         inside = k <= last
         d = D[rows, np.where(inside, k, 0.0).astype(np.intp)]
         n = n + np.where(inside, d * profile_eval_y(p, y + k * log_alpha), 0.0)
-    return n
+    return np.where(y < grid.y_min, 0.0, n)
 
 
 @dataclass
@@ -275,11 +278,8 @@ class Trajectory:
 
     def n_at(self, t: float, y: float) -> float:
         """n(t, y) at any y, from the weight row of the snapshot at t and the grid's
-        profile (module docstring); zero outside the grid."""
-        g, i = self.grid, self.snapshot_index(t)
-        if y > g.y_max + 1e-12 or y < g.y_min - 1e-12:
-            return 0.0
-        return float(_dilation_sum(g.profile, math.log(g.alpha), self.weights, i, np.asarray(y)))
+        profile, with _dilation_sum's edge rule: zero below and above the grid."""
+        return float(_dilation_sum(self.grid, self.weights, self.snapshot_index(t), np.asarray(y)))
 
 
 def solve_n(grid: LogGrid, t_end: float, dt: float,
@@ -328,7 +328,7 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         raise DomainError(f"snapshot times {snaps} fall outside [0, {t_end}]")
 
     rays = np.array([float(y) for y in probe_rays])
-    dy, log_alpha = grid.dy, math.log(grid.alpha)
+    dy = grid.dy
     n_steps = int(math.floor(t_end / dt + 1e-9))
     kernel = _ShiftSum(grid)
     leak_tol = _LEAK_TOL * grid.trapezoid(grid.values)
@@ -393,10 +393,8 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         edges = kernel.nodes(Dr, 0, 1)[:, 0] + kernel.nodes(Dr, last, last + 1)[:, 0]
         rec["t"].append(t_rec)
         rec["mass"].append(dy * (np.sum(Wr * kernel.suffix, axis=1) - 0.5 * edges))
-        # below the grid a probe records 0; above it the dilation window is empty
-        pos = t_rec[:, None] * rays
-        n = _dilation_sum(grid.profile, log_alpha, Dr, np.arange(len(Dr))[:, None], pos)
-        rec["probes"].append(np.where(pos < grid.y_min, 0.0, n))
+        rec["probes"].append(_dilation_sum(grid, Dr, np.arange(len(Dr))[:, None],
+                                           t_rec[:, None] * rays))
 
     probes = np.concatenate(rec["probes"])
     diag = Diagnostics(
@@ -410,18 +408,12 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
 
 
 def v_from_grid(traj: Trajectory, t: float, x: float) -> float:
-    """Recover v(t, x) = e^{-2y} n(t, y) at y = log x from a snapshotted time.
-
-    Above the grid the support argument gives an exact zero; below the grid
-    the value is extrapolated as zero with a warning, since the solver only
-    guarantees the left tail is negligible, not resolved.
-    """
+    """v(t, x) = e^{-2y} n(t, y) at y = log x from a snapshotted time (Trajectory.n_at),
+    exactly 0 above the grid.  A size below it raises DomainError: there _dilation_sum
+    reads 0, a bound the leak monitor keeps, not a resolved value."""
     if not x > 0.0:
         raise DomainError(f"size must be positive, got {x}")
     y = math.log(x)
-    n = traj.n_at(t, y)
-    if y < traj.grid.y_min - 1e-12:
-        warnings.warn(f"log-size {y:.3f} is below the grid; extrapolating v as 0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    return math.exp(-2.0 * y) * n
+    if y < traj.grid.y_min:
+        raise DomainError(f"log-size {y:.3f} is below the grid (y_min = {traj.grid.y_min:.3f})")
+    return math.exp(-2.0 * y) * traj.n_at(t, y)

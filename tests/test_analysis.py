@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,23 @@ class TestCompareMethods:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             compare_methods(GAUSS, ModelParams(alpha=2.0), [1.0], [0.5], methods=["magic"])
+
+    def test_pde_cells_below_the_grid_are_nan(self):
+        # the grid of `compare --t 1,5`, solved to t_end = 5: x = 1e-30 lies below it,
+        # where the series gives 9.9e-100 and 1.4e-31, so a pde cell of 0 would be flagged
+        traj = run_solver(GAUSS, 2.0, 5.0, 0.01, snapshots=[1.0, 5.0], rays=[])
+        assert math.log(1e-30) < traj.grid.y_min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tbl = compare_methods(GAUSS, ModelParams(alpha=2.0), [1.0, 5.0], [1e-30, 0.5],
+                                  traj=traj)
+        below = [r for r in tbl.rows if "pde" in (r.method_a, r.method_b) and r.x == 1e-30]
+        assert len(below) == 4
+        assert all(math.isnan(r.rel_err) and not r.flagged for r in below)
+        assert all(math.isnan(r.val_a if r.method_a == "pde" else r.val_b) for r in below)
+        assert tbl.max_rel_err("series", "mellin") < 1e-6
+        assert not tbl.refusals and not tbl.flagged
+        assert "all cells within tolerance" in tbl.summary()
 
 
 class TestCheck:

@@ -287,6 +287,17 @@ class TestRefusals:
         (["compare", "--t=-1,5"], None, "--t needs times >= 0, got '-1,5'"),
         (["compare", "--t", "1", "--x", "0"], None, "--x needs sizes > 0, got '0'"),
         (["compare", "--x=-1,0.5"], None, "--x needs sizes > 0, got '-1,0.5'"),
+        (["analyze", "--snapshots", "0"], None, "snapshots, which must be at t > 0, got 0.0"),
+        (["solve", "--m", "0"], None, "grid cells per log(alpha) must be >= 1, got 0"),
+        (["solve", "--t-end", "-1"], None, "horizon must be nonnegative"),
+        (["solve", "--dt", "0"], None, "step size must be positive"),
+        (["solve", "--record-every", "0"], None, "record_every must be >= 1"),
+        (["analyze", "--weak-tol", "0"], None, "weak_tol must be positive"),
+        (["solve", "--profile", ""], None, "empty profile specification"),
+        (["solve", "--profile", "loggaussian mu=0 sigma=0.1 mass=0"], None, "must be positive"),
+        (["solve", "--profile", "logheaviside a=-1 b=0 height=0"], None, "must be positive"),
+        (["solve", "--y-min", "5"], None, "empty grid domain"),
+        (["solve"], "[grid\nm = 64\n", "malformed config"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -806,6 +817,16 @@ class TestCompare:
         assert rows[0][4] == "182324.43261981182"
         assert all(r[5] == "nan" and r[6] == "nan" for r in rows[1:])
 
+    def test_pde_cells_below_the_grid_are_nan(self, tmp_path, capsys):
+        assert main(["compare", "--t", "1,5", "--x", "1e-30,0.5",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert "all cells within tolerance" in captured.out and captured.err == ""
+        rows = [r.split(",") for r in
+                (tmp_path / "o" / "compare.csv").read_text().strip().splitlines()[1:]]
+        pde = [r for r in rows if "pde" in r[:2] and float(r[3]) == 1e-30]
+        assert len(pde) == 4 and all(r[6] == "nan" for r in pde)
+
     def test_narrow_data_cells_within_tolerance(self, tmp_path, capsys):
         # sigma = 0.05 at m = 64: a node interpolation put the pde cells 5e-2 off
         assert main(["compare", "--profile", "loggaussian mu=0 sigma=0.05 mass=1",
@@ -814,6 +835,13 @@ class TestCompare:
 
 
 class TestAnalyze:
+    def test_snapshot_at_0_passes_without_a_weak_row(self, tmp_path, capsys):
+        # only smooth data reads the last snapshot for its weak row
+        assert main(["analyze", "--snapshots", "0", "--profile", "logheaviside a=-1 b=0 height=1",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert not (tmp_path / "o" / "weak.csv").exists()
+
     def test_default_run_passes(self, tmp_path, capsys):
         assert main(["analyze", "--t-end", "40", "--out-dir", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out

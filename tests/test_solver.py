@@ -363,9 +363,9 @@ class TestVFromGrid:
     def test_zero_above_grid(self, traj2):
         assert v_from_grid(traj2, 2.0, math.exp(traj2.grid.y_max + 0.5)) == 0.0
 
-    def test_warns_below_grid(self, traj2):
-        with pytest.warns(RuntimeWarning, match="below the grid"):
-            assert v_from_grid(traj2, 2.0, math.exp(traj2.grid.y_min - 1.0)) == 0.0
+    def test_refuses_below_grid(self, traj2):
+        with pytest.raises(DomainError, match="below the grid"):
+            v_from_grid(traj2, 2.0, math.exp(traj2.grid.y_min - 1.0))
 
     def test_unsnapshotted_time_rejected(self, traj2):
         with pytest.raises(DomainError, match="not snapshotted"):
