@@ -10,8 +10,8 @@ gaussian.  Pointwise, however, the normalized line values
 
 are asymptotically periodic with period -log(alpha) / y, and the instruments
 here quantify that: probes sample f_y, the period estimator detrends a probe
-and reads the first dominant autocorrelation peak, and weak limits are tested
-only through integrated functionals (pointwise limits do not exist).
+and reads the autocorrelation peak near the period law, and weak limits are
+tested only through integrated functionals (pointwise limits do not exist).
 
 The instruments read n from one of two sources, the explicit series or a
 solved grid trajectory.  Both give n(t, .) as sum_k w_k n0(. + k log alpha),
@@ -78,13 +78,6 @@ class GridSource:
                           f"(tracked: {sorted(self.traj.diagnostics.probes)})")
 
 
-def r_of(source: SeriesSource | GridSource, t: float, y: float) -> float:
-    """Rescaled line value r(t, y) = t e^{2ty} v(t, e^{yt}) = t n(t, t y)."""
-    if not t > 0.0:
-        raise DomainError(f"rescaling needs t > 0, got {t}")
-    return t * source.n(t, t * y)
-
-
 @dataclass(frozen=True)
 class LineProbe:
     """Samples of f_y(t) = sqrt(t) e^{-Psi(y) t} n(t, y t) along one ray y < 0."""
@@ -142,13 +135,14 @@ def _moving_mean(values: np.ndarray, w: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="valid")
 
 
-def estimate_period(probe: LineProbe, expected_period: float | None = None,
+def estimate_period(probe: LineProbe, expected_period: float,
                     amp_threshold: float = 1e-3) -> PeriodEstimate:
-    """Detrend a probe, autocorrelate, and return the first dominant peak lag.
+    """Detrend a probe, autocorrelate, and return the peak lag near the expected period.
 
     The raw f_y still carries slow drifts (the envelope corrections decay only
     algebraically), so the series is divided by a moving mean over roughly
-    three periods before autocorrelating.  Needs uniform sampling, at least
+    three expected periods before autocorrelating, and the peak is sought
+    between 0.6 and 1.5 expected periods.  Needs uniform sampling, at least
     32 samples per expected cycle, and at least 3 cycles in the window.
     """
     ts, vals = probe.times, probe.values
@@ -158,17 +152,14 @@ def estimate_period(probe: LineProbe, expected_period: float | None = None,
     if not np.allclose(np.diff(ts), dt, rtol=1e-6, atol=1e-12):
         raise DomainError("period estimation needs uniformly sampled probes")
     span = float(ts[-1] - ts[0])
-    if expected_period is not None:
-        if dt > expected_period / 32.0:
-            raise DomainError(
-                f"sampling too coarse: {expected_period / dt:.1f} samples per expected "
-                "cycle, need at least 32")
-        if span < 3.0 * expected_period:
-            raise DomainError(
-                f"window too short: {span / expected_period:.2f} expected cycles, need >= 3")
-        w = int(round(3.0 * expected_period / dt))
-    else:
-        w = max(3, ts.size // 8)
+    if dt > expected_period / 32.0:
+        raise DomainError(
+            f"sampling too coarse: {expected_period / dt:.1f} samples per expected "
+            "cycle, need at least 32")
+    if span < 3.0 * expected_period:
+        raise DomainError(
+            f"window too short: {span / expected_period:.2f} expected cycles, need >= 3")
+    w = int(round(3.0 * expected_period / dt))
     w = min(w | 1, (ts.size - 2) | 1)  # odd, and leave data after trimming
 
     mm = _moving_mean(vals, w)
@@ -187,22 +178,11 @@ def estimate_period(probe: LineProbe, expected_period: float | None = None,
         raise NumericsError("degenerate autocorrelation")
     ac = ac / ac[0]
 
-    if expected_period is not None:
-        lo = max(2, int(0.6 * expected_period / dt))
-        hi = min(ac.size - 2, int(1.5 * expected_period / dt))
-        if hi <= lo:
-            raise DomainError("window too short for the expected period")
-        k = lo + int(np.argmax(ac[lo:hi + 1]))
-    else:
-        # first local maximum past the initial decay that carries real weight
-        neg = np.nonzero(ac < 0.0)[0]
-        start = int(neg[0]) if neg.size else max(2, ac.size // 16)
-        tail = ac[start:ac.size - 1]
-        peaks = np.nonzero((tail[1:-1] > tail[:-2]) & (tail[1:-1] >= tail[2:]))[0] + start + 1
-        if peaks.size == 0:
-            raise NumericsError("no autocorrelation peak found")
-        best = float(np.max(ac[peaks]))
-        k = int(peaks[np.nonzero(ac[peaks] >= 0.7 * best)[0][0]])
+    lo = max(2, int(0.6 * expected_period / dt))
+    hi = min(ac.size - 2, int(1.5 * expected_period / dt))
+    if hi <= lo:
+        raise DomainError("window too short for the expected period")
+    k = lo + int(np.argmax(ac[lo:hi + 1]))
 
     # sub-sample refinement with a parabola through the peak (2 <= k <= ac.size - 2)
     denom = ac[k - 1] - 2.0 * ac[k] + ac[k + 1]
@@ -223,36 +203,27 @@ def estimate_period(probe: LineProbe, expected_period: float | None = None,
 _WEAK_NODES = 64
 
 
-def weak_test(source: SeriesSource | GridSource, phi: Callable[[float], float], t: float,
-              rescaled: bool = False, y_window: tuple[float, float] | None = None) -> float:
-    """Integrated functional int phi(y) r(t, y) dy (or int phi(z) rtilde(t, z) dz).
+def weak_test(source: SeriesSource | GridSource, phi: Callable[[float], float], t: float) -> float:
+    """Integrated functional int phi(y) r(t, y) dy, r(t, y) = t n(t, t y).
 
     The source's weight row w = source.weights(t) is integrated term by term
     over the initial support (model.integrate_dilates) with 64 and 128
     Gauss-Legendre nodes, and NumericsError is raised when the two disagree by
     more than 1e-10 of the mass or 1e-9 relative (phi not smooth on the
-    support).  phi is zero outside a given y_window, whose endpoints are
-    checked to make sure the window contains the mass.  As t grows the plain
-    form tends to U0(2) phi(-log alpha), the rescaled one to U0(2) int phi dG.
+    support).  As t grows the value tends to U0(2) phi(-log alpha).  The
+    rescaled form int phi(z) rtilde(t, z) dz, which tends to U0(2) int phi dG,
+    is this functional of y -> phi((y + log alpha) sqrt(t) / log alpha).
     """
-    if not t > 0.0:
-        raise DomainError(f"weak tests need t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"weak tests need a finite t > 0, got {t}")
     la = math.log(source.alpha)
     scale = moment(source.profile, 1.0)
-    for edge in y_window or ():
-        if abs(r_of(source, t, edge)) > 1e-9 * scale:
-            raise NumericsError(
-                f"integration window [{y_window[0]:.3g}, {y_window[1]:.3g}] does not contain "
-                f"the mass (r at {edge:.3g} is not negligible)")
 
     def phi_of_z(z: np.ndarray) -> np.ndarray:
-        y = z / t
-        args = (y + la) * math.sqrt(t) / la if rescaled else y
-        return np.fromiter(map(phi, args.ravel().tolist()), float, z.size).reshape(z.shape)
+        return np.fromiter(map(phi, (z / t).ravel().tolist()), float, z.size).reshape(z.shape)
 
-    z_window = None if y_window is None else (t * y_window[0], t * y_window[1])
     weights = source.weights(t)
-    coarse, fine = (integrate_dilates(source.profile, la, weights, phi_of_z, n, z_window)
+    coarse, fine = (integrate_dilates(source.profile, la, weights, phi_of_z, n)
                     for n in (_WEAK_NODES, 2 * _WEAK_NODES))
     if abs(fine - coarse) > max(1e-10 * scale, 1e-9 * abs(fine)):
         raise NumericsError(
@@ -325,41 +296,28 @@ ROUTES: dict[str, Callable[..., float]] = {
 }
 
 
-def _route(routes: dict, name: str) -> Callable[..., float]:
-    if name not in routes:
-        raise DomainError(f"unknown evaluation method {name!r} (choose from {list(routes)})")
-    return routes[name]
-
-
 def route_u(name: str, params: ModelParams, p: InitialProfile, t: float, x: float) -> float:
     """u(t, x) by the named v-route and the characteristic rescaling e^{-gt} v(bt, x e^{-gt})."""
-    v = _route(ROUTES, name)
+    if name not in ROUTES:
+        raise DomainError(f"unknown evaluation method {name!r} (choose from {list(ROUTES)})")
     decay = math.exp(-params.g * t)
-    return decay * v(p, params.alpha, params.b * t, x * decay)
+    return decay * ROUTES[name](p, params.alpha, params.b * t, x * decay)
 
 
 def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list,
-                    traj: Trajectory | None = None, methods=None,
+                    traj: Trajectory,
                     tol: dict[frozenset, float] | None = None) -> MethodComparison:
-    """Evaluate v(t, x) by every requested route and tabulate pairwise errors.
+    """Evaluate v(t, x) by the series, the trajectory snapshotted at each t ("pde")
+    and, for log-gaussian data, the contour ("mellin"), and tabulate pairwise errors.
 
-    Methods: the ROUTES ("series"; "mellin", log-gaussian only; "asymp-theta",
-    log-gaussian only, 0 < x < 1 and t > 0; "asymp-poisson", 0 < x < 1 and
-    t > 0) and, given a trajectory snapshotted at each t, "pde" (x at or above
-    its grid).  Cells outside a method's domain, or refused by its numerical
-    guard (recorded in refusals), are NaN and excluded from flags; flagged rows
-    exceed the pairwise tolerance (default 1e-6, asymptotic pairs 0.15).
+    Cells outside a route's domain (for "pde", x below its grid), or refused
+    by its numerical guard (recorded in refusals), are NaN and excluded from
+    flags; flagged rows exceed the pairwise tolerance (default 1e-6, pairs
+    with "pde" 2e-3), which tol overrides per pair.
     """
-    if methods is None:
-        methods = ["series"]
-        if traj is not None:
-            methods.append("pde")
-        if isinstance(profile, LogGaussian):
-            methods.append("mellin")
-    routes = dict(ROUTES)
-    if traj is not None:
-        routes["pde"] = lambda p, alpha, t, x: v_from_grid(traj, t, x)
-    fns = {m: _route(routes, m) for m in methods}
+    fns = {"series": ROUTES["series"], "pde": lambda p, alpha, t, x: v_from_grid(traj, t, x)}
+    if isinstance(profile, LogGaussian):
+        fns["mellin"] = ROUTES["mellin"]
     refusals = []
 
     def evaluate(method: str, t: float, x: float) -> float:
@@ -371,22 +329,17 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
             refusals.append((method, t, x, exc))
             return math.nan
 
-    def _default_pair_tol(a: str, b: str) -> float:
-        if "asymp-theta" in (a, b) or "asymp-poisson" in (a, b):
-            return 0.15            # algebraically decaying corrections
-        if "pde" in (a, b):
-            # a relative gate on the solver's absolute error: at t = 1 it reads
-            # 6.6e-4 at x = 3e-9 and 4.3e-3 (flagged) at x = 1e-12
-            return 2e-3
-        return 1e-6
-    pair_tol = {frozenset({a, b}): _default_pair_tol(a, b) for a, b in combinations(methods, 2)}
+    # a relative gate on the solver's absolute error: at t = 1 it reads
+    # 6.6e-4 at x = 3e-9 and 4.3e-3 (flagged) at x = 1e-12
+    pair_tol = {frozenset({a, b}): 2e-3 if "pde" in (a, b) else 1e-6
+                for a, b in combinations(fns, 2)}
     pair_tol.update(tol or {})
 
     rows: list[ComparisonRow] = []
     for t in t_list:
         for x in x_list:
-            vals = {m: evaluate(m, float(t), float(x)) for m in methods}
-            for a, b in combinations(methods, 2):
+            vals = {m: evaluate(m, float(t), float(x)) for m in fns}
+            for a, b in combinations(fns, 2):
                 va, vb = vals[a], vals[b]
                 err = math.nan if (math.isnan(va) or math.isnan(vb)) else _rel_err(va, vb)
                 rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err,

@@ -60,8 +60,8 @@ def s_plus(alpha: float, t: float, x: float) -> float:
     x = e^{-t (log alpha) alpha^{2 - s_plus}} and is constant along rays
     x = e^{yt}.
     """
-    if not t > 0.0:
-        raise DomainError(f"saddle abscissa needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"saddle abscissa needs a finite t > 0, got {t}")
     if not 0.0 < x < 1.0:
         raise DomainError(f"saddle abscissa is defined for 0 < x < 1, got {x}")
     la = math.log(alpha)
@@ -274,10 +274,10 @@ def inverse_mellin_v(p: InitialProfile, alpha: float, t: float, x: float,
         raise DomainError(
             "contour integrand decays too slowly: inverse Mellin inversion "
             f"requires a log-gaussian profile, got {type(p).__name__}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if not x > 0.0:
-        raise DomainError(f"size must be positive, got {x}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be nonnegative and finite, got {t}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"size must be positive and finite, got {x}")
     if cq is None:
         cq = ContourQuad.for_gaussian(p, alpha, t, saddle_abscissa(p, alpha, t, x))
     log_x = math.log(x)

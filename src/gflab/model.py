@@ -160,8 +160,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_dilates(p: InitialProfile, log_alpha: float, weights: np.ndarray,
-                      psi: Callable[[np.ndarray], np.ndarray], n_nodes: int,
-                      z_window: tuple[float, float] | None = None) -> float:
+                      psi: Callable[[np.ndarray], np.ndarray], n_nodes: int) -> float:
     """int psi(z) n(z) dz for n = sum_k weights[k] n0(. + k log alpha) (Poisson or
     RK4 weights), term by term over the initial support:
 
@@ -169,25 +168,15 @@ def integrate_dilates(p: InitialProfile, log_alpha: float, weights: np.ndarray,
 
     Each inner integral uses an n_nodes-point Gauss-Legendre rule on
     support_y(p), which for a heaviside is exactly [a, b], so the integrand
-    is as smooth as psi.  psi maps an array of log-sizes to an array of
-    values; with a z_window it is taken as zero outside the window, and each
-    term's interval is clipped to it.
+    is as smooth as psi.  psi maps an array of log-sizes to an array of values.
     """
     a, b = support_y(p)
-    ks = np.arange(len(weights))
-    lo, hi = np.full(ks.size, a), np.full(ks.size, b)
-    if z_window is not None:
-        lo = np.maximum(lo, z_window[0] + ks * log_alpha)
-        hi = np.minimum(hi, z_window[1] + ks * log_alpha)
-    keep = hi > lo
-    if not keep.any():
-        return 0.0
-    ks, lo, hi = ks[keep], lo[keep, None], hi[keep, None]
     x, wq = _gauss_legendre(n_nodes)
-    half = 0.5 * (hi - lo)
-    w = (0.5 * (hi + lo)) + half * x
-    term_w = weights[keep][:, None] * half
-    return float(np.sum(term_w * wq * psi(w - ks[:, None] * log_alpha) * profile_eval_y(p, w)))
+    half = 0.5 * (b - a)
+    w = 0.5 * (b + a) + half * x
+    ks = np.arange(len(weights))[:, None]
+    term_w = weights[:, None] * half
+    return float(np.sum(term_w * wq * psi(w - ks * log_alpha) * profile_eval_y(p, w)))
 
 
 def first_true(pred: Callable[[int], bool], start: int) -> int:

@@ -132,15 +132,15 @@ def _series_sum(density: Callable, p: InitialProfile, lam: float, start: float,
 def _check_density_time(p: InitialProfile, t: float) -> None:
     if isinstance(p, Dirac):
         raise DomainError("dirac initial data is measure-valued; use support_set instead")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be nonnegative and finite, got {t}")
 
 
 def eval_v(p: InitialProfile, alpha: float, t: float, x: float) -> float:
     """Pure-fragmentation solution v(t, x) (unit division rate, no growth)."""
     _check_density_time(p, t)
-    if not x > 0.0:
-        raise DomainError(f"size must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"size must be positive and finite, got {x}")
     if t == 0.0:
         return profile_eval_x(p, x)
     log_alpha = math.log(alpha)
@@ -157,6 +157,8 @@ def eval_n(p: InitialProfile, alpha: float, t: float, y: float) -> float:
     Works on n(0, .) directly and never forms e^y, so deep tails are safe.
     """
     _check_density_time(p, t)
+    if not math.isfinite(y):
+        raise DomainError(f"log-size must be finite, got {y}")
     if t == 0.0:
         return profile_eval_y(p, y)
     return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t)

@@ -272,13 +272,16 @@ class Trajectory:
 
     def snapshot_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        # scaled by the snapshot's time, so that t = inf fails as t = nan does
+        if not abs(self.times[idx] - t) <= 1e-9 * max(1.0, abs(self.times[idx])):
             raise DomainError(f"time {t} was not snapshotted (available: {self.times.tolist()})")
         return idx
 
     def n_at(self, t: float, y: float) -> float:
-        """n(t, y) at any y, from the weight row of the snapshot at t and the grid's
+        """n(t, y) at any finite y, from the weight row of the snapshot at t and the grid's
         profile, with _dilation_sum's edge rule: zero below and above the grid."""
+        if not math.isfinite(y):
+            raise DomainError(f"log-size must be finite, got {y}")
         return float(_dilation_sum(self.grid, self.weights, self.snapshot_index(t), np.asarray(y)))
 
 
@@ -411,8 +414,8 @@ def v_from_grid(traj: Trajectory, t: float, x: float) -> float:
     """v(t, x) = e^{-2y} n(t, y) at y = log x from a snapshotted time (Trajectory.n_at),
     exactly 0 above the grid.  A size below it raises DomainError: there _dilation_sum
     reads 0, a bound the leak monitor keeps, not a resolved value."""
-    if not x > 0.0:
-        raise DomainError(f"size must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"size must be positive and finite, got {x}")
     y = math.log(x)
     if y < traj.grid.y_min:
         raise DomainError(f"log-size {y:.3f} is below the grid (y_min = {traj.grid.y_min:.3f})")

@@ -1,5 +1,6 @@
 """Rescalings, line probes, period estimation, weak functionals, route comparison."""
 
+import ast
 import math
 import os
 import pathlib
@@ -14,6 +15,7 @@ import gflab
 
 from conftest import run_solver
 from gflab.analysis import (
+    ROUTES,
     Check,
     GridSource,
     LineProbe,
@@ -21,15 +23,30 @@ from gflab.analysis import (
     compare_methods,
     estimate_period,
     line_probe,
-    r_of,
+    route_u,
     weak_test,
 )
 from gflab.errors import DomainError, NumericsError
-from gflab.model import LogGaussian, LogHeaviside, ModelParams, moment, support_y
-from gflab.series import eval_n_series, eval_v, poisson_cutoff
+from gflab.model import Dirac, LogGaussian, LogHeaviside, ModelParams, moment, support_y
+from gflab.series import eval_n, eval_n_series, eval_v, poisson_cutoff
+from gflab.solver import v_from_grid
 
 LOG2 = math.log(2.0)
 GAUSS = LogGaussian(0.0, 0.1, 1.0)
+
+
+def r_of(source, t: float, y: float) -> float:
+    """Rescaled line value r(t, y) = t e^{2ty} v(t, e^{yt}) = t n(t, t y)."""
+    if not t > 0.0:
+        raise DomainError(f"rescaling needs t > 0, got {t}")
+    return t * source.n(t, t * y)
+
+
+def zoomed(phi, t: float, alpha: float = 2.0):
+    """phi of the gaussian zoom z = (y + log alpha) sqrt(t) / log alpha, as a function of y:
+    weak_test of it is int phi(z) rtilde(t, z) dz."""
+    la = math.log(alpha)
+    return lambda y: phi((y + la) * math.sqrt(t) / la)
 
 
 def r_tilde_of(source, t: float, z: float) -> float:
@@ -73,7 +90,7 @@ class TestRescalings:
         # int phi(z) rtilde(t, z) dz -> U0(2) int phi dG for a unit-width test
         gs = GridSource(traj_g01)
         phi = lambda z: math.exp(-0.5 * z * z)
-        got = weak_test(gs, phi, 60.0, rescaled=True)
+        got = weak_test(gs, zoomed(phi, 60.0), 60.0)
         limit = moment(GAUSS, 1.0) / math.sqrt(2.0)  # int e^{-z^2/2} dG = 1/sqrt(2)
         assert got == pytest.approx(limit, rel=1e-2)
 
@@ -160,11 +177,6 @@ class TestEstimatePeriod:
         assert abs(est.period - period) < 0.01  # one sample spacing
         assert est.n_cycles >= 3.0
 
-    def test_recovers_period_without_expectation(self):
-        probe = self.make_sine(1.7)
-        est = estimate_period(probe)
-        assert abs(est.period - 1.7) < 0.02
-
     def test_detrending_removes_slow_drift(self):
         probe = self.make_sine(1.0, drift=0.004)
         est = estimate_period(probe, expected_period=1.0)
@@ -225,28 +237,30 @@ class TestWeakFunctionals:
                 return math.exp(-1.0 / (1.0 - u * u))
             return 0.0
 
-        val = weak_test(ss, bump, 40.0, y_window=(1.0, 2.0))
+        val = weak_test(ss, bump, 40.0)
         assert abs(val) < 1e-6 * moment(GAUSS, 1.0)
 
     def test_grid_source_honours_a_window(self, traj_g01):
-        # the window clips each dilate of the grid's weight row, as for the series
+        # phi vanishes outside its window (1, 2), which no dilate of the grid's
+        # weight row reaches, so the functional reads 0 as for the series
         def bump(y):
             if 1.0 < y < 2.0:
                 u = 2.0 * (y - 1.0) - 1.0
                 return math.exp(-1.0 / (1.0 - u * u))
             return 0.0
 
-        val = weak_test(GridSource(traj_g01), bump, 40.0, y_window=(1.0, 2.0))
+        val = weak_test(GridSource(traj_g01), bump, 40.0)
         assert abs(val) < 1e-6 * moment(GAUSS, 1.0)
 
-    def test_window_must_contain_mass(self):
-        ss = SeriesSource(GAUSS, 2.0)
-        with pytest.raises(NumericsError, match="does not contain the mass"):
-            weak_test(ss, lambda y: 1.0, 2.0, y_window=(-0.75, -0.65))
+    @pytest.mark.parametrize("t", [0.0, math.inf, math.nan])
+    def test_needs_a_finite_positive_time(self, t):
+        with pytest.raises(DomainError, match="finite t > 0"):
+            weak_test(SeriesSource(GAUSS, 2.0), math.cos, t)
 
-    def test_grid_window_must_contain_mass(self, traj_g01):
-        with pytest.raises(NumericsError, match="does not contain the mass"):
-            weak_test(GridSource(traj_g01), lambda y: 1.0, 1.0, y_window=(-0.75, -0.65))
+    def test_dirac_data_is_refused(self):
+        # it has no density to integrate the weight row against; it read 0
+        with pytest.raises(DomainError, match="no pointwise density"):
+            weak_test(SeriesSource(Dirac(1.0), 2.0), math.cos, 1.0)
 
     def test_cos_functional_converges(self, traj_g01):
         gs = GridSource(traj_g01)
@@ -256,7 +270,7 @@ class TestWeakFunctionals:
         assert errs[1] < 0.02
 
 
-def quad_over_r(source, phi, t, rescaled):
+def quad_over_r(source, phi, t):
     """Oracle: scipy.quad over pointwise r_of, split where a series term
     crosses an edge of the initial support (r jumps there for heaviside data)."""
     from scipy.integrate import quad
@@ -266,8 +280,7 @@ def quad_over_r(source, phi, t, rescaled):
     edges = sorted({(e - k * LOG2) / t for k in range(k_top + 1) for e in (a, b)})
 
     def f(y):
-        arg = (y + LOG2) * math.sqrt(t) / LOG2 if rescaled else y
-        return phi(arg) * r_of(source, t, y)
+        return phi(y) * r_of(source, t, y)
 
     return math.fsum(quad(f, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
                      for lo, hi in zip(edges, edges[1:]))
@@ -280,8 +293,8 @@ class TestTermwiseWeakFunctional:
                              ids=["gaussian", "heaviside"])
     def test_matches_quadrature_over_r(self, profile, rescaled, t):
         ss = SeriesSource(profile, 2.0)
-        got = weak_test(ss, math.cos, t, rescaled=rescaled)
-        assert got == pytest.approx(quad_over_r(ss, math.cos, t, rescaled), rel=1e-9)
+        phi = zoomed(math.cos, t) if rescaled else math.cos
+        assert weak_test(ss, phi, t) == pytest.approx(quad_over_r(ss, phi, t), rel=1e-9)
 
     def test_matches_node_trapezoid(self):
         # n(10, .) is a sum of gaussians resolved by the node spacing, so the
@@ -296,9 +309,9 @@ class TestTermwiseWeakFunctional:
 
     def test_window_isolates_one_lattice_translate(self):
         # at t = 1 the k-th term of r lives on [-0.2 - k log 2, -k log 2]; the
-        # window edges sit in the gaps, so phi = 1 picks term k = 1 alone
+        # edges of phi's window sit in the gaps, so it picks term k = 1 alone
         ss = SeriesSource(LogHeaviside(-0.2, 0.0, 1.0), 2.0)
-        got = weak_test(ss, lambda y: 1.0, 1.0, y_window=(-1.0, -0.5))
+        got = weak_test(ss, lambda y: 1.0 if -1.0 < y < -0.5 else 0.0, 1.0)
         assert got == pytest.approx(0.2 * math.exp(-1.0), rel=1e-12)
 
     def test_jump_inside_the_mass_trips_the_node_guard(self):
@@ -316,10 +329,9 @@ class TestTermwiseWeakFunctional:
         traj = run_solver(profile, alpha, 60.0, 0.01, snapshots=[1.0, 10.0, 60.0], rays=())
         gs, ss = GridSource(traj), SeriesSource(profile, alpha)
         for t in (1.0, 10.0, 60.0):
-            for rescaled in (False, True):
-                err = abs(weak_test(gs, math.cos, t, rescaled=rescaled)
-                          - weak_test(ss, math.cos, t, rescaled=rescaled))
-                assert err <= 1e-9 * moment(profile, 1.0), (t, rescaled, err)
+            for phi in (math.cos, zoomed(math.cos, t, alpha)):
+                err = abs(weak_test(gs, phi, t) - weak_test(ss, phi, t))
+                assert err <= 1e-9 * moment(profile, 1.0), (t, phi, err)
 
     def test_series_weak_test_leaves_scipy_unloaded(self):
         code = ("import math, sys\n"
@@ -343,6 +355,29 @@ class TestCompareMethods:
         assert not tbl.flagged
         assert "within tolerance" in tbl.summary()
 
+    def test_compares_the_series_the_solver_and_the_contour(self, traj_g01):
+        # the contour joins for log-gaussian data only
+        heav = LogHeaviside(-1.0, 0.0, 1.0)
+        traj = run_solver(heav, 2.0, 1.0, 0.01, snapshots=[1.0], rays=[])
+        for profile, trj, pairs in ((GAUSS, traj_g01, {("series", "pde"), ("series", "mellin"),
+                                                       ("pde", "mellin")}),
+                                    (heav, traj, {("series", "pde")})):
+            tbl = compare_methods(profile, ModelParams(alpha=2.0), [1.0], [0.5], trj)
+            assert {(r.method_a, r.method_b) for r in tbl.rows} == pairs
+
+    def test_asymptotic_methods_and_domain_gaps(self):
+        # the asymptotic routes, reached by name: 0 < x < 1 is their domain
+        params = ModelParams(alpha=2.0)
+        x = 2.0**-20
+        exact = route_u("series", params, GAUSS, 20.0, x)
+        assert route_u("asymp-poisson", params, GAUSS, 20.0, x) == pytest.approx(exact, rel=0.01)
+        with pytest.raises(DomainError, match="0 < x < 1"):
+            route_u("asymp-poisson", params, GAUSS, 20.0, 1.5)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="unknown evaluation method"):
+            route_u("magic", ModelParams(alpha=2.0), GAUSS, 1.0, 0.5)
+
     def test_flags_violations(self, traj_g01):
         tbl = compare_methods(GAUSS, ModelParams(alpha=2.0), [5.0], [0.5], traj=traj_g01,
                               tol={frozenset({"series", "pde"}): 1e-16})
@@ -356,18 +391,6 @@ class TestCompareMethods:
         assert tols == {("series", "pde"): 1e-16, ("series", "mellin"): 1e-6,
                         ("pde", "mellin"): 2e-3}
         assert all(r.flagged == (r.rel_err > r.tol) for r in tbl.rows)
-
-    def test_asymptotic_methods_and_domain_gaps(self):
-        tbl = compare_methods(GAUSS, ModelParams(alpha=2.0), [20.0], [2.0**-20, 1.5],
-                              methods=["series", "asymp-poisson"])
-        ok = [r for r in tbl.rows if r.x < 1.0]
-        gap = [r for r in tbl.rows if r.x > 1.0]
-        assert ok[0].rel_err < 0.01
-        assert math.isnan(gap[0].rel_err) and not gap[0].flagged
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            compare_methods(GAUSS, ModelParams(alpha=2.0), [1.0], [0.5], methods=["magic"])
 
     def test_pde_cells_below_the_grid_are_nan(self):
         # the grid of `compare --t 1,5`, solved to t_end = 5: x = 1e-30 lies below it,
@@ -385,6 +408,38 @@ class TestCompareMethods:
         assert tbl.max_rel_err("series", "mellin") < 1e-6
         assert not tbl.refusals and not tbl.flagged
         assert "all cells within tolerance" in tbl.summary()
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("t, x", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf)],
+                             ids=["t=inf", "t=nan", "x=inf"])
+    @pytest.mark.parametrize("route", [*ROUTES, "pde", "eval_n", "n_at"])
+    def test_non_finite_input_is_a_domain_error(self, traj_g01, route, t, x):
+        # every route entry refuses it; none returns a value, overflows or warns
+        fns = {**ROUTES, "pde": lambda p, alpha, t, x: v_from_grid(traj_g01, t, x),
+               "eval_n": lambda p, alpha, t, x: eval_n(p, alpha, t, math.log(x)),
+               "n_at": lambda p, alpha, t, x: traj_g01.n_at(t, math.log(x))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                fns[route](GAUSS, 2.0, t, x)
+
+    @pytest.mark.parametrize("module", ["solver", "mellin", "series"])
+    def test_routes_import_only_errors_and_model(self, module):
+        # the routes stay independent: the solver and the contour never import
+        # the series, nor the series either of them
+        tree = ast.parse((pathlib.Path(gflab.__file__).parent / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gflab")):
+                if node.module in (None, "gflab"):
+                    imported |= {alias.name for alias in node.names}
+                else:
+                    imported.add(node.module.removeprefix("gflab."))
+            elif isinstance(node, ast.Import):
+                imported |= {a.name.removeprefix("gflab.") for a in node.names
+                             if a.name.startswith("gflab")}
+        assert imported == {"errors", "model"}
 
 
 class TestCheck:

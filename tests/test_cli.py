@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gflab
+from conftest import run_solver
 from gflab import analysis, cli, config, g17, series, solver, svg
 from gflab.analysis import LineProbe, estimate_period
 from gflab.cli import main
@@ -26,6 +27,7 @@ from gflab.errors import DomainError, QuadratureError
 from gflab.model import LogGaussian, LogHeaviside, ModelParams
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+DIRAC = "dirac x0=1 weight=1"
 
 CONFIG_TEXT = """\
 [model]
@@ -298,6 +300,16 @@ class TestRefusals:
         (["solve", "--profile", "logheaviside a=-1 b=0 height=0"], None, "must be positive"),
         (["solve", "--y-min", "5"], None, "empty grid domain"),
         (["solve"], "[grid\nm = 64\n", "malformed config"),
+        # dirac data: only the library's series.support_set takes it
+        (["evaluate", "--method", "series", "--t", "1", "--x", "0.5", "--profile", DIRAC], None,
+         "dirac initial data is measure-valued"),
+        (["evaluate", "--method", "mellin", "--t", "1", "--x", "0.5", "--profile", DIRAC], None,
+         "requires a log-gaussian profile, got Dirac"),
+        (["evaluate", "--method", "asymp-poisson", "--t", "1", "--x", "0.5", "--profile", DIRAC],
+         None, "dirac initial data has no pointwise density"),
+        (["solve", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
+        (["analyze", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
+        (["compare", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")]
@@ -539,10 +551,10 @@ class TestWriters:
         assert (out / "compare.csv").read_bytes() == oracle_csv(cmp_header, cmp_rows)
 
     def test_compare_table_with_nan_matches_row_oracle(self, tmp_path, capsys):
-        # x = 1.5 lies outside the asymptotic formulas' domain: NaN cells
+        # x = 1e-30 lies below the grid of a run to t = 1: NaN pde cells
+        traj = run_solver(LogGaussian(0.0, 0.1, 1.0), 2.0, 1.0, 0.01, snapshots=[1.0], rays=[])
         tbl = analysis.compare_methods(LogGaussian(0.0, 0.1, 1.0), ModelParams(alpha=2.0),
-                                       [20.0], [2.0**-20, 1.5],
-                                       methods=["series", "asymp-poisson"])
+                                       [1.0], [1e-30, 0.5], traj)
         cli._write_compare(tmp_path / "compare.csv", tbl)
         capsys.readouterr()
         rows = [(r.method_a, r.method_b, r.t, r.x, r.val_a, r.val_b, r.rel_err) for r in tbl.rows]
