@@ -135,6 +135,13 @@ def _moving_mean(values: np.ndarray, w: int) -> np.ndarray:
     return np.convolve(values, kernel, mode="valid")
 
 
+def _autocorrelation(d: np.ndarray, lags: int) -> np.ndarray:
+    """The first `lags` lags of np.correlate(d, d, "full")[d.size - 1:], bit
+    for bit (both sum each lag by one dot product), at O(lags N) cost instead
+    of O(N^2)."""
+    return np.array([np.dot(d[k:], d[:d.size - k]) for k in range(lags)])
+
+
 def estimate_period(probe: LineProbe, expected_period: float,
                     amp_threshold: float = 1e-3) -> PeriodEstimate:
     """Detrend a probe, autocorrelate, and return the peak lag near the expected period.
@@ -173,13 +180,12 @@ def estimate_period(probe: LineProbe, expected_period: float,
                               amplitude=amplitude, oscillating=False)
 
     d = detrended - detrended.mean()
-    ac = np.correlate(d, d, mode="full")[d.size - 1:]
+    lo = max(2, int(0.6 * expected_period / dt))
+    hi = min(d.size - 2, int(1.5 * expected_period / dt))
+    ac = _autocorrelation(d, hi + 2)    # the lags read below: 0 .. hi + 1
     if ac[0] <= 0.0:
         raise NumericsError("degenerate autocorrelation")
     ac = ac / ac[0]
-
-    lo = max(2, int(0.6 * expected_period / dt))
-    hi = min(ac.size - 2, int(1.5 * expected_period / dt))
     if hi <= lo:
         raise DomainError("window too short for the expected period")
     k = lo + int(np.argmax(ac[lo:hi + 1]))

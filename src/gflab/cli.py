@@ -15,6 +15,17 @@ exact because the text is a function of the bits; on piecewise constant data
 the solver's nodes between two breakpoints are such runs.  CSV tables are
 streamed to the file as bytes, a bounded number of rows (_ROWS) at a time, so
 no whole-file text (and no whole-block text but a cell per run) is held.
+
+A snapshot table renders its y column once, as texts shared by all its blocks.
+Each block is laid out in one of two ways, chosen from its own run count (rows
+over which n and sqrt_t_n keep their bits, cut every _ROWS rows): with at most
+one run per two rows (piecewise constant data, about 300 runs in 9,806 rows)
+each run is one bytes.join of its y texts, joined by the run's own tail
+",n,sqrt_t_n\n" and the next row's head "t,"; otherwise (smooth data, a run
+per row) the block's cells are laid side by side, _ROWS rows at a time.  Both
+give the same bytes.  On the dense heaviside table (30 blocks, 294,180 rows,
+20 MB) the joined layout takes the write from a median 105 to 54 ms of CPU
+time (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -50,25 +61,39 @@ _FIGURES = {
 _ROWS = 2048    # rows of a table laid out as cells at a time
 
 
+class _Texts:
+    """A column rendered once for every block that shares it (the y nodes of
+    a snapshot table): as narrowed cells, for blocks laid out as cells, and
+    as byte strings without separators, for blocks joined run by run."""
+
+    def __init__(self, x: np.ndarray):
+        self.cells = _narrow(_column(x)(0, x.size))
+
+    @functools.cached_property
+    def texts(self) -> list[bytes]:
+        return self.cells.tobytes().translate(None, b"\0").split(b",")[:-1]
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+
 def _column(col):
     """The cells of one column of a block: a function of (lo, hi) that gives
     rows lo:hi as fixed-width cells, each ending in a separator column.
 
     NUL bytes are padding.  A float stands for a column of one value, and a
-    2-d uint8 array is a column already rendered as cells; one with a single
-    row repeats on every row.  A float column is rendered by the g17 kernel
-    as "%.17g" would: chunk by chunk if no two neighbours have equal bits,
-    else once per run, _ROWS heads at a time, in g17.TEXT columns (one width
-    for every chunk, so the allocator reuses their memory; bits, not ==, keep
-    -0.0 apart from 0.0).  Any other column (text without NUL characters,
-    ints, bools) is rendered by str, right-aligned like the rest.
+    _Texts for a column rendered already.  A float column is rendered by the
+    g17 kernel as "%.17g" would: chunk by chunk if no two neighbours have
+    equal bits, else once per run, _ROWS heads at a time, in g17.TEXT columns
+    (one width for every chunk, so the allocator reuses their memory; bits,
+    not ==, keep -0.0 apart from 0.0).  Any other column (text without NUL
+    characters, ints, bools) is rendered by str, right-aligned like the rest.
     """
     if isinstance(col, float):
-        col = _narrow(g17.cells(np.array([col])))
-    if isinstance(col, np.ndarray) and col.ndim == 2:
-        if len(col) == 1:
-            return lambda lo, hi: np.broadcast_to(col, (hi - lo, col.shape[1]))
-        return lambda lo, hi: col[lo:hi]
+        cell = _narrow(g17.cells(np.array([col])))
+        return lambda lo, hi: np.broadcast_to(cell, (hi - lo, cell.shape[1]))
+    if isinstance(col, _Texts):
+        return lambda lo, hi: col.cells[lo:hi]
     if not isinstance(col[0], float):
         values = col.tolist() if isinstance(col, np.ndarray) else col
         return lambda lo, hi: g17.text_cells([str(v).encode() + b"," for v in values[lo:hi]])
@@ -94,13 +119,75 @@ def _narrow(cells: np.ndarray, width: int | None = None) -> np.ndarray:
     return narrow
 
 
+def _run_starts(block, n_rows: int) -> np.ndarray | None:
+    """The first row of each run of a block to be joined run by run, or None
+    for a block to be laid out as cells.
+
+    A block is joined when one column is a _Texts, the others are floats and
+    float arrays, at least one of them, and its rows fall into at most
+    n_rows / 2 runs: rows over which no float array changes its bits, cut
+    every _ROWS rows.
+    """
+    texts = sum(isinstance(col, _Texts) for col in block)
+    floats = sum(isinstance(col, float) for col in block)
+    arrays = [col for col in block if isinstance(col, np.ndarray) and col.dtype == np.float64]
+    if texts != 1 or len(block) == 1 or texts + floats + len(arrays) != len(block):
+        return None
+    new = np.zeros(n_rows, dtype=bool)
+    new[::_ROWS] = True
+    for x in arrays:
+        bits = x.view(np.int64)
+        new[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(new)
+    return starts if starts.size <= n_rows / 2 else None
+
+
+def _lines(cells: np.ndarray) -> list[bytes | None]:
+    """Rows of cells (rows x columns x g17.WIDTH) as byte strings without
+    their last separator; None for no columns."""
+    if not cells.shape[1]:
+        return [None] * len(cells)
+    chars = cells.reshape(len(cells), -1)
+    chars[:, -1] = ord("\n")
+    return chars.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+
+
+def _write_joined(out, block, starts: np.ndarray) -> None:
+    """Write a block run by run: a run's texts of the _Texts column joined by
+    the run's tail (the cells after that column and the newline) and head
+    (the cells before it).  Heads and tails are rendered by one g17.cells
+    call per _ROWS values, and the text is written about every _ROWS rows."""
+    j = next(i for i, col in enumerate(block) if isinstance(col, _Texts))
+    texts = block[j].texts
+    others = block[:j] + block[j + 1:]
+    ends = [*starts[1:].tolist(), len(texts)]
+    step = _ROWS // len(others)
+    pieces, rows = [], 0
+    for lo in range(0, starts.size, step):
+        heads = starts[lo:lo + step]
+        values = np.stack([np.full(heads.size, col) if isinstance(col, float) else col[heads]
+                           for col in others], axis=1)
+        cells = g17.cells(values.ravel()).reshape(heads.size, len(others), g17.WIDTH)
+        for a, b, pre, post in zip(heads.tolist(), ends[lo:lo + step],
+                                   _lines(cells[:, :j]), _lines(cells[:, j:])):
+            head = b"" if pre is None else pre + b","
+            tail = b"\n" if post is None else b"," + post + b"\n"
+            pieces += head, (tail + head).join(texts[a:b]), tail
+            rows += b - a
+            if rows >= _ROWS:
+                out.write(b"".join(pieces))
+                pieces, rows = [], 0
+    out.write(b"".join(pieces))
+
+
 def _write_csv(path: Path | None, header: list[str], blocks) -> None:
     """Write a CSV table to path (stdout when None), streaming _ROWS rows at a time.
 
     A block is a list of equal-length columns; a float in place of a column
-    is rendered once and repeats on every row of the block.  The cells of
-    each _ROWS rows are laid side by side, their NUL padding dropped, and the
-    bytes written (see _column for how a value is written).
+    is rendered once and repeats on every row of the block.  A block whose
+    rows fall into runs is joined run by run (see _run_starts).  Otherwise
+    the cells of each _ROWS rows are laid side by side, their NUL padding
+    dropped, and the bytes written (see _column for how a value is written).
     """
     if path is None:
         sys.stdout.flush()      # text printed before goes first
@@ -110,6 +197,10 @@ def _write_csv(path: Path | None, header: list[str], blocks) -> None:
         out.write((",".join(header) + "\n").encode())
         for block in blocks:
             n_rows = max((len(col) for col in block if not isinstance(col, float)), default=0)
+            starts = _run_starts(block, n_rows)
+            if starts is not None:
+                _write_joined(out, block, starts)
+                continue
             columns = [_column(col) for col in block] if n_rows else []
             for lo in range(0, n_rows, _ROWS):
                 hi = min(lo + _ROWS, n_rows)
@@ -132,8 +223,8 @@ def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str) -> None:
     and <stem>.svg with the rescaled profiles sqrt(t) n(t, y)."""
     ys = traj.grid.y_nodes()
     times = traj.times.tolist()
-    y_cells = _narrow(_column(ys)(0, ys.size))   # one column of text shared by every block
-    blocks = ([t, y_cells, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
+    y_texts = _Texts(ys)        # the y column, rendered once for every block
+    blocks = ([t, y_texts, snap, math.sqrt(t) * snap] for t, snap in zip(times, traj.snapshots))
     _write_csv(out_dir / f"{stem}.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
     keep = slice(None, None, max(1, ys.size // 2000))
     curves = [(f"t={t:g}", ys[keep], math.sqrt(t) * snap[keep])
@@ -145,6 +236,14 @@ def _write_snapshots(traj: solver.Trajectory, out_dir: Path, stem: str) -> None:
 def _write_compare(path: Path, tbl: analysis.MethodComparison) -> None:
     header = ["method_a", "method_b", "t", "x", "val_a", "val_b", "rel_err"]
     _write_csv(path, header, [[[getattr(r, name) for r in tbl.rows] for name in header]])
+
+
+def _refuse_flags(args, reason: str, *keys: str) -> None:
+    """Refuse the flags of config keys that a command sets itself; a --config
+    file, which other commands may share, can still hold them."""
+    for key in keys:
+        if getattr(args, key) is not None:
+            raise DomainError(f"--{_flag_name(key)} is not read: {reason}")
 
 
 def _load_config(args) -> config.RunConfig:
@@ -213,6 +312,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    _refuse_flags(args, "each figure sets its own profile", "profile")
     cfg = _load_config(args)
     fig_id = args.id
     if fig_id not in _FIGURES:
@@ -260,6 +360,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _refuse_flags(args, "compare solves to the largest --t and snapshots every --t",
+                  "t_end", "snapshots")
     cfg = _load_config(args)
     ts = (1.0, 5.0) if args.t is None else _flag_floats("t", args.t)
     if min(ts) < 0.0:
@@ -285,11 +387,15 @@ _HELP = {"profile": 'e.g. "loggaussian mu=0 sigma=0.1 mass=1"', "m": "grid cells
          "t_min": "start of the probe analysis window"}
 
 
+def _flag_name(key: str) -> str:
+    return _FLAG_NAMES.get(key, key.replace("_", "-"))
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     """--config and one flag per config key; --probe-y repeats."""
     sp.add_argument("--config", help="config file; flags override its values")
     for _, key, *_ in config.FIELDS:
-        name = _FLAG_NAMES.get(key, key.replace("_", "-"))
+        name = _flag_name(key)
         sp.add_argument(f"--{name}", dest=key, metavar=name.replace("-", "_").upper(),
                         action="append" if key == "rays" else "store", help=_HELP.get(key))
 

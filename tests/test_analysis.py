@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gflab
+from gflab import analysis
 
 from conftest import run_solver
 from gflab.analysis import (
@@ -212,6 +213,28 @@ class TestEstimatePeriod:
             est = estimate_period(probe, expected_period=expected)
             assert est.oscillating
             assert abs(est.period - expected) / expected < 0.02
+
+    @pytest.mark.parametrize("n", [16, 4000, 22001])
+    def test_lag_limited_autocorrelation_is_the_full_correlate(self, n):
+        # the oracle: every lag of the O(N^2) full correlate, compared bit for bit
+        d = np.random.default_rng(n).standard_normal(n) * 1e-3
+        d -= d.mean()
+        lags = min(n, 400)
+        full = np.correlate(d, d, mode="full")[n - 1:][:lags]
+        got = analysis._autocorrelation(d, lags)
+        assert got.view(np.int64).tolist() == full.view(np.int64).tolist()
+
+    def test_real_probe_estimate_is_the_full_correlates(self, traj_g01, monkeypatch):
+        # on the three default rays over [20, 100]: the same bits as with the
+        # full correlate in place of the lag-limited one
+        probes = [line_probe(GridSource(traj_g01), y, t_min=20.0, t_max=100.0)
+                  for y in (-2 * LOG2, -LOG2, -0.5 * LOG2)]
+        got = [estimate_period(p, expected_period=e) for p, e in zip(probes, (0.5, 1.0, 2.0))]
+        monkeypatch.setattr(analysis, "_autocorrelation",
+                            lambda d, lags: np.correlate(d, d, mode="full")[d.size - 1:][:lags])
+        want = [estimate_period(p, expected_period=e) for p, e in zip(probes, (0.5, 1.0, 2.0))]
+        assert all(g.oscillating for g in got)
+        assert got == want
 
     def test_asymptotic_periodicity_of_line_values(self, traj_g01):
         # f_y(t + T_y) drifts from f_y(t) only through the algebraic

@@ -319,6 +319,25 @@ class TestRefusals:
         assert main(args + extra) == 2
         assert names in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, flag", [
+        (["figures", "--id", "1", "--profile", DIRAC], "--profile"),
+        (["compare", "--t-end", "3"], "--t-end"),
+        (["compare", "--snapshots", "2"], "--snapshots"),
+    ])
+    def test_flags_a_command_sets_itself_are_refused(self, args, flag, tmp_path, capsys):
+        # the command would overwrite the flag's value; from a shared config
+        # file the same key is accepted (and overwritten)
+        assert main(args + ["--t-end", "2"] * (args[0] == "figures")
+                    + ["--out-dir", str(tmp_path / "o")]) == 2
+        assert f"error: {flag} is not read: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        key = {"--profile": "[model]\nprofile", "--t-end": "[time]\nt_end",
+               "--snapshots": "[time]\nsnapshots"}[flag]
+        (tmp_path / "run.cfg").write_text(f"{key} = {args[-1]}\n")
+        assert main(args[:-2] + ["--t-end", "2"] * (args[0] == "figures")
+                    + ["--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
     def test_grid_past_the_node_limit(self, tmp_path, capsys, monkeypatch):
         # the limit lowered, so that no run of this test can ask for the 3e9 nodes
         monkeypatch.setattr(solver, "_MAX_NODES", 10**5)
@@ -457,9 +476,12 @@ class TestSolve:
         (["figures", "--id", "2"], "0.37"),     # a profile figure, no tracks at all
     ])
     def test_leak_exits_3_whatever_the_command_tracks(self, command, trip, tmp_path, capsys):
-        # the run above: every command that solves trips the same monitor
-        code = main(command + ["--profile", "logheaviside a=-0.2 b=0 height=1", "--y-min", "-8",
-                               "--t-end", "20", "--snapshots", "20",
+        # the run above: every command that solves trips the same monitor; the
+        # settings come from a config file, which a command that sets some of
+        # them itself (figures the profile, compare the horizon) still accepts
+        (tmp_path / "run.cfg").write_text("[model]\nprofile = logheaviside a=-0.2 b=0 height=1\n"
+                                          "[grid]\ny_min = -8\n[time]\nt_end = 20\nsnapshots = 20\n")
+        code = main(command + ["--config", str(tmp_path / "run.cfg"),
                                "--out-dir", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
@@ -626,6 +648,79 @@ class TestWriters:
         text = (tmp_path / "big.csv").read_bytes().split(b"\n")
         assert (b"\n".join(text[:10_001] + text[-10_001:])
                 == oracle_csv(["t", "y", "n", "sqrt_t_n"], rows))
+        # the same table shaped like heaviside data: about 300 runs of n per
+        # block, the y texts shared by every block, so each block is joined
+        # run by run (the y texts rendered within the bound too)
+        lengths = rng.multinomial(10_000 - 300, np.full(300, 1 / 300)) + 1
+        y_texts = cli._Texts(ys)
+        for k, block in enumerate(blocks):
+            block[1] = y_texts
+            block[2] = np.repeat(rng.random(300) ** 40, lengths)
+            block[3] = math.sqrt(0.5 * (k + 1)) * block[2]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "runs.csv", ["t", "y", "n", "sqrt_t_n"], blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 2e6, peak
+        rows = [(b[0], float(y), float(n), float(s)) for b in blocks[::29]
+                for y, n, s in zip(ys, *b[2:])]
+        text = (tmp_path / "runs.csv").read_bytes().split(b"\n")
+        assert (b"\n".join(text[:10_001] + text[-10_001:])
+                == oracle_csv(["t", "y", "n", "sqrt_t_n"], rows))
+
+    def test_joined_blocks_match_row_oracle(self, tmp_path, capsys, monkeypatch):
+        # blocks whose rows fall into runs are joined run by run, the others
+        # laid out as cells, in one table: runs across the _ROWS cuts, a run
+        # over a whole block, runs of length 1, -0.0 next to 0.0, runs of
+        # subnormals and zeros ("%.17g" per value), a run ending on the last
+        # row, a one-row block and a block at t = 0
+        rng = np.random.default_rng(7)
+        n = 3 * cli._ROWS + 5
+        ys = np.linspace(-30.0, 2.0, n)
+        pool = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.1, 1.0 / 3.0, 0.75, 1e300]
+        runs = []
+        while sum(map(len, runs)) < n:
+            runs.append([pool[rng.integers(len(pool))]] * int(rng.choice([1, 1, 2, 40, 300])))
+        steps = np.concatenate(runs)[:n]
+        steps[2040:2056] = 0.25                     # across the first _ROWS cut
+        steps[-3:] = 5e-324                         # a run ending on the last row
+        signed = np.repeat(np.resize([0.0, -0.0, 5e-324, 0.0], 200), n // 200 + 1)[:n]
+        y_texts, y_one = cli._Texts(ys), cli._Texts(ys[:1])
+        columns = [(0.0, y_texts, steps), (1.5, y_texts, np.full(n, 0.25)),
+                   (2.0, y_texts, rng.random(n)), (4.0, y_one, np.array([0.5])),
+                   (3.0, y_texts, signed), (6.0, y_texts, steps[::-1].copy())]
+        blocks = [[t, y, col, math.sqrt(t) * col] for t, y, col in columns]
+        joined, write_joined = [], cli._write_joined
+        monkeypatch.setattr(cli, "_write_joined",
+                            lambda out, block, starts: joined.append(block[0])
+                            or write_joined(out, block, starts))
+        header = ["t", "y", "n", "sqrt_t_n"]
+        cli._write_csv(tmp_path / "mixed.csv", header, blocks)
+        capsys.readouterr()
+        assert joined == [0.0, 1.5, 3.0, 6.0]       # not the smooth or the one-row block
+        rows = [(t, float(y), float(v), math.sqrt(t) * float(v)) for t, y_col, col in columns
+                for y, v in zip(ys if y_col is y_texts else ys[:1], col)]
+        assert (tmp_path / "mixed.csv").read_bytes() == oracle_csv(header, rows)
+
+    @pytest.mark.parametrize("profile, joined", [
+        ("logheaviside a=-1 b=0 height=1", [0.0, 0.5, 1.0, 2.0]),
+        # the initial gaussian underflows to 0 on most nodes, then no two are equal
+        ("loggaussian mu=0 sigma=0.1 mass=1", [0.0])])
+    def test_heaviside_snapshots_take_the_joined_layout(self, profile, joined, tmp_path, capsys,
+                                                        monkeypatch):
+        # piecewise constant data gives each snapshot block runs, smooth data
+        # none; the diagnostics table has no shared text column
+        blocks, write_joined = [], cli._write_joined
+        monkeypatch.setattr(cli, "_write_joined",
+                            lambda out, block, starts: blocks.append(block[0])
+                            or write_joined(out, block, starts))
+        assert main(["solve", "--profile", profile, "--t-end", "2", "--snapshots", "0,0.5,1,2",
+                     "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert blocks == joined
 
     def test_runs_are_rendered_once_per_column(self, tmp_path, capsys, monkeypatch):
         # a column of three _ROWS chunks with at most _ROWS runs takes one
@@ -1183,13 +1278,16 @@ def cli_argv(draw):
     """A command line with a small horizon and grid; solve and figures write
     both csv and svg."""
     command = draw(st.sampled_from(["solve", "figures", "analyze", "compare"]))
-    argv = [command, "--profile", draw(_PROFILES),
-            "--alpha", repr(draw(st.floats(1.2, 4.0))),
+    argv = [command, "--alpha", repr(draw(st.floats(1.2, 4.0))),
             "--m", str(draw(st.sampled_from([1, 2, 4, 8]))),
-            "--t-end", repr(draw(st.floats(0.0, 2.5))),
             "--dt", repr(draw(st.floats(1e-3, 0.7))),
             "--record-every", str(draw(st.integers(1, 5)))]
-    if draw(st.booleans()):
+    # only the flags the command reads: figures sets the profile, compare the horizon
+    if command != "figures":
+        argv += ["--profile", draw(_PROFILES)]
+    if command != "compare":
+        argv += ["--t-end", repr(draw(st.floats(0.0, 2.5)))]
+    if command != "compare" and draw(st.booleans()):
         times = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4))
         argv += ["--snapshots", ",".join(map(repr, times))]
     if draw(st.booleans()):
