@@ -238,18 +238,12 @@ def _write_compare(path: Path, tbl: analysis.MethodComparison) -> None:
     _write_csv(path, header, [[[getattr(r, name) for r in tbl.rows] for name in header]])
 
 
-def _refuse_flags(args, reason: str, *keys: str) -> None:
-    """Refuse the flags of config keys that a command sets itself; a --config
-    file, which other commands may share, can still hold them."""
-    for key in keys:
-        if getattr(args, key) is not None:
-            raise DomainError(f"--{_flag_name(key)} is not read: {reason}")
-
-
 def _load_config(args) -> config.RunConfig:
+    """The --config file (any key of any section, since commands share files)
+    with the flags of the keys the command reads set over it."""
     cfg = config.load(args.config) if args.config else config.RunConfig()
     texts = {}
-    for _, key, *_ in config.FIELDS:
+    for key in _READS[args.command]:
         flag = getattr(args, key)
         if flag is not None:
             texts[key] = ",".join(flag) if isinstance(flag, list) else flag  # --probe-y repeats
@@ -312,7 +306,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    _refuse_flags(args, "each figure sets its own profile", "profile")
     cfg = _load_config(args)
     fig_id = args.id
     if fig_id not in _FIGURES:
@@ -360,8 +353,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _refuse_flags(args, "compare solves to the largest --t and snapshots every --t",
-                  "t_end", "snapshots")
     cfg = _load_config(args)
     ts = (1.0, 5.0) if args.t is None else _flag_floats("t", args.t)
     if min(ts) < 0.0:
@@ -380,6 +371,21 @@ def cmd_compare(args) -> int:
 # --- argument parsing -----------------------------------------------------
 
 
+# the config keys each command reads, in config.FIELDS order: those a valid
+# value of which can change an output file, a report line or the exit code
+# (figures: the union over its ids).  figures sets each figure's profile, and
+# compare solves to its largest --t with a snapshot at each.  Any other config
+# flag is a usage error; a --config file, which commands share, may hold any key.
+_MODEL = ("alpha", "b", "g", "profile")
+_READS = {
+    "evaluate": _MODEL,
+    "solve": (*_MODEL, "m", "y_min", "y_max", "t_end", "dt", "snapshots", "record_every",
+              "rays", "directory"),
+    "figures": ("alpha", "b", "g", "m", "y_min", "y_max", "t_end", "dt", "snapshots",
+                "record_every", "rays", "directory"),
+    "analyze": tuple(key for _, key, *_ in config.FIELDS),
+    "compare": (*_MODEL, "m", "y_min", "y_max", "dt", "rays", "directory"),
+}
 # flags named otherwise than --key-name, and the help of those that have one
 _FLAG_NAMES = {"rays": "probe-y", "directory": "out-dir"}
 _HELP = {"profile": 'e.g. "loggaussian mu=0 sigma=0.1 mass=1"', "m": "grid cells per log(alpha)",
@@ -387,48 +393,41 @@ _HELP = {"profile": 'e.g. "loggaussian mu=0 sigma=0.1 mass=1"', "m": "grid cells
          "t_min": "start of the probe analysis window"}
 
 
-def _flag_name(key: str) -> str:
-    return _FLAG_NAMES.get(key, key.replace("_", "-"))
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    """--config and one flag per config key; --probe-y repeats."""
-    sp.add_argument("--config", help="config file; flags override its values")
-    for _, key, *_ in config.FIELDS:
-        name = _flag_name(key)
-        sp.add_argument(f"--{name}", dest=key, metavar=name.replace("-", "_").upper(),
-                        action="append" if key == "rays" else "store", help=_HELP.get(key))
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gflab",
+    # no abbreviations: a prefix such as --t would pick a flag without a word
+    ap = argparse.ArgumentParser(prog="gflab", allow_abbrev=False,
                                  description="growth-fragmentation equation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
-    add = functools.partial(sub.add_parser, parents=[common])   # the shared flags, made once
 
-    sp = add("evaluate", help="evaluate u(t, x) by one route, emit CSV")
+    def add(command: str, func, summary: str) -> argparse.ArgumentParser:
+        """A command's parser: --config, then a flag per config key it reads
+        (--probe-y repeats)."""
+        sp = sub.add_parser(command, help=summary, allow_abbrev=False)
+        sp.set_defaults(func=func)
+        sp.add_argument("--config", help="config file; flags override its values")
+        for key in _READS[command]:
+            name = _FLAG_NAMES.get(key, key.replace("_", "-"))
+            sp.add_argument(f"--{name}", dest=key, metavar=name.replace("-", "_").upper(),
+                            action="append" if key == "rays" else "store", help=_HELP.get(key))
+        return sp
+
+    sp = add("evaluate", cmd_evaluate, "evaluate u(t, x) by one route, emit CSV")
     sp.add_argument("--method", required=True, choices=list(analysis.ROUTES))
     sp.add_argument("--t", required=True, help="comma-separated times")
     sp.add_argument("--x", required=True, help="comma-separated sizes")
     sp.add_argument("--out", help="CSV path (default: stdout)")
-    sp.set_defaults(func=cmd_evaluate)
 
-    sp = add("solve", help="run the log-grid solver, write snapshots and diagnostics")
-    sp.set_defaults(func=cmd_solve)
+    add("solve", cmd_solve, "run the log-grid solver, write snapshots and diagnostics")
 
-    sp = add("figures", help="reproduce a figure analog as CSV plus SVG")
+    sp = add("figures", cmd_figures, "reproduce a figure analog as CSV plus SVG")
     sp.add_argument("--id", required=True, help=f"one of {sorted(_FIGURES, key=int)}")
-    sp.set_defaults(func=cmd_figures)
 
-    sp = add("analyze", help="period, weak-limit and cross-route checks; nonzero exit on violation")
-    sp.set_defaults(func=cmd_analyze)
+    add("analyze", cmd_analyze,
+        "period, weak-limit and cross-route checks; nonzero exit on violation")
 
-    sp = add("compare", help="cross-route value table at chosen (t, x) points")
+    sp = add("compare", cmd_compare, "cross-route value table at chosen (t, x) points")
     sp.add_argument("--t", help="comma-separated times")
     sp.add_argument("--x", help="comma-separated sizes")
-    sp.set_defaults(func=cmd_compare)
     return ap
 
 

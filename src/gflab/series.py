@@ -131,7 +131,8 @@ def _series_sum(density: Callable, p: InitialProfile, lam: float, start: float,
 
 def _check_density_time(p: InitialProfile, t: float) -> None:
     if isinstance(p, Dirac):
-        raise DomainError("dirac initial data is measure-valued; use support_set instead")
+        raise DomainError("dirac initial data is measure-valued: it has no value at a point; "
+                          "give a loggaussian or logheaviside profile")
     if not 0.0 <= t < math.inf:
         raise DomainError(f"time must be nonnegative and finite, got {t}")
 

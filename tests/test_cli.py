@@ -91,6 +91,19 @@ amp_threshold = 0.001
 t_min = 20.0
 """
 
+# the config keys each command reads, in config.FIELDS order, and their flags
+READS = {
+    "evaluate": ["alpha", "b", "g", "profile"],
+    "solve": ["alpha", "b", "g", "profile", "m", "y_min", "y_max", "t_end", "dt", "snapshots",
+              "record_every", "rays", "directory"],
+    "figures": ["alpha", "b", "g", "m", "y_min", "y_max", "t_end", "dt", "snapshots",
+                "record_every", "rays", "directory"],
+    "analyze": [key for _, key, *_ in config.FIELDS],
+    "compare": ["alpha", "b", "g", "profile", "m", "y_min", "y_max", "dt", "rays", "directory"],
+}
+FLAGS = {key: {"rays": "--probe-y", "directory": "--out-dir"}.get(key, "--" + key.replace("_", "-"))
+         for _, key, *_ in config.FIELDS}
+
 CONFIG_DUMPS = DEFAULT_DUMPS.replace(
     "t_end = 60.0\ndt = 0.01\n",
     "t_end = 30.0\ndt = 0.01\nsnapshots = 1.0, 5.0, 10.0, 30.0\n").replace(
@@ -272,7 +285,7 @@ class TestRefusals:
         (["solve", "--y-min", "nan"], None, "y_min"),
         (["solve", "--g", "nan"], None, "g must be finite"),
         (["solve", "--probe-y=-inf"], None, "rays"),
-        (["solve", "--t-min", "nan"], None, "t_min"),
+        (["analyze", "--t-min", "nan"], None, "t_min"),
         (["evaluate", "--method", "series", "--t", "abc", "--x", "1"], None, "--t"),
         (["evaluate", "--method", "series", "--t", "nan", "--x", "1"], None, "--t"),
         (["evaluate", "--method", "series", "--t", "1", "--x", "inf"], None, "--x"),
@@ -312,7 +325,7 @@ class TestRefusals:
         (["compare", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
-        extra = ["--out-dir", str(tmp_path / "o")]
+        extra = ["--out-dir", str(tmp_path / "o")] if "directory" in READS[args[0]] else []
         if config_text is not None:
             (tmp_path / "run.cfg").write_text(config_text)
             extra += ["--config", str(tmp_path / "run.cfg")]
@@ -325,11 +338,13 @@ class TestRefusals:
         (["compare", "--snapshots", "2"], "--snapshots"),
     ])
     def test_flags_a_command_sets_itself_are_refused(self, args, flag, tmp_path, capsys):
-        # the command would overwrite the flag's value; from a shared config
-        # file the same key is accepted (and overwritten)
-        assert main(args + ["--t-end", "2"] * (args[0] == "figures")
-                    + ["--out-dir", str(tmp_path / "o")]) == 2
-        assert f"error: {flag} is not read: " in capsys.readouterr().err
+        # the command would overwrite the flag's value, so it has no such flag;
+        # from a shared config file the same key is accepted (and overwritten)
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--t-end", "2"] * (args[0] == "figures")
+                 + ["--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
         key = {"--profile": "[model]\nprofile", "--t-end": "[time]\nt_end",
                "--snapshots": "[time]\nsnapshots"}[flag]
@@ -382,14 +397,13 @@ class TestConfigMerging:
             "period_tol": "0.05", "mass_tol": "1e-05", "weak_tol": "0.03", "pde_tol": "1e-06",
             "mellin_tol": "1e-05", "asymp_tol": "0.2", "amp_threshold": "0.01", "t_min": "10.0",
         }
-        assert list(texts) == [key for _, key, *_ in config.FIELDS]
-        renamed = {"rays": "--probe-y", "directory": "--out-dir"}
+        assert list(texts) == READS["analyze"]
         parser = cli.build_parser()
         for section, key, *_ in config.FIELDS:
-            flag = renamed.get(key, "--" + key.replace("_", "-"))
             from_file = config.loads(f"[{section}]\n{key} = {texts[key]}\n")
             assert from_file != config.RunConfig(), key
-            args = parser.parse_args(["solve", f"{flag}={texts[key]}"])
+            # analyze reads every key
+            args = parser.parse_args(["analyze", f"{FLAGS[key]}={texts[key]}"])
             assert cli._load_config(args) == from_file, key
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
@@ -401,7 +415,7 @@ class TestConfigMerging:
 
 
 class TestParser:
-    """The shared flags are defined once and handed to every subcommand."""
+    """Each subcommand takes --config, a flag per config key it reads, then its own flags."""
 
     OWN = {"evaluate": ["--method", "--t", "--x", "--out"], "solve": [], "figures": ["--id"],
            "analyze": [], "compare": ["--t", "--x"]}
@@ -416,32 +430,109 @@ class TestParser:
 
     @pytest.mark.parametrize("command", list(OWN))
     def test_help_lists_config_then_fields_then_own_flags(self, command, capsys):
-        renamed = {"rays": "--probe-y", "directory": "--out-dir"}
-        fields = [renamed.get(key, "--" + key.replace("_", "-")) for _, key, *_ in config.FIELDS]
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
-        assert flags == ["--config", *fields, *self.OWN[command]]
+        assert flags == ["--config", *(FLAGS[key] for key in READS[command]), *self.OWN[command]]
 
     @pytest.mark.parametrize("argv, command, given", [
         (["analyze"], "analyze", {}),
-        (["evaluate", "--method", "series", "--t", "1", "--x", "0.5",
-          "--probe-y", "-1", "--probe-y=-0.5"], "evaluate",
-         {"method": "series", "t": "1", "x": "0.5", "out": None, "rays": ["-1", "-0.5"]}),
-        (["solve", "--config", "x.cfg", "--m", "32"], "solve", {"config": "x.cfg", "m": "32"}),
-        (["compare", "--probe-y", "-2", "--t-end", "5", "--out-dir", "o", "--t", "1"], "compare",
-         {"rays": ["-2"], "t_end": "5", "directory": "o", "t": "1", "x": None}),
+        (["evaluate", "--method", "series", "--t", "1", "--x", "0.5", "--b", "2"], "evaluate",
+         {"method": "series", "t": "1", "x": "0.5", "out": None, "b": "2"}),
+        (["solve", "--config", "x.cfg", "--m", "32", "--probe-y", "-1", "--probe-y=-0.5"], "solve",
+         {"config": "x.cfg", "m": "32", "rays": ["-1", "-0.5"]}),
+        (["compare", "--probe-y", "-2", "--dt", "0.02", "--out-dir", "o", "--t", "1"], "compare",
+         {"rays": ["-2"], "dt": "0.02", "directory": "o", "t": "1", "x": None}),
         (["figures", "--id", "3", "--alpha", "3"], "figures", {"id": "3", "alpha": "3"}),
     ])
     def test_parse_args_namespaces(self, argv, command, given):
         want = {"command": command, "func": getattr(cli, f"cmd_{command}"), "config": None,
-                **{key: None for _, key, *_ in config.FIELDS}, **given}
+                **{key: None for key in READS[command]}, **given}
         parser = cli.build_parser()
         assert vars(parser.parse_args(argv)) == want
-        # the subcommands share the flags' actions: a second parse starts afresh
+        # a second parse starts afresh
         assert vars(parser.parse_args(argv)) == want
         assert parser.parse_args(["solve"]).rays is None
+
+
+class TestFlagTable:
+    """The subcommand x config-flag table: each config flag a command takes
+    changes an output file, a report line or the exit code against the
+    command's baseline run; any other is a usage error that names the flag."""
+
+    # one config file for every baseline, holding keys that some commands do
+    # not read: two rays and the window [2, 10], so that analyze passes at m = 8
+    CONFIG = ("[grid]\nm = 8\n[time]\nt_end = 10\n"
+              "[probes]\nrays = -1.3862943611198906, -0.6931471805599453\n"
+              "[analyze]\nweak_tol = 0.05\nt_min = 2\n")
+    BASE = {"evaluate": [["evaluate", "--method", "series", "--t", "1", "--x", "0.5"]],
+            "solve": [["solve"]],
+            "figures": [["figures", "--id", "1"], ["figures", "--id", "2"]],  # probes, profiles
+            "analyze": [["analyze"]],
+            "compare": [["compare", "--t", "1,5", "--x", "1e-20,0.5"]]}
+    # a valid value of each key, set over the baseline by its flag
+    VALUES = {"alpha": "3", "b": "2", "g": "0.5", "profile": "loggaussian mu=0 sigma=0.1 mass=2",
+              "m": "16", "y_min": "-60", "y_max": "3", "t_end": "12", "dt": "0.005",
+              "snapshots": "1,10", "record_every": "2", "rays": "-1", "directory": "elsewhere",
+              "period_tol": "1e-9", "mass_tol": "1e-20", "weak_tol": "1e-9", "pde_tol": "1e-20",
+              "mellin_tol": "1e-20", "asymp_tol": "1e-12", "amp_threshold": "10", "t_min": "1"}
+    # compare reads its pde cells off the weight rows, so m and y_max reach it
+    # through the grid's refusals (the node limit, a cut of the initial data),
+    # and a ray through the automatic y_min, which then covers x = 1e-20
+    COMPARE = {"m": "1000000", "y_max": "0", "rays": "-10"}
+
+    @staticmethod
+    def runs(argvs, tmp_path, capsys, monkeypatch):
+        """Exit code, stdout, stderr and the files written of each command
+        line, run in a fresh working directory (the default --out-dir is relative)."""
+        got = []
+        for argv in argvs:
+            cwd = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+            monkeypatch.chdir(cwd)
+            code = main(argv)
+            files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+            got.append((code, *capsys.readouterr(), files))
+        return got
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_each_flag_a_command_takes_changes_its_run(self, command, tmp_path, capsys,
+                                                       monkeypatch):
+        (tmp_path / "run.cfg").write_text(self.CONFIG)
+        argvs = [argv + ["--config", str(tmp_path / "run.cfg")] for argv in self.BASE[command]]
+        base = self.runs(argvs, tmp_path, capsys, monkeypatch)
+        assert [run[0] for run in base] == [0] * len(argvs), base
+        unchanged = []
+        for key in READS[command]:
+            value = (self.COMPARE if command == "compare" else {}).get(key, self.VALUES[key])
+            if self.runs([argv + [FLAGS[key], value] for argv in argvs],
+                         tmp_path, capsys, monkeypatch) == base:
+                unchanged.append(key)
+        assert unchanged == []
+
+    @pytest.mark.parametrize("command", ["evaluate", "solve", "figures", "compare"])
+    def test_every_other_config_flag_is_refused(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        refused = [key for key in READS["analyze"] if key not in READS[command]]
+        assert len(refused) == 21 - len(READS[command])
+        for key in refused:
+            with pytest.raises(SystemExit) as exc:
+                main(self.BASE[command][-1] + [FLAGS[key], self.VALUES[key]])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: {FLAGS[key]} {self.VALUES[key]}\n" in err, key
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["solve", "--t", "5"], ["solve", "--t-e", "2"],
+                                      ["solve", "--snap", "1,2"], ["compare", "--pro", DIRAC]])
+    def test_flags_are_not_abbreviated(self, argv, tmp_path, capsys, monkeypatch):
+        # solve --t was ambiguous between --t-end and --t-min; now it would be --t-end
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSolve:
@@ -1118,8 +1209,17 @@ class TestAnalyze:
         assert main(["analyze", *flags, "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {window}: the probe window [t_min, t_end] is empty\n"
-        # the other grid commands do not read t_min
-        assert main(["solve", *flags, "--snapshots", "1", "--out-dir", str(tmp_path / "s")]) == 0
+        # the other grid commands do not read t_min: solve has no --t-min, and
+        # runs with the same window from a shared config file
+        solve = ["solve", "--snapshots", "1", "--out-dir", str(tmp_path / "s")]
+        if flags[0] == "--t-min":
+            with pytest.raises(SystemExit) as exc:
+                main(solve + flags)
+            assert exc.value.code == 2
+            assert "error: unrecognized arguments: --t-min 70" in capsys.readouterr().err
+            (tmp_path / "run.cfg").write_text("[analyze]\nt_min = 70\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        assert main(solve + flags) == 0
 
     def test_record_every_too_coarse_names_the_sampling(self, tmp_path, capsys):
         # the default fast ray has period 0.5: 16.7 samples per cycle at 3 * dt
@@ -1278,23 +1378,25 @@ def cli_argv(draw):
     """A command line with a small horizon and grid; solve and figures write
     both csv and svg."""
     command = draw(st.sampled_from(["solve", "figures", "analyze", "compare"]))
+    reads = READS[command]
     argv = [command, "--alpha", repr(draw(st.floats(1.2, 4.0))),
             "--m", str(draw(st.sampled_from([1, 2, 4, 8]))),
-            "--dt", repr(draw(st.floats(1e-3, 0.7))),
-            "--record-every", str(draw(st.integers(1, 5)))]
+            "--dt", repr(draw(st.floats(1e-3, 0.7)))]
     # only the flags the command reads: figures sets the profile, compare the horizon
-    if command != "figures":
+    if "record_every" in reads:
+        argv += ["--record-every", str(draw(st.integers(1, 5)))]
+    if "profile" in reads:
         argv += ["--profile", draw(_PROFILES)]
-    if command != "compare":
+    if "t_end" in reads:
         argv += ["--t-end", repr(draw(st.floats(0.0, 2.5)))]
-    if command != "compare" and draw(st.booleans()):
+    if "snapshots" in reads and draw(st.booleans()):
         times = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=4))
         argv += ["--snapshots", ",".join(map(repr, times))]
     if draw(st.booleans()):
         argv.append(f"--y-min={draw(st.floats(-40.0, 0.0))!r}")
     if draw(st.booleans()):
         argv.append(f"--probe-y={draw(st.floats(-3.0, -0.05))!r}")
-    if draw(st.booleans()):
+    if "t_min" in reads and draw(st.booleans()):
         argv += ["--t-min", repr(draw(st.floats(0.0, 2.5)))]
     if command == "figures":
         argv += ["--id", str(draw(st.integers(1, 11)))]

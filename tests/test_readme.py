@@ -1,10 +1,15 @@
-"""The README's library sketch runs as written and gives the values it states."""
+"""The README's library sketch runs as written and gives the values it states,
+and its command lines and flag table are those the parser takes."""
 
 import ast
 import math
 import pathlib
 import re
+import shlex
 
+import pytest
+
+from gflab import cli
 from gflab.model import LogGaussian, mellin_U0
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -37,3 +42,34 @@ def test_library_sketch_states_its_values():
     pct = float(re.fullmatch(r" -> U0\(2\) cos\(log 2\) \+- (\d+)%", note).group(1))
     limit = mellin_U0(LogGaussian(0.0, 0.1, 1.0), 2.0).real * math.cos(math.log(2.0))
     assert abs(weak - limit) <= pct / 100 * limit
+
+
+def test_command_lines_parse():
+    # so the docs cannot advertise a flag that a command refuses
+    lines = re.findall(r"^gflab (.+)$", README.read_text(encoding="utf-8"), re.M)
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line))
+
+
+def test_flag_table_lists_the_config_flags_each_command_takes(capsys):
+    table = re.search(r"^\| config flag \|.*?\n\n", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(0)
+    header, _, *rows = table.strip().splitlines()
+    commands = re.findall(r"`(\w+)`", header)
+    taken = {command: set() for command in commands}
+    listed = set()
+    for row in rows:
+        flags, *marks = (cell.strip() for cell in row.strip("|").split("|"))
+        flags = set(re.findall(r"`(--[\w-]+)`", flags))
+        listed |= flags
+        for command, mark in zip(commands, marks, strict=True):
+            if mark == "✓":
+                taken[command] |= flags
+    assert len(listed) == 21
+    for command in commands:
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        shown = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+        assert shown & listed == taken[command], command
