@@ -22,7 +22,6 @@ term; the pointwise v-routes are named in ROUTES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -78,8 +77,7 @@ class GridSource:
                           f"(tracked: {sorted(self.traj.diagnostics.probes)})")
 
 
-@dataclass(frozen=True)
-class LineProbe:
+class LineProbe(NamedTuple):
     """Samples of f_y(t) = sqrt(t) e^{-Psi(y) t} n(t, y t) along one ray y < 0."""
 
     y: float
@@ -113,8 +111,7 @@ def line_probe(source: SeriesSource | GridSource, y: float, times=None,
     return LineProbe(y=y, times=ts, values=vals)
 
 
-@dataclass(frozen=True)
-class PeriodEstimate:
+class PeriodEstimate(NamedTuple):
     """Result of the autocorrelation period read-off.
 
     `oscillating` is False when the relative oscillation amplitude stays under
@@ -150,7 +147,8 @@ def estimate_period(probe: LineProbe, expected_period: float,
     algebraically), so the series is divided by a moving mean over roughly
     three expected periods before autocorrelating, and the peak is sought
     between 0.6 and 1.5 expected periods.  Needs uniform sampling, at least
-    32 samples per expected cycle, and at least 3 cycles in the window.
+    32 samples per expected cycle, and at least 3 expected cycles left after
+    that detrending, so a window of about 6 expected cycles.
     """
     ts, vals = probe.times, probe.values
     if ts.size < 16:
@@ -158,16 +156,16 @@ def estimate_period(probe: LineProbe, expected_period: float,
     dt = float(ts[1] - ts[0])
     if not np.allclose(np.diff(ts), dt, rtol=1e-6, atol=1e-12):
         raise DomainError("period estimation needs uniformly sampled probes")
-    span = float(ts[-1] - ts[0])
     if dt > expected_period / 32.0:
         raise DomainError(
             f"sampling too coarse: {expected_period / dt:.1f} samples per expected "
             "cycle, need at least 32")
-    if span < 3.0 * expected_period:
+    w = int(round(3.0 * expected_period / dt)) | 1     # odd, so the mean is centred
+    left = dt * (ts.size - w) / expected_period
+    if left < 3.0:
         raise DomainError(
-            f"window too short: {span / expected_period:.2f} expected cycles, need >= 3")
-    w = int(round(3.0 * expected_period / dt))
-    w = min(w | 1, (ts.size - 2) | 1)  # odd, and leave data after trimming
+            f"window too short: [{ts[0]:g}, {ts[-1]:g}] leaves {left:.2f} cycles of the "
+            f"expected period {expected_period:.4g} after the 3-period detrending mean, need >= 3")
 
     mm = _moving_mean(vals, w)
     if np.any(mm <= 0.0):
@@ -180,14 +178,13 @@ def estimate_period(probe: LineProbe, expected_period: float,
                               amplitude=amplitude, oscillating=False)
 
     d = detrended - detrended.mean()
+    # with 32 samples a cycle and 3 cycles in d, lo < hi and hi + 1 < d.size
     lo = max(2, int(0.6 * expected_period / dt))
-    hi = min(d.size - 2, int(1.5 * expected_period / dt))
+    hi = int(1.5 * expected_period / dt)
     ac = _autocorrelation(d, hi + 2)    # the lags read below: 0 .. hi + 1
     if ac[0] <= 0.0:
         raise NumericsError("degenerate autocorrelation")
     ac = ac / ac[0]
-    if hi <= lo:
-        raise DomainError("window too short for the expected period")
     k = lo + int(np.argmax(ac[lo:hi + 1]))
 
     # sub-sample refinement with a parabola through the peak (2 <= k <= ac.size - 2)
@@ -238,8 +235,7 @@ def weak_test(source: SeriesSource | GridSource, phi: Callable[[float], float], 
     return fine
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     method_a: str
     method_b: str
     t: float
@@ -254,8 +250,7 @@ class ComparisonRow:
         return self.rel_err > self.tol     # a NaN cell is never flagged
 
 
-@dataclass
-class MethodComparison:
+class MethodComparison(NamedTuple):
     """Pairwise cross-validation table for the evaluation routes, and the
     (method, t, x, guard error) of each value a route refused."""
 
@@ -443,7 +438,7 @@ def checks(cfg, traj: Trajectory):
     # asymptotics on the concentration line (smooth data only), at unit mass:
     # by linearity the relative error does not depend on it, and v cannot overflow
     if smooth:
-        unit = replace(p, mass=1.0)
+        unit = LogGaussian(p.mu, p.sigma, mass=1.0)
         tx = [(t, params.alpha ** (-t)) for t in (10.0, 15.0, 20.0, 25.0, 30.0)]
         exact = np.array([eval_v(unit, params.alpha, t, x) for t, x in tx])
         approx = np.array([asymp_v_poisson(unit, params.alpha, t, x) for t, x in tx])

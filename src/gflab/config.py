@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .model import InitialProfile, LogGaussian, ModelParams, format_profile, parse_profile, support_y
@@ -61,7 +61,7 @@ FIELDS = (
     ("analyze", "t_min", float, repr),
 )
 _SECTIONS = {section: {k for s, k, *_ in FIELDS if s == section} for section, *_ in FIELDS}
-_PARAMS = {f.name for f in fields(ModelParams) if f.init}
+_PARAMS = ModelParams._fields
 
 
 def _value(cfg: "RunConfig", key: str):
@@ -177,7 +177,8 @@ def with_texts(cfg: RunConfig, texts: dict[str, str]) -> RunConfig:
                 raise DomainError(f"[{section}] {key}: {exc}") from exc
     params = {key: values.pop(key) for key in _PARAMS if key in values}
     if params:
-        values["params"] = replace(cfg.params, **params)
+        values["params"] = ModelParams(**{key: params.get(key, getattr(cfg.params, key))
+                                          for key in _PARAMS})
     return replace(cfg, **values)
 
 

@@ -33,12 +33,18 @@ reals are always computed as exp(exponent * real log), which fixes the branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, QuadratureError, TruncationError
-from .model import InitialProfile, LogGaussian, density_from_log_x, dilation_window, first_true
+from .model import (
+    InitialProfile,
+    LogGaussian,
+    _Frozen,
+    density_from_log_x,
+    dilation_window,
+    first_true,
+)
 
 # exp(-z^2 / 2) dips below 1e-16 past this many widths.
 _DECAY_WIDTHS = math.sqrt(-2.0 * math.log(1e-16))
@@ -158,8 +164,7 @@ def _poisson_reach(lam: float) -> int:
     return max(first_true(lambda d: below(mode + side * d), 0) for side in (1, -1))
 
 
-@dataclass(frozen=True)
-class ContourQuad:
+class ContourQuad(_Frozen):
     """Trapezoid rule on the truncated vertical contour nu + i [-tau_max, tau_max].
 
     n_nodes = 4j + 1 (j >= 1), so that every other node is itself a trapezoid
@@ -170,15 +175,14 @@ class ContourQuad:
     part would equal the fine sum exactly and the estimate would read 0.
     """
 
-    nu: float
-    tau_max: float
-    n_nodes: int
+    _fields = ("nu", "tau_max", "n_nodes")
 
-    def __post_init__(self) -> None:
-        if not self.tau_max > 0.0:
-            raise DomainError(f"contour truncation must be positive, got {self.tau_max}")
-        if self.n_nodes < 5 or self.n_nodes % 4 != 1:
-            raise DomainError(f"node count must be 4j + 1 with j >= 1, got {self.n_nodes}")
+    def __init__(self, nu: float, tau_max: float, n_nodes: int) -> None:
+        if not tau_max > 0.0:
+            raise DomainError(f"contour truncation must be positive, got {tau_max}")
+        if n_nodes < 5 or n_nodes % 4 != 1:
+            raise DomainError(f"node count must be 4j + 1 with j >= 1, got {n_nodes}")
+        self._set(nu, tau_max, n_nodes)
 
     @classmethod
     def for_gaussian(cls, p: LogGaussian, alpha: float, t: float, nu: float = 2.0) -> "ContourQuad":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Union
 
@@ -35,76 +34,101 @@ GAUSSIAN_SUPPORT_SIGMAS = 12.0
 _HEAVISIDE_TAYLOR_RADIUS = 1e-6
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Frozen:
+    """Base of the immutable value types: _set stores the fields named in _fields
+    once; equality and hash go by type and fields, repr is the dataclass text,
+    and copies and pickles are rebuilt, and so validated, by __init__."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class ModelParams(_Frozen):
     """Equation coefficients: growth rate g >= 0, division rate b > 0, fragment ratio alpha > 1."""
 
-    g: float = 0.0
-    b: float = 1.0
-    alpha: float = 2.0
-    log_alpha: float = field(init=False, repr=False, compare=False)
+    _fields = ("g", "b", "alpha")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "b", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.alpha > 1.0:
-            raise DomainError(f"fragment ratio must satisfy alpha > 1, got {self.alpha}")
-        if not self.b > 0.0:
-            raise DomainError(f"division rate must satisfy b > 0, got {self.b}")
-        if self.g < 0.0:
-            raise DomainError(f"growth rate must satisfy g >= 0, got {self.g}")
+    def __init__(self, g: float = 0.0, b: float = 1.0, alpha: float = 2.0) -> None:
+        for name, value in (("alpha", alpha), ("b", b), ("g", g)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if not alpha > 1.0:
+            raise DomainError(f"fragment ratio must satisfy alpha > 1, got {alpha}")
+        if not b > 0.0:
+            raise DomainError(f"division rate must satisfy b > 0, got {b}")
+        if g < 0.0:
+            raise DomainError(f"growth rate must satisfy g >= 0, got {g}")
+        self._set(g, b, alpha)
         # Read by the config, analysis.checks and support_set; the routes and
         # the instruments take alpha alone and compute log(alpha) themselves.
-        object.__setattr__(self, "log_alpha", math.log(self.alpha))
+        # Derived, so not a field: left out of equality, hash and repr.
+        self.__dict__["log_alpha"] = math.log(alpha)
 
 
-@dataclass(frozen=True)
-class LogGaussian:
+class LogGaussian(_Frozen):
     """Initial data whose log-size density n(0, y) is a gaussian.
 
     n(0, y) = mass * exp(-(y - mu)^2 / (2 sigma^2)) / (sigma sqrt(2 pi)), so the
     size density is u0(x) = mass * exp(-(log x - mu)^2 / (2 sigma^2)) / (x^2 sigma sqrt(2 pi)).
     """
 
-    mu: float
-    sigma: float
-    mass: float = 1.0
+    _fields = ("mu", "sigma", "mass")
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise DomainError(f"log-gaussian width must satisfy sigma > 0, got {self.sigma}")
-        if not self.mass > 0.0:
-            raise DomainError(f"log-gaussian mass must be positive, got {self.mass}")
+    def __init__(self, mu: float, sigma: float, mass: float = 1.0) -> None:
+        if not sigma > 0.0:
+            raise DomainError(f"log-gaussian width must satisfy sigma > 0, got {sigma}")
+        if not mass > 0.0:
+            raise DomainError(f"log-gaussian mass must be positive, got {mass}")
+        self._set(mu, sigma, mass)
 
 
-@dataclass(frozen=True)
-class LogHeaviside:
+class LogHeaviside(_Frozen):
     """Initial data with n(0, y) = height on [a, b] and 0 elsewhere (u0 = height * x^-2 there)."""
 
-    a: float
-    b: float
-    height: float = 1.0
+    _fields = ("a", "b", "height")
 
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise DomainError(f"log-heaviside support needs a < b, got [{self.a}, {self.b}]")
-        if not self.height > 0.0:
-            raise DomainError(f"log-heaviside height must be positive, got {self.height}")
+    def __init__(self, a: float, b: float, height: float = 1.0) -> None:
+        if not a < b:
+            raise DomainError(f"log-heaviside support needs a < b, got [{a}, {b}]")
+        if not height > 0.0:
+            raise DomainError(f"log-heaviside height must be positive, got {height}")
+        self._set(a, b, height)
 
 
-@dataclass(frozen=True)
-class Dirac:
+class Dirac(_Frozen):
     """A single atom of the given weight at size x0.  Has no pointwise density."""
 
-    x0: float
-    weight: float = 1.0
+    _fields = ("x0", "weight")
 
-    def __post_init__(self) -> None:
-        if not self.x0 > 0.0:
-            raise DomainError(f"atom location must be positive, got {self.x0}")
-        if not self.weight > 0.0:
-            raise DomainError(f"atom weight must be positive, got {self.weight}")
+    def __init__(self, x0: float, weight: float = 1.0) -> None:
+        if not x0 > 0.0:
+            raise DomainError(f"atom location must be positive, got {x0}")
+        if not weight > 0.0:
+            raise DomainError(f"atom weight must be positive, got {weight}")
+        self._set(x0, weight)
 
 
 InitialProfile = Union[LogGaussian, LogHeaviside, Dirac]

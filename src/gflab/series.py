@@ -29,9 +29,8 @@ by term moves every integral onto the compact initial support
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
+class SeriesTruncation(NamedTuple):
     """Tail tolerance (a share of the Poisson mass) and term cap of every series sum."""
 
     eps: float = 1e-14
@@ -204,9 +202,11 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray) -> n
     weights = np.zeros(log_weights.size)
     weights[1:k_cap + 2] = [math.exp(w) for w in log_weights[1:k_cap + 2].tolist()]
 
-    def term(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Term k of every node, and its log from the two factors."""
+    def term(k: np.ndarray, with_log: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Term k of every node, and its log from the two factors (None unless with_log)."""
         n0 = profile_eval_y(p, y + k * log_alpha)
+        if not with_log:
+            return n0 * weights.take(k + 1), None
         with np.errstate(divide="ignore"):
             return n0 * weights.take(k + 1), np.log(n0) + log_weights.take(k + 1)
 
@@ -222,9 +222,10 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray) -> n
     k_first = np.clip(first, 0, k_cap + 1).astype(np.int64)
     log_edges = []
     for i in range(n_pass):
-        term_k, log_k = term(k_first + i)
+        # only the edge passes, where the widening starts, need the log
+        term_k, log_k = term(k_first + i, with_log=i in (0, n_pass - 1))
         add(term_k)
-        if i in (0, n_pass - 1):
+        if log_k is not None:
             log_edges.append(log_k)
     for edge, log_last, step in ((k_first, log_edges[0], -1),
                                  (k_first + n_pass - 1, log_edges[-1], 1)):

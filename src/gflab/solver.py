@@ -69,8 +69,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ _CHUNK = 256            # clock steps per propagator chunk
 _MAX_NODES = 10**7      # largest grid build_grid allocates; the default grid has about 10^4
 
 
-@dataclass(frozen=True)
-class LogGrid:
+class LogGrid(NamedTuple):
     """Uniform grid in y = log x with spacing dy = log(alpha) / m.
 
     Nodes sit at y_j = j * dy for j in [j_lo, j_lo + len(values) - 1], so the
@@ -251,8 +250,7 @@ def _dilation_sum(grid: LogGrid, D: np.ndarray, rows, y: np.ndarray) -> np.ndarr
     return np.where(y < grid.y_min, 0.0, n)
 
 
-@dataclass
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Per-record scalars collected while stepping."""
 
     times: np.ndarray
@@ -260,8 +258,7 @@ class Diagnostics:
     probes: dict[float, np.ndarray]       # ray y -> n(t, y t) samples
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Snapshots at requested times plus dense diagnostics; immutable once emitted."""
 
     grid: LogGrid                         # geometry reference (initial values)

@@ -195,6 +195,15 @@ class TestEstimatePeriod:
         with pytest.raises(DomainError, match="window too short"):
             estimate_period(probe, expected_period=1.0)
 
+    @pytest.mark.parametrize("t1, cycles", [(3.5, "0.49"), (5.0, "1.99"), (5.99, "2.98")])
+    def test_window_under_six_periods_is_refused_not_read_as_flat(self, t1, cycles):
+        # 3 periods go to the detrending mean and 3 must remain: a flat signal in a
+        # shorter window is refused, not reported as "no oscillation"
+        probe = self.make_sine(1.0, t1=t1, amp=1e-5)
+        with pytest.raises(DomainError, match=f"window too short: .* leaves {cycles} cycles"):
+            estimate_period(probe, expected_period=1.0)
+        assert not estimate_period(self.make_sine(1.0, t1=6.02, amp=1e-5), 1.0).oscillating
+
     def test_sampling_too_coarse(self):
         probe = self.make_sine(1.0, dt=0.05)
         with pytest.raises(DomainError, match="too coarse"):

@@ -323,6 +323,9 @@ class TestRefusals:
         (["solve", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
         (["analyze", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
         (["compare", "--profile", DIRAC], None, "dirac initial data cannot be sampled on a grid"),
+        # the period-2 ray needs 3 periods to detrend over and 3 more to measure
+        (["analyze", "--t-end", "8", "--t-min", "2", "--weak-tol", "0.1"], None,
+         "window too short: [2, 8] leaves 0.00 cycles of the expected period 2"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")] if "directory" in READS[args[0]] else []
@@ -1317,6 +1320,13 @@ class TestImportCost:
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == str([0] * (len(analysis.ROUTES) + 3))
+
+    def test_package_import_leaves_dataclasses_unloaded(self):
+        # the value types and records are plain classes and NamedTuples, so no
+        # process compiles dataclass methods unless it builds a config.RunConfig
+        code = "import sys, gflab; sys.exit('dataclasses' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_cli_import_leaves_xml_unloaded(self):
         # the SVG writer writes its elements as text

@@ -1,12 +1,15 @@
 """Profile families: densities, Mellin closed forms against quadrature, moments."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gflab.errors import DomainError
+from gflab.mellin import ContourQuad
 from gflab.model import (
     Dirac,
     LogGaussian,
@@ -67,6 +70,52 @@ class TestValidation:
             profile_eval_x(ATOM, 1.0)
         with pytest.raises(DomainError, match="no pointwise density"):
             profile_eval_y(ATOM, 0.0)
+
+
+# (type, fields, repr): every validated value type of the package
+VALUE_TYPES = [
+    (ModelParams, {"g": 0.0, "b": 1.0, "alpha": 2.0}, "ModelParams(g=0.0, b=1.0, alpha=2.0)"),
+    (LogGaussian, {"mu": 0.0, "sigma": 0.1, "mass": 1.0},
+     "LogGaussian(mu=0.0, sigma=0.1, mass=1.0)"),
+    (LogHeaviside, {"a": -0.2, "b": 0.0, "height": 1.0},
+     "LogHeaviside(a=-0.2, b=0.0, height=1.0)"),
+    (Dirac, {"x0": 0.5, "weight": 2.0}, "Dirac(x0=0.5, weight=2.0)"),
+    (ContourQuad, {"nu": 2.0, "tau_max": 90.0, "n_nodes": 25},
+     "ContourQuad(nu=2.0, tau_max=90.0, n_nodes=25)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, *_ in VALUE_TYPES])
+class TestValueTypes:
+    def test_fields_cannot_be_assigned(self, cls, fields, text):
+        v = cls(**fields)
+        for name in [*fields, *(["log_alpha"] if cls is ModelParams else [])]:
+            with pytest.raises(AttributeError):
+                setattr(v, name, 3.0)
+        assert v == cls(**fields)
+
+    def test_equal_fields_give_equal_objects_and_hashes(self, cls, fields, text):
+        a, b = cls(**fields), cls(**fields)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        first = next(iter(fields))
+        assert a != cls(**{**fields, first: fields[first] + 0.1})
+        assert a != tuple(fields.values())
+
+    def test_repr_is_the_dataclass_text(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
+
+    def test_copies_and_pickles_are_equal(self, cls, fields, text):
+        v = cls(**fields)
+        for other in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(other) is cls and other == v and repr(other) == text
+            if cls is ModelParams:
+                assert other.log_alpha == v.log_alpha == math.log(2.0)
+
+
+def test_profile_families_with_equal_fields_differ():
+    assert LogGaussian(0.0, 0.1, 1.0) != LogHeaviside(0.0, 0.1, 1.0)
+    assert len({LogGaussian(0.0, 0.1, 1.0), LogGaussian(0.0, 0.1, 1.0), ModelParams()}) == 2
 
 
 class TestDensities:
