@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import gc
 import math
@@ -361,7 +360,7 @@ def cmd_compare(args) -> int:
     if min(xs) <= 0.0:
         raise DomainError(f"--x needs sizes > 0, got {args.x!r}")
     # the horizon sizes the grid for the run; the requested times are its snapshots
-    traj = _solve_run(dataclasses.replace(cfg, t_end=max(ts), snapshots=ts), probes=False)
+    traj = _solve_run(cfg._replace(t_end=max(ts), snapshots=ts), probes=False)
     tbl = analysis.compare_methods(cfg.profile, cfg.params, ts, xs, traj=traj)
     _write_compare(Path(cfg.directory) / "compare.csv", tbl)
     print(tbl.summary())

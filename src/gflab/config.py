@@ -8,12 +8,18 @@ parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .model import InitialProfile, LogGaussian, ModelParams, format_profile, parse_profile, support_y
+from .model import (
+    InitialProfile,
+    LogGaussian,
+    ModelParams,
+    _Frozen,
+    format_profile,
+    parse_profile,
+    support_y,
+)
 
 
 def parse_floats(text: str) -> tuple[float, ...]:
@@ -68,32 +74,38 @@ def _value(cfg: "RunConfig", key: str):
     return getattr(cfg.params if key in _PARAMS else cfg, key)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Frozen):
     """Everything a run needs: profile, coefficients, grid, horizon, probes, outputs."""
 
-    profile: InitialProfile = LogGaussian(mu=0.0, sigma=0.1, mass=1.0)
-    params: ModelParams = ModelParams(g=0.0, b=1.0, alpha=2.0)
-    m: int = 64
-    y_min: float | None = None          # None: sized automatically from t_end and rays
-    y_max: float | None = None          # None: just past the initial support
-    t_end: float = 60.0
-    dt: float = 0.01
-    snapshots: tuple[float, ...] = ()   # empty: a default ladder up to t_end
-    record_every: int = 1
-    rays: tuple[float, ...] = ()        # empty: (-2, -1, -1/2) * log alpha
-    directory: str = "out"
-    # analysis thresholds (checked by the analyze command)
-    period_tol: float = 0.02
-    mass_tol: float = 1e-6
-    weak_tol: float = 0.02
-    pde_tol: float = 1e-7
-    mellin_tol: float = 1e-6
-    asymp_tol: float = 0.10
-    amp_threshold: float = 1e-3
-    t_min: float = 20.0                 # start of the probe analysis window
+    _fields = ("profile", "params", "m", "y_min", "y_max", "t_end", "dt", "snapshots",
+               "record_every", "rays", "directory", "period_tol", "mass_tol", "weak_tol",
+               "pde_tol", "mellin_tol", "asymp_tol", "amp_threshold", "t_min")
 
-    def __post_init__(self) -> None:
+    def __init__(self,
+                 profile: InitialProfile = LogGaussian(mu=0.0, sigma=0.1, mass=1.0),
+                 params: ModelParams = ModelParams(g=0.0, b=1.0, alpha=2.0),
+                 m: int = 64,
+                 y_min: float | None = None,         # None: sized automatically from t_end and rays
+                 y_max: float | None = None,         # None: just past the initial support
+                 t_end: float = 60.0,
+                 dt: float = 0.01,
+                 snapshots: tuple[float, ...] = (),  # empty: a default ladder up to t_end
+                 record_every: int = 1,
+                 rays: tuple[float, ...] = (),       # empty: (-2, -1, -1/2) * log alpha
+                 directory: str = "out",
+                 # analysis thresholds (checked by the analyze command)
+                 period_tol: float = 0.02,
+                 mass_tol: float = 1e-6,
+                 weak_tol: float = 0.02,
+                 pde_tol: float = 1e-7,
+                 mellin_tol: float = 1e-6,
+                 asymp_tol: float = 0.10,
+                 amp_threshold: float = 1e-3,
+                 t_min: float = 20.0,                # start of the probe analysis window
+                 ) -> None:
+        self._set(profile, params, m, y_min, y_max, t_end, dt, snapshots, record_every, rays,
+                  directory, period_tol, mass_tol, weak_tol, pde_tol, mellin_tol, asymp_tol,
+                  amp_threshold, t_min)
         # the [analyze] keys but t_min are tolerances; any other number must be finite
         for section, key, *_ in FIELDS:
             value = _value(self, key)
@@ -146,6 +158,10 @@ class RunConfig:
 
 def loads(text: str) -> RunConfig:
     """Parse the config syntax into a RunConfig, rejecting unknown keys."""
+    # Imported here: only --config reads INI text, and the import costs every
+    # other command about 1.4 ms of start-up.
+    import configparser
+
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
@@ -177,14 +193,19 @@ def with_texts(cfg: RunConfig, texts: dict[str, str]) -> RunConfig:
                 raise DomainError(f"[{section}] {key}: {exc}") from exc
     params = {key: values.pop(key) for key in _PARAMS if key in values}
     if params:
-        values["params"] = ModelParams(**{key: params.get(key, getattr(cfg.params, key))
-                                          for key in _PARAMS})
-    return replace(cfg, **values)
+        values["params"] = cfg.params._replace(**params)
+    return cfg._replace(**values)
 
 
 def load(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """The config file at path; one that cannot be read as UTF-8 text is a DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc})"
+        raise DomainError(f"cannot read config file {path!r}: {reason}") from exc
+    return loads(text)
 
 
 def dumps(cfg: RunConfig) -> str:

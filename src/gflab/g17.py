@@ -55,17 +55,15 @@ def _powers() -> tuple[np.ndarray, ...]:
     round correctly, and h = num / den exactly, so 10^-n - h is the exact
     ratio (den - num 10^n) / (den 10^n).
     """
-    hi, lo = [], []
-    for k in range(-_K0, _K0 + 1):
-        if k >= 0:
-            h = float(10**k)
-            hi.append(h)
-            lo.append(float(10**k - int(h)))
-        else:
-            h = 1 / 10**-k
-            num, den = h.as_integer_ratio()
-            hi.append(h)
-            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi, lo = [0.0] * (2 * _K0 + 1), [0.0] * (2 * _K0 + 1)
+    p = 1                                   # 10^n, by running products
+    for n in range(_K0 + 1):
+        h = 1 / p
+        num, den = h.as_integer_ratio()
+        hi[_K0 - n], lo[_K0 - n] = h, (den - num * p) / (den * p)
+        h = float(p)
+        hi[_K0 + n], lo[_K0 + n] = h, float(p - int(h))
+        p *= 10
     hi = np.array(hi)
     return (hi, np.array(lo), *_split(hi))
 

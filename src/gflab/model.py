@@ -37,7 +37,7 @@ _HEAVISIDE_TAYLOR_RADIUS = 1e-6
 class _Frozen:
     """Base of the immutable value types: _set stores the fields named in _fields
     once; equality and hash go by type and fields, repr is the dataclass text,
-    and copies and pickles are rebuilt, and so validated, by __init__."""
+    and copies, pickles and _replace are rebuilt, and so validated, by __init__."""
 
     _fields: tuple[str, ...] = ()
 
@@ -64,6 +64,10 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), self._key()
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**{**dict(zip(self._fields, self._key())), **changes})
 
 
 class ModelParams(_Frozen):

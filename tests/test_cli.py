@@ -1,10 +1,11 @@
 """Front end: config round trip, exit codes, CSV/SVG emission, determinism."""
 
-import dataclasses
+import copy
 import gc
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from gflab.errors import DomainError, QuadratureError
 from gflab.model import LogGaussian, LogHeaviside, ModelParams
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 DIRAC = "dirac x0=1 weight=1"
 
 CONFIG_TEXT = """\
@@ -158,6 +160,84 @@ class TestConfig:
         cfg = config.loads(CONFIG_TEXT)
         assert cfg.resolved_y_min() <= -0.6931471805599453 * 30.0
         assert cfg.resolved_y_max() >= 1.2
+
+    def test_written_file_loads_back(self, tmp_path):
+        for cfg in (config.RunConfig(), config.loads(CONFIG_TEXT)):
+            (tmp_path / "run.cfg").write_text(config.dumps(cfg), encoding="utf-8")
+            assert config.load(str(tmp_path / "run.cfg")) == cfg
+
+
+# the default config's repr, as the dataclass wrote it
+DEFAULT_REPR = (
+    "RunConfig(profile=LogGaussian(mu=0.0, sigma=0.1, mass=1.0), "
+    "params=ModelParams(g=0.0, b=1.0, alpha=2.0), m=64, y_min=None, y_max=None, t_end=60.0, "
+    "dt=0.01, snapshots=(), record_every=1, rays=(), directory='out', period_tol=0.02, "
+    "mass_tol=1e-06, weak_tol=0.02, pde_tol=1e-07, mellin_tol=1e-06, asymp_tol=0.1, "
+    "amp_threshold=0.001, t_min=20.0)")
+
+
+class TestRunConfigValue:
+    """RunConfig behaves as the frozen dataclass it was: fields, order, defaults,
+    equality, hash, repr, copies, pickles and its refusals."""
+
+    FIELDS = ("profile", "params", "m", "y_min", "y_max", "t_end", "dt", "snapshots",
+              "record_every", "rays", "directory", "period_tol", "mass_tol", "weak_tol",
+              "pde_tol", "mellin_tol", "asymp_tol", "amp_threshold", "t_min")
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = config.RunConfig()
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 3.0)
+        assert cfg == config.RunConfig()
+
+    def test_equal_fields_give_equal_objects_and_hashes(self):
+        a, b = config.loads(CONFIG_TEXT), config.loads(CONFIG_TEXT)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != config.loads(CONFIG_TEXT.replace("t_end = 30.0", "t_end = 30.5"))
+        assert a != config.RunConfig()
+        assert config.RunConfig() != tuple(getattr(config.RunConfig(), f) for f in self.FIELDS)
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(config.RunConfig()) == DEFAULT_REPR
+
+    def test_copies_and_pickles_are_equal(self):
+        cfg = config.loads(CONFIG_TEXT)
+        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert type(other) is config.RunConfig and other == cfg and repr(other) == repr(cfg)
+
+    def test_positional_and_keyword_construction_agree(self):
+        cfg = config.loads(CONFIG_TEXT)
+        values = [getattr(cfg, f) for f in self.FIELDS]
+        assert config.RunConfig(*values) == config.RunConfig(**dict(zip(self.FIELDS, values))) == cfg
+        assert config.RunConfig(LogGaussian(0.0, 0.1), ModelParams(), 32) == config.RunConfig(m=32)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"m": 0}, "grid cells per log(alpha) must be >= 1, got 0"),
+        ({"t_end": -1.0}, "horizon must be nonnegative, got -1.0"),
+        ({"dt": 0.0}, "step size must be positive, got 0.0"),
+        ({"record_every": 0}, "record_every must be >= 1, got 0"),
+        ({"weak_tol": 0.0}, "weak_tol must be positive"),
+        ({"amp_threshold": math.nan}, "amp_threshold must be positive"),
+        ({"t_min": math.inf}, "t_min must be finite, got inf"),
+        ({"y_max": math.nan}, "y_max must be finite, got nan"),
+        ({"snapshots": (1.0, math.inf)}, "snapshots must be finite, got (1.0, inf)"),
+        ({"rays": (-math.inf,)}, "rays must be finite, got (-inf,)"),
+    ])
+    def test_refusals_keep_their_messages(self, changes, message):
+        with pytest.raises(DomainError) as exc:
+            config.RunConfig(**changes)
+        assert str(exc.value) == message
+
+    def test_replace_changes_fields_and_validates(self):
+        cfg = config.RunConfig()
+        assert cfg._replace(t_end=5.0, snapshots=(1.0,)) == config.RunConfig(t_end=5.0,
+                                                                             snapshots=(1.0,))
+        assert cfg == config.RunConfig()
+        with pytest.raises(DomainError, match="step size must be positive, got 0.0"):
+            cfg._replace(dt=0.0)
+        with pytest.raises(TypeError):
+            cfg._replace(formats="csv")
 
 
 class TestEvaluate:
@@ -326,6 +406,12 @@ class TestRefusals:
         # the period-2 ray needs 3 periods to detrend over and 3 more to measure
         (["analyze", "--t-end", "8", "--t-min", "2", "--weak-tol", "0.1"], None,
          "window too short: [2, 8] leaves 0.00 cycles of the expected period 2"),
+        # a --config file that cannot be read as text
+        (["solve", "--config", str(DATA / "missing.cfg")], None,
+         "missing.cfg': No such file or directory"),
+        (["solve", "--config", str(DATA)], None, "data': Is a directory"),
+        (["solve", "--config", str(DATA / "latin1.cfg")], None,
+         "latin1.cfg': not UTF-8 text ('utf-8' codec can't decode byte 0xe9"),
     ])
     def test_exit_2_names_the_field(self, args, config_text, names, tmp_path, capsys):
         extra = ["--out-dir", str(tmp_path / "o")] if "directory" in READS[args[0]] else []
@@ -334,6 +420,17 @@ class TestRefusals:
             extra += ["--config", str(tmp_path / "run.cfg")]
         assert main(args + extra) == 2
         assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, reason", [
+        (DATA / "missing.cfg", "No such file or directory"),
+        (DATA, "Is a directory"),
+        (DATA / "latin1.cfg", "not UTF-8 text ("),
+    ], ids=["missing", "directory", "latin1"])
+    def test_unreadable_config_file_writes_nothing(self, path, reason, tmp_path, capsys):
+        assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config file {str(path)!r}: {reason}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args, flag", [
         (["figures", "--id", "1", "--profile", DIRAC], "--profile"),
@@ -1252,7 +1349,7 @@ class TestAnalyze:
         """analyze's check rows for the default config with the given profile."""
         cfg = config.with_texts(config.RunConfig(), {"profile": profile})
         traj = cli._solve_run(cfg)
-        return analysis.checks(dataclasses.replace(cfg, **changes), traj)
+        return analysis.checks(cfg._replace(**changes), traj)
 
     @pytest.mark.parametrize("j", [-64, -7, -1, 1, 7, 64])
     def test_verdicts_do_not_depend_on_whole_cell_shifts(self, j):
@@ -1327,6 +1424,14 @@ class TestImportCost:
         code = "import sys, gflab; sys.exit('dataclasses' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_cli_import_leaves_dataclasses_and_configparser_unloaded(self):
+        # RunConfig is a plain frozen class, and only a --config file loads the INI parser
+        code = ("import sys, gflab.cli\n"
+                "sys.exit(sorted({'dataclasses', 'configparser'} & set(sys.modules)) or None)")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_cli_import_leaves_xml_unloaded(self):
         # the SVG writer writes its elements as text

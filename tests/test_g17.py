@@ -86,3 +86,30 @@ class TestMatchesPercentFormatting:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000)
         assert_same(np.concatenate([x, np.round(x, 3), np.linspace(-105.7, 40.0, 9917)]))
+
+
+def powers_per_k():
+    """The power table as first built, with 10**k formed afresh for each k."""
+    hi, lo = [], []
+    for k in range(-g17._K0, g17._K0 + 1):
+        if k >= 0:
+            h = float(10**k)
+            hi.append(h)
+            lo.append(float(10**k - int(h)))
+        else:
+            h = 1 / 10**-k
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi = np.array(hi)
+    return (hi, np.array(lo), *g17._split(hi))
+
+
+def test_power_table_matches_per_k_construction():
+    # hi, lo and the split of hi, for every k in [-300, 300], to the bit
+    want = powers_per_k()
+    for got, table, ref in zip(g17._powers(), (g17._POW_HI, g17._POW_LO, g17._POW_HH, g17._POW_HL),
+                               want):
+        assert got.shape == table.shape == ref.shape == (601,)
+        assert got.dtype == ref.dtype == np.float64
+        assert got.tobytes() == table.tobytes() == ref.tobytes()
