@@ -9,12 +9,9 @@ CSV output (fixed summation orders, 17 significant digits, no wall-clock
 content).  Float cells are exactly the text of "%.17g" % x: the g17 kernel
 renders a whole column at once, exactly, and falls back to "%.17g" per value
 outside the range where its rounding is proven (zero, non-finite, |x| outside
-[1e-280, 1e280], fractions within 1e-12 of a tie).  A float column's runs of
-equal bit patterns are found once per block and each rendered once, which is
-exact because the text is a function of the bits; on piecewise constant data
-the solver's nodes between two breakpoints are such runs.  CSV tables are
-streamed to the file as bytes, a bounded number of rows (_ROWS) at a time, so
-no whole-file text (and no whole-block text but a cell per run) is held.
+[1e-280, 1e280], fractions within 1e-12 of a tie).  CSV tables are streamed
+to the file as bytes, a bounded number of rows (_ROWS) at a time, so no
+whole-file or whole-block text is held.
 
 A snapshot table renders its y column once, as texts shared by all its blocks.
 Each block is laid out in one of two ways, chosen from its own run count (rows
@@ -25,7 +22,9 @@ each run is one bytes.join of its y texts, joined by the run's own tail
 per row) the block's cells are laid side by side, _ROWS rows at a time.  Both
 give the same bytes.  On the dense heaviside table (30 blocks, 294,180 rows,
 20 MB) the joined layout takes the write from a median 105 to 54 ms of CPU
-time (2 vCPUs).
+time (2 vCPUs).  Runs of equal bits matter only to the joined layout (and to
+the SVG points): a float column laid out as cells is rendered chunk by chunk,
+runs or none.
 """
 
 from __future__ import annotations
@@ -82,11 +81,10 @@ def _column(col):
 
     NUL bytes are padding.  A float stands for a column of one value, and a
     _Texts for a column rendered already.  A float column is rendered by the
-    g17 kernel as "%.17g" would: chunk by chunk if no two neighbours have
-    equal bits, else once per run, _ROWS heads at a time, in g17.TEXT columns
-    (one width for every chunk, so the allocator reuses their memory; bits,
-    not ==, keep -0.0 apart from 0.0).  Any other column (text without NUL
-    characters, ints, bools) is rendered by str, right-aligned like the rest.
+    g17 kernel as "%.17g" would, chunk by chunk: its runs of equal values are
+    not looked for here, only where a layout reuses their text (_run_starts).
+    Any other column (text without NUL characters, ints, bools) is rendered
+    by str, right-aligned like the rest.
     """
     if isinstance(col, float):
         cell = _narrow(g17.cells(np.array([col])))
@@ -97,23 +95,14 @@ def _column(col):
         values = col.tolist() if isinstance(col, np.ndarray) else col
         return lambda lo, hi: g17.text_cells([str(v).encode() + b"," for v in values[lo:hi]])
     x = np.asarray(col, dtype=np.float64)
-    bits = x.view(np.int64)
-    new = np.r_[True, bits[1:] != bits[:-1]]
-    if new.all():
-        return lambda lo, hi: g17.cells(x[lo:hi])
-    heads = x[new]
-    text = np.concatenate([_narrow(g17.cells(heads[i:i + _ROWS]), g17.TEXT)
-                           for i in range(0, heads.size, _ROWS)])
-    run = np.cumsum(new) - 1
-    return lambda lo, hi: text[run[lo:hi]]
+    return lambda lo, hi: g17.cells(x[lo:hi])
 
 
-def _narrow(cells: np.ndarray, width: int | None = None) -> np.ndarray:
-    """The same cells right-aligned in `width` columns (by default the least
-    width), for cells copied to many rows."""
+def _narrow(cells: np.ndarray) -> np.ndarray:
+    """The same cells right-aligned in the least width, for cells copied to many rows."""
     shown = cells != 0
     sizes = shown.sum(axis=1)
-    narrow = np.zeros((len(cells), width or sizes.max()), dtype=np.uint8)
+    narrow = np.zeros((len(cells), sizes.max()), dtype=np.uint8)
     narrow[np.arange(narrow.shape[1]) >= narrow.shape[1] - sizes[:, None]] = cells[shown]
     return narrow
 
@@ -122,15 +111,16 @@ def _run_starts(block, n_rows: int) -> np.ndarray | None:
     """The first row of each run of a block to be joined run by run, or None
     for a block to be laid out as cells.
 
-    A block is joined when one column is a _Texts, the others are floats and
-    float arrays, at least one of them, and its rows fall into at most
-    n_rows / 2 runs: rows over which no float array changes its bits, cut
-    every _ROWS rows.
+    A block is joined when one column is a _Texts, neither first nor last,
+    the others are floats and float arrays, and its rows fall into at most
+    n_rows / 2 runs: rows over which no float array changes its bits (bits,
+    not ==, keep -0.0 apart from 0.0), cut every _ROWS rows.
     """
     texts = sum(isinstance(col, _Texts) for col in block)
     floats = sum(isinstance(col, float) for col in block)
     arrays = [col for col in block if isinstance(col, np.ndarray) and col.dtype == np.float64]
-    if texts != 1 or len(block) == 1 or texts + floats + len(arrays) != len(block):
+    if (texts != 1 or isinstance(block[0], _Texts) or isinstance(block[-1], _Texts)
+            or texts + floats + len(arrays) != len(block)):
         return None
     new = np.zeros(n_rows, dtype=bool)
     new[::_ROWS] = True
@@ -141,11 +131,9 @@ def _run_starts(block, n_rows: int) -> np.ndarray | None:
     return starts if starts.size <= n_rows / 2 else None
 
 
-def _lines(cells: np.ndarray) -> list[bytes | None]:
+def _lines(cells: np.ndarray) -> list[bytes]:
     """Rows of cells (rows x columns x g17.WIDTH) as byte strings without
-    their last separator; None for no columns."""
-    if not cells.shape[1]:
-        return [None] * len(cells)
+    their last separator."""
     chars = cells.reshape(len(cells), -1)
     chars[:, -1] = ord("\n")
     return chars.tobytes().translate(None, b"\0").split(b"\n")[:-1]
@@ -169,8 +157,7 @@ def _write_joined(out, block, starts: np.ndarray) -> None:
         cells = g17.cells(values.ravel()).reshape(heads.size, len(others), g17.WIDTH)
         for a, b, pre, post in zip(heads.tolist(), ends[lo:lo + step],
                                    _lines(cells[:, :j]), _lines(cells[:, j:])):
-            head = b"" if pre is None else pre + b","
-            tail = b"\n" if post is None else b"," + post + b"\n"
+            head, tail = pre + b",", b"," + post + b"\n"
             pieces += head, (tail + head).join(texts[a:b]), tail
             rows += b - a
             if rows >= _ROWS:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 WIDTH = 56
-TEXT = 25                       # the most bytes a cell shows: "-d.dddddddddddddddde-ddd,"
 _COPY1, _POINT, _COPY2, _EXP = 7, 24, 31, 48    # columns of d0, ".", d0 again, "e"
 _FAST_LO, _FAST_HI = 1e-280, 1e280
 _K0 = 300                       # powers of ten 10^k for k in [-_K0, _K0]

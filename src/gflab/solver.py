@@ -198,12 +198,12 @@ class _ShiftSum:
         self.v, self.m, self.lo, self.hi = v, m, lo, hi
         self.right = (v.size - 1 - lo) // m
         self.width = self.right - (-lo // m) + (hi - lo) // m + 1
-        # the leak monitor's nodes, one per residue class, and top[k], the largest
-        # |n_0| over the cell [k m, k m + watch), zero where it misses [lo, hi]
+        # the leak monitor's nodes, one per residue class, and top, the largest |n_0|
+        # over the cell [k m, k m + watch) for each k of the band whose cells meet [lo, hi]
         self.watch = min(m, v.size)
-        self.top = np.zeros(self.width - self.right)
-        for k in range(-((self.watch - 1 - lo) // m), hi // m + 1):
-            self.top[k] = np.abs(v[max(k * m, lo):k * m + self.watch]).max()
+        self.band = slice(-((self.watch - 1 - lo) // m), hi // m + 1)
+        self.top = np.array([np.abs(v[max(k * m, lo):k * m + self.watch]).max()
+                             for k in range(self.band.start, self.band.stop)])
         # sum_j n[j] = sum_k d[k] sum(n_0[k m:]); the suffix sums from fsums per cell
         cells = [math.fsum(v[max(k * m, lo):min(k * m + m, hi + 1)].tolist())
                  for k in range(lo // m, hi // m + 1)]
@@ -224,10 +224,12 @@ class _ShiftSum:
 
     def head_bound(self, D: np.ndarray) -> np.ndarray:
         """For each weight row of D, a bound on |n| over the leftmost `watch` nodes:
-        sum_k d[k] top[k], raised by more than the rounding of the c nonzero products
-        and their additions in either sum (and their underflow) can move it."""
+        sum_k d[k] top[k] over the band (|n_0| is 0 on the other cells, and a product
+        over a whole long row sets BLAS threads on it), raised by more than the rounding
+        of the c nonzero products and their additions in either sum (and their
+        underflow) can move it."""
         c, f = np.count_nonzero(self.top), np.finfo(float)
-        return (D @ self.top) * (1.0 + 4.0 * c * f.eps) + c * f.smallest_subnormal
+        return (D[:, self.band] @ self.top) * (1.0 + 4.0 * c * f.eps) + c * f.smallest_subnormal
 
 
 def _dilation_sum(grid: LogGrid, D: np.ndarray, rows, y: np.ndarray) -> np.ndarray:

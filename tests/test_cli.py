@@ -867,7 +867,8 @@ class TestWriters:
         # laid out as cells, in one table: runs across the _ROWS cuts, a run
         # over a whole block, runs of length 1, -0.0 next to 0.0, runs of
         # subnormals and zeros ("%.17g" per value), a run ending on the last
-        # row, a one-row block and a block at t = 0
+        # row, a one-row block, a block at t = 0, and blocks whose text column
+        # comes first or last, which leaves no head or no tail to join runs by
         rng = np.random.default_rng(7)
         n = 3 * cli._ROWS + 5
         ys = np.linspace(-30.0, 2.0, n)
@@ -884,6 +885,7 @@ class TestWriters:
                    (2.0, y_texts, rng.random(n)), (4.0, y_one, np.array([0.5])),
                    (3.0, y_texts, signed), (6.0, y_texts, steps[::-1].copy())]
         blocks = [[t, y, col, math.sqrt(t) * col] for t, y, col in columns]
+        blocks += [[y_texts, steps, 2.0, steps], [0.5, steps, steps, y_texts]]
         joined, write_joined = [], cli._write_joined
         monkeypatch.setattr(cli, "_write_joined",
                             lambda out, block, starts: joined.append(block[0])
@@ -891,9 +893,11 @@ class TestWriters:
         header = ["t", "y", "n", "sqrt_t_n"]
         cli._write_csv(tmp_path / "mixed.csv", header, blocks)
         capsys.readouterr()
-        assert joined == [0.0, 1.5, 3.0, 6.0]       # not the smooth or the one-row block
+        assert joined == [0.0, 1.5, 3.0, 6.0]       # not the smooth, one-row or end-text blocks
         rows = [(t, float(y), float(v), math.sqrt(t) * float(v)) for t, y_col, col in columns
                 for y, v in zip(ys if y_col is y_texts else ys[:1], col)]
+        rows += [(y, v, 2.0, v) for y, v in zip(ys.tolist(), steps.tolist())]
+        rows += [(0.5, v, v, y) for y, v in zip(ys.tolist(), steps.tolist())]
         assert (tmp_path / "mixed.csv").read_bytes() == oracle_csv(header, rows)
 
     @pytest.mark.parametrize("profile, joined", [
@@ -913,11 +917,10 @@ class TestWriters:
         capsys.readouterr()
         assert blocks == joined
 
-    def test_runs_are_rendered_once_per_column(self, tmp_path, capsys, monkeypatch):
-        # a column of three _ROWS chunks with at most _ROWS runs takes one
-        # g17.cells call for all its heads; one with more takes a call per
-        # _ROWS heads; a column without runs is rendered chunk by chunk and
-        # never narrowed
+    def test_cell_columns_are_rendered_chunk_by_chunk(self, tmp_path, capsys, monkeypatch):
+        # a block that is not joined renders each float column with one
+        # g17.cells call per _ROWS rows and narrows none of it, whether the
+        # column has 300 runs, more than _ROWS runs or none
         rng = np.random.default_rng(11)
         n = 3 * cli._ROWS
         runs = np.repeat(rng.random(300) * 10.0 ** rng.integers(-300, 300, 300),
@@ -926,14 +929,14 @@ class TestWriters:
         plain = rng.random(n)
         sizes, narrowed, cells, narrow = [], [], g17.cells, cli._narrow
         monkeypatch.setattr(g17, "cells", lambda x: sizes.append(len(x)) or cells(x))
-        monkeypatch.setattr(cli, "_narrow", lambda c, *w: narrowed.append(len(c)) or narrow(c, *w))
-        for name, col, calls in (("runs", runs, [300]), ("many", many, [cli._ROWS, 1]),
+        monkeypatch.setattr(cli, "_narrow", lambda c: narrowed.append(len(c)) or narrow(c))
+        for name, col, calls in (("runs", runs, [cli._ROWS] * 3),
+                                 ("many", many, [cli._ROWS] * 2 + [2]),
                                  ("plain", plain, [cli._ROWS] * 3)):
             sizes.clear()
-            narrowed.clear()
             cli._write_csv(tmp_path / f"{name}.csv", ["v"], [[col]])
             assert sizes == calls, name
-            assert narrowed == (calls if name != "plain" else []), name
+            assert narrowed == [], name
             assert (tmp_path / f"{name}.csv").read_bytes() == oracle_csv(["v"], zip(col.tolist()))
         capsys.readouterr()
 
