@@ -34,6 +34,7 @@ import contextlib
 import functools
 import gc
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -379,16 +380,28 @@ _HELP = {"profile": 'e.g. "loggaussian mu=0 sigma=0.1 mass=1"', "m": "grid cells
          "t_min": "start of the probe analysis window"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# an argument that argparse reads as a negative number, a flag's value and not
+# a flag; its own pattern, ^-\d+$|^-\d*\.\d+$, takes no exponent, so it read
+# "--y-min -1e2" as a flag without its value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The gflab parser.  Every subcommand is registered, but only those in
+    `commands` (every one when None) get their flags: argparse hands the rest
+    of argv to the subcommand argv names, so main builds that one's alone."""
     # no abbreviations: a prefix such as --t would pick a flag without a word
     ap = argparse.ArgumentParser(prog="gflab", allow_abbrev=False,
                                  description="growth-fragmentation equation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(command: str, func, summary: str) -> argparse.ArgumentParser:
+    def add(command: str, func, summary: str) -> argparse.ArgumentParser | None:
         """A command's parser: --config, then a flag per config key it reads
-        (--probe-y repeats)."""
+        (--probe-y repeats); None for a command not in `commands`."""
         sp = sub.add_parser(command, help=summary, allow_abbrev=False)
+        if commands is not None and command not in commands:
+            return None
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         sp.set_defaults(func=func)
         sp.add_argument("--config", help="config file; flags override its values")
         for key in _READS[command]:
@@ -397,28 +410,29 @@ def build_parser() -> argparse.ArgumentParser:
                             action="append" if key == "rays" else "store", help=_HELP.get(key))
         return sp
 
-    sp = add("evaluate", cmd_evaluate, "evaluate u(t, x) by one route, emit CSV")
-    sp.add_argument("--method", required=True, choices=list(analysis.ROUTES))
-    sp.add_argument("--t", required=True, help="comma-separated times")
-    sp.add_argument("--x", required=True, help="comma-separated sizes")
-    sp.add_argument("--out", help="CSV path (default: stdout)")
+    if sp := add("evaluate", cmd_evaluate, "evaluate u(t, x) by one route, emit CSV"):
+        sp.add_argument("--method", required=True, choices=list(analysis.ROUTES))
+        sp.add_argument("--t", required=True, help="comma-separated times")
+        sp.add_argument("--x", required=True, help="comma-separated sizes")
+        sp.add_argument("--out", help="CSV path (default: stdout)")
 
     add("solve", cmd_solve, "run the log-grid solver, write snapshots and diagnostics")
 
-    sp = add("figures", cmd_figures, "reproduce a figure analog as CSV plus SVG")
-    sp.add_argument("--id", required=True, help=f"one of {sorted(_FIGURES, key=int)}")
+    if sp := add("figures", cmd_figures, "reproduce a figure analog as CSV plus SVG"):
+        sp.add_argument("--id", required=True, help=f"one of {sorted(_FIGURES, key=int)}")
 
     add("analyze", cmd_analyze,
         "period, weak-limit and cross-route checks; nonzero exit on violation")
 
-    sp = add("compare", cmd_compare, "cross-route value table at chosen (t, x) points")
-    sp.add_argument("--t", help="comma-separated times")
-    sp.add_argument("--x", help="comma-separated sizes")
+    if sp := add("compare", cmd_compare, "cross-route value table at chosen (t, x) points"):
+        sp.add_argument("--t", help="comma-separated times")
+        sp.add_argument("--x", help="comma-separated sizes")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ThresholdError as exc:

@@ -6,7 +6,8 @@ below carries closed forms for both densities, for the Mellin transform
 U0(s) = int_0^inf u0(x) x^{s-1} dx (entire in s for all three families), and
 for real moments, so the transform-based routes never need to integrate the
 initial data numerically; integrate_dilates, the one quadrature of it, serves
-the weak functionals of the series and the solver.
+the weak functionals of the series and the solver.  Its two Gauss-Legendre
+rules (64 and 128 nodes) are tabulated constants, not computed per process.
 
 All types are immutable after construction and every operation is pure, so
 callers are free to share them across workers.
@@ -171,20 +172,78 @@ def dilation_window(p: InitialProfile, log_alpha: float, y):
     return first, last
 
 
+# The Gauss-Legendre rules of the weak functionals (integrate_dilates with 64
+# and 128 nodes on [-1, 1]): the nonnegative half of each, nodes ascending and
+# then their weights, as 17-digit literals.  Both rules are exactly
+# antisymmetric in their nodes and symmetric in their weights, so the other
+# half is the exact mirror.  The Newton iteration on P_n they were made with
+# is the oracle in tests/test_model.py; it cost every process about 3 ms.
+# numpy's leggauss calls LAPACK, whose first call added 1.7 MB (5%) to the
+# peak memory of `analyze` on a 2-core VM.
+_GAUSS_LEGENDRE_HALVES = {
+    64: ((
+        0.024350292663424433, 0.072993121787799042, 0.12146281929612056, 0.1696444204239928,
+        0.21742364374000708, 0.26468716220876742, 0.31132287199021097, 0.35722015833766813,
+        0.40227015796399163, 0.44636601725346409, 0.48940314570705296, 0.53127946401989457,
+        0.571895646202634, 0.61115535517239328, 0.64896547125465731, 0.68523631305423327,
+        0.71988185017161088, 0.75281990726053194, 0.78397235894334139, 0.81326531512279754,
+        0.84062929625258043, 0.86599939815409288, 0.88931544599511414, 0.91052213707850282,
+        0.92956917213193957, 0.94641137485840277, 0.96100879965205377, 0.97332682778991098,
+        0.98333625388462598, 0.99101337147674429, 0.99634011677195522, 0.99930504173577217,
+    ), (
+        0.048690957009139745, 0.048575467441503394, 0.048344762234802899, 0.047999388596458331,
+        0.047540165714830315, 0.046968182816209993, 0.046284796581314396, 0.045491627927418121,
+        0.04459055816375658, 0.043583724529323471, 0.042473515123653625, 0.041262563242623548,
+        0.039953741132720363, 0.038550153178615598, 0.037055128540240068, 0.035472213256882358,
+        0.033805161837141613, 0.032057928354851606, 0.030234657072402426, 0.028339672614259459,
+        0.026377469715054645, 0.024352702568710933, 0.022270173808383212, 0.020134823153530219,
+        0.017951715775697336, 0.015726030476024788, 0.013463047896718533, 0.011168139460131076,
+        0.0088467598263639348, 0.006504457968978368, 0.0041470332605625208, 0.0017832807216962678,
+    )),
+    128: ((
+        0.012223698960615766, 0.036663790968733491, 0.061081969604139565, 0.085463640504515492,
+        0.10979423112764375, 0.1340591994611878, 0.15824404271422493, 0.18233430598533718,
+        0.20631559090207921, 0.23017356422665999, 0.25389396642269429, 0.27746262017790441,
+        0.30086543887767719, 0.32408843502441337, 0.34711772859763551, 0.36993955534985901,
+        0.39254027503326744, 0.414906379552275, 0.43702450103710416, 0.45888141983355218,
+        0.48046407240417205, 0.50175955913614445, 0.52275515205117551, 0.54343830241281033,
+        0.56379664822661812, 0.58381802162876306, 0.60349045615854857, 0.62280219391058489,
+        0.64174169256230751, 0.66029763227264604, 0.67845892244771921, 0.69621470836951438,
+        0.71355437768358743, 0.73046756674190882, 0.74694416679706199, 0.76297433004409476,
+        0.77854847550641193, 0.79365729476219327, 0.80829175750791371, 0.82244311695564387,
+        0.83610291506090684, 0.84926298757796892, 0.86191546893954851, 0.87405279695803184,
+        0.88566771734539718, 0.89675328804915821, 0.9073028834017568, 0.91731019808096048,
+        0.92676925087894779, 0.93567438827791638, 0.94402028783022018, 0.95180196134126438,
+        0.95901475785369994, 0.96565436643196523, 0.97171681874713656, 0.97719849146390736,
+        0.98209610843571848, 0.98640674272458617, 0.99012781849173437, 0.9932571129002129,
+        0.99579275853498117, 0.99773324862551405, 0.99907745997737596, 0.99982488794713187,
+    ), (
+        0.024446180196262518, 0.024431569097850044, 0.024402355633849585, 0.024358557264690682,
+        0.024300200167971828, 0.024227319222815253, 0.024139957989019255, 0.024038168681024038,
+        0.023922012136703495, 0.023791557781003354, 0.023646883584447633, 0.023488076016535932,
+        0.023315229994062762, 0.023128448824387051, 0.022927844143686843, 0.022713535850236433,
+        0.022485652032744982, 0.022244328893799781, 0.021989710668460474, 0.021721949538052107,
+        0.02144120553920844, 0.021147646468221322, 0.020841447780751119, 0.02052279248696013,
+        0.020191871042130025, 0.019848881232830885, 0.019494028058706658, 0.019127523609950979,
+        0.018749586940544703, 0.018360443937331359, 0.017960327185008701, 0.017549475827117682,
+        0.017128135423111392, 0.016696557801589202, 0.016255000909785173, 0.015803728659399323,
+        0.015343010768865132, 0.014873122602147298, 0.014394345004166845, 0.013906964132951978,
+        0.013411271288616322, 0.012907562739267298, 0.012396139543950892, 0.011877307372740255,
+        0.011351376324080427, 0.010818660739503069, 0.010279479015832201, 0.0097341534150068368,
+        0.0091830098716609212, 0.0086263777986167259, 0.0080645898904860309, 0.0074979819256347467,
+        0.0069268925668987862, 0.006351663161707208, 0.0057726375428657165, 0.0051901618326762981,
+        0.0046045842567029567, 0.0040162549837386811, 0.0034255260409102434, 0.0028327514714580511,
+        0.0022382884309626169, 0.0016425030186689989, 0.0010458126793403038, 0.0004493809602922429,
+    )),
+}
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: four Newton steps on P_n
-    from the cosine guesses reach rounding for n <= 128.  numpy's leggauss calls LAPACK,
-    whose first call added 1.7 MB (5%) to the peak memory of `analyze` on a 2-core VM."""
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for step in range(5):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)      # P_n'(x)
-        if step < 4:
-            x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for n = 64 or 128,
+    mirrored from their tabulated halves."""
+    x, w = (np.array(half) for half in _GAUSS_LEGENDRE_HALVES[n])
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def integrate_dilates(p: InitialProfile, log_alpha: float, weights: np.ndarray,

@@ -60,9 +60,10 @@ axpys, a matmul or precomputed powers of the step would add the same
 products in another order and move the bits of every node.  Everything else
 is one array pass per chunk over the stored rows: the snapshots are placed by
 a sorted search of the chunk's clock, the leak monitor checks the stepped
-rows, and the records are read.  No value depends on the chunk size, which
-only trades the per-chunk call overhead against the memory of the chunk's
-tables.
+rows, and the records are read from a strided view of the chunk's table
+(every record_every-th row), not a copy.  No value depends on the chunk
+size, which only trades the per-chunk call overhead against the memory of
+the chunk's tables.
 """
 
 from __future__ import annotations
@@ -387,10 +388,11 @@ def solve_n(grid: LogGrid, t_end: float, dt: float,
         if (kernel.head_bound(checked) > leak_tol).any():
             check_leak(checked_t, kernel.nodes(checked, 0, watch).max(axis=1))
 
-        on_record = clock % record_every == 0
-        if not on_record.any():
+        rows = slice(-first % record_every, None, record_every)   # the chunk's recorded steps
+        t_rec = clock[rows] * dt
+        if not t_rec.size:
             continue
-        Wr, t_rec = W[on_record], clock[on_record] * dt
+        Wr = W[rows]
         Dr = Wr[:, right:]
         edges = kernel.nodes(Dr, 0, 1)[:, 0] + kernel.nodes(Dr, last, last + 1)[:, 0]
         rec["t"].append(t_rec)

@@ -536,7 +536,7 @@ class TestParser:
         flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
         assert flags == ["--config", *(FLAGS[key] for key in READS[command]), *self.OWN[command]]
 
-    @pytest.mark.parametrize("argv, command, given", [
+    NAMESPACES = [
         (["analyze"], "analyze", {}),
         (["evaluate", "--method", "series", "--t", "1", "--x", "0.5", "--b", "2"], "evaluate",
          {"method": "series", "t": "1", "x": "0.5", "out": None, "b": "2"}),
@@ -545,7 +545,9 @@ class TestParser:
         (["compare", "--probe-y", "-2", "--dt", "0.02", "--out-dir", "o", "--t", "1"], "compare",
          {"rays": ["-2"], "dt": "0.02", "directory": "o", "t": "1", "x": None}),
         (["figures", "--id", "3", "--alpha", "3"], "figures", {"id": "3", "alpha": "3"}),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, command, given", NAMESPACES)
     def test_parse_args_namespaces(self, argv, command, given):
         want = {"command": command, "func": getattr(cli, f"cmd_{command}"), "config": None,
                 **{key: None for key in READS[command]}, **given}
@@ -554,6 +556,47 @@ class TestParser:
         # a second parse starts afresh
         assert vars(parser.parse_args(argv)) == want
         assert parser.parse_args(["solve"]).rays is None
+
+    @pytest.mark.parametrize("argv", [argv for argv, _, _ in NAMESPACES])
+    def test_main_parses_as_the_full_parser(self, argv, monkeypatch):
+        # main builds the flags of the named subcommand alone; its namespace is the full one
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
+        assert main(argv) == 0
+        assert seen == [vars(cli.build_parser().parse_args(argv))]
+
+    def test_unknown_command_and_top_level_help_are_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", "--alpha", "3"])
+        assert exc.value.code == 2
+        assert "argument command: invalid choice: 'bogus' (choose from " in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+
+    @pytest.mark.parametrize("value", ["-1e2", "-2.5e-1", "-1E+2"])
+    @pytest.mark.parametrize("key", ["y_min", "y_max", "rays"])
+    def test_negative_exponent_values_after_a_space(self, key, value):
+        # argparse's own pattern for negative numbers takes no exponent
+        for command in (c for c in READS if key in READS[c]):
+            extra = ["--id", "1"] if command == "figures" else []
+            spaced = cli.build_parser().parse_args([command, *extra, FLAGS[key], value])
+            joined = cli.build_parser().parse_args([command, *extra, f"{FLAGS[key]}={value}"])
+            assert getattr(spaced, key) == getattr(joined, key) == ([value] if key == "rays" else value)
+
+    @pytest.mark.parametrize("value", ["-e2", "-1e", "-1e2x", "-inf", "--1e2"])
+    def test_negative_non_numbers_are_still_flags(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--y-min", value])
+        assert exc.value.code == 2
+        assert "argument --y-min: expected one argument" in capsys.readouterr().err
+
+    def test_negative_exponent_solve_exits_0(self, tmp_path, capsys):
+        argv = ["solve", "--t-end", "2", "--snapshots", "1,2", "--probe-y", "-1e-1"]
+        assert main([*argv, "--y-min", "-4e1", "--out-dir", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--y-min=-40", "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("snapshots.csv", "diagnostics.csv", "snapshots.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestFlagTable:

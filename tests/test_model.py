@@ -172,6 +172,39 @@ class TestDilationWindow:
             assert dilation_window(p, la, float(y[i])) == (first[i], last[i])
 
 
+def newton_gauss_legendre(n):
+    """Oracle for the tabulated rules: Gauss-Legendre nodes (ascending) and weights
+    on [-1, 1] by four Newton steps on P_n from the cosine guesses, which reach
+    rounding for n <= 128 (the construction the tables were made with)."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for step in range(5):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)      # P_n'(x)
+        if step < 4:
+            x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+class TestGaussLegendreTable:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_tabulated_rule_is_the_newton_rule(self, n):
+        # within 1 ulp, not bitwise: further Newton steps toggle the last bit of a
+        # few nodes, so another platform's libm may land one ulp away
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = newton_gauss_legendre(n)
+        np.testing.assert_array_max_ulp(x, ref_x, maxulp=1)
+        np.testing.assert_array_max_ulp(w, ref_w, maxulp=1)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_halves_mirror_exactly(self, n):
+        x, w = _gauss_legendre(n)
+        assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0.0)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [64, 128])
     def test_matches_numpy_and_is_exact_to_degree_2n_minus_1(self, n):

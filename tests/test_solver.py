@@ -531,9 +531,10 @@ class TestChunkSize:
 
     # dt = 0.05 and _CHUNK = 7: step 7 starts a chunk and step 6 ends one, a
     # snapshot at 6.5 dt is a partial step from a chunk's last step, and
-    # t_end = 2.93 ends in a partial step from the last clock step
+    # t_end = 2.93 ends in a partial step from the last clock step; 5 divides
+    # neither 7 nor 256, so successive chunks start their records at other rows
     @pytest.mark.parametrize("profile, record_every", [
-        (GAUSS, 1), (GAUSS, 3), (LogHeaviside(-1.0, 0.0, 1.0), 3)])
+        (GAUSS, 1), (GAUSS, 3), (LogHeaviside(-1.0, 0.0, 1.0), 3), (GAUSS, 5)])
     def test_every_output_is_bitwise_the_same(self, monkeypatch, profile, record_every):
         dt = 0.05
         g = build_grid(profile, 2.0, -25.0, 1.7, 16)
