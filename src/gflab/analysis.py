@@ -34,6 +34,21 @@ from .model import InitialProfile, LogGaussian, ModelParams, integrate_dilates, 
 from .series import eval_n, eval_v, poisson_log_weights, truncation_order
 from .solver import Trajectory, v_from_grid
 
+# The gates of `analyze`, stated once: a check fails when its measured value
+# is above its gate or not a number.
+PERIOD_TOL = 0.02       # period law, relative error on each oscillating ray
+MASS_TOL = 1e-6         # mass functional, largest relative deviation
+WEAK_TOL = 0.02         # weak cos functional against its limit, relative
+PDE_TOL = 1e-7          # solver vs series on the grid nodes, scaled by the largest
+MELLIN_TOL = 1e-6       # route table: series vs contour, relative, in each cell
+PDE_CELL_TOL = 2e-3     # route table: either route vs the solver, relative, in each cell
+                        # (the solver's error is absolute: at t = 1 it reads 6.6e-4 at
+                        # x = 3e-9 and 4.3e-3, flagged, at x = 1e-12)
+ASYMP_TOL = 0.10        # asymptotics on x = alpha^-t, relative error at t = 25
+AMP_THRESHOLD = 1e-3    # the least detrended amplitude that is an oscillation
+# the sizes of the route table: analyze's, and compare's default --x
+COMPARE_X = (0.25, 0.5, 0.75)
+
 
 class SeriesSource:
     """Evaluate n through the explicit series.
@@ -115,7 +130,7 @@ class PeriodEstimate(NamedTuple):
     """Result of the autocorrelation period read-off.
 
     `oscillating` is False when the relative oscillation amplitude stays under
-    the detection threshold; period is NaN in that case and positive otherwise.
+    AMP_THRESHOLD; period is NaN in that case and positive otherwise.
     confidence is the ratio of the autocorrelation peak to the largest
     secondary structure between lag zero and the peak.
     """
@@ -139,8 +154,7 @@ def _autocorrelation(d: np.ndarray, lags: int) -> np.ndarray:
     return np.array([np.dot(d[k:], d[:d.size - k]) for k in range(lags)])
 
 
-def estimate_period(probe: LineProbe, expected_period: float,
-                    amp_threshold: float = 1e-3) -> PeriodEstimate:
+def estimate_period(probe: LineProbe, expected_period: float) -> PeriodEstimate:
     """Detrend a probe, autocorrelate, and return the peak lag near the expected period.
 
     The raw f_y still carries slow drifts (the envelope corrections decay only
@@ -173,7 +187,7 @@ def estimate_period(probe: LineProbe, expected_period: float,
     trimmed = vals[(w - 1) // 2: ts.size - (w - 1) // 2]
     detrended = trimmed / mm - 1.0
     amplitude = 0.5 * float(np.max(detrended) - np.min(detrended))
-    if amplitude < amp_threshold:
+    if amplitude < AMP_THRESHOLD:
         return PeriodEstimate(period=math.nan, confidence=0.0, n_cycles=0.0,
                               amplitude=amplitude, oscillating=False)
 
@@ -306,15 +320,14 @@ def route_u(name: str, params: ModelParams, p: InitialProfile, t: float, x: floa
 
 
 def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list,
-                    traj: Trajectory,
-                    tol: dict[frozenset, float] | None = None) -> MethodComparison:
+                    traj: Trajectory) -> MethodComparison:
     """Evaluate v(t, x) by the series, the trajectory snapshotted at each t ("pde")
     and, for log-gaussian data, the contour ("mellin"), and tabulate pairwise errors.
 
     Cells outside a route's domain (for "pde", x below its grid), or refused
     by its numerical guard (recorded in refusals), are NaN and excluded from
-    flags; flagged rows exceed the pairwise tolerance (default 1e-6, pairs
-    with "pde" 2e-3), which tol overrides per pair.
+    flags; flagged rows exceed the pair's gate (PDE_CELL_TOL for the pairs
+    with "pde", MELLIN_TOL for series vs mellin).
     """
     fns = {"series": ROUTES["series"], "pde": lambda p, alpha, t, x: v_from_grid(traj, t, x)}
     if isinstance(profile, LogGaussian):
@@ -330,12 +343,6 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
             refusals.append((method, t, x, exc))
             return math.nan
 
-    # a relative gate on the solver's absolute error: at t = 1 it reads
-    # 6.6e-4 at x = 3e-9 and 4.3e-3 (flagged) at x = 1e-12
-    pair_tol = {frozenset({a, b}): 2e-3 if "pde" in (a, b) else 1e-6
-                for a, b in combinations(fns, 2)}
-    pair_tol.update(tol or {})
-
     rows: list[ComparisonRow] = []
     for t in t_list:
         for x in x_list:
@@ -343,8 +350,8 @@ def compare_methods(profile: InitialProfile, params: ModelParams, t_list, x_list
             for a, b in combinations(fns, 2):
                 va, vb = vals[a], vals[b]
                 err = math.nan if (math.isnan(va) or math.isnan(vb)) else _rel_err(va, vb)
-                rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err,
-                                          pair_tol[frozenset({a, b})]))
+                tol = PDE_CELL_TOL if "pde" in (a, b) else MELLIN_TOL
+                rows.append(ComparisonRow(a, b, float(t), float(x), va, vb, err, tol))
     return MethodComparison(rows, refusals)
 
 
@@ -379,7 +386,7 @@ def checks(cfg, traj: Trajectory):
     for y in cfg.resolved_rays():
         probe = line_probe(src, y, t_min=cfg.t_min, t_max=cfg.t_end)
         expected = -params.log_alpha / y
-        est = estimate_period(probe, expected_period=expected, amp_threshold=cfg.amp_threshold)
+        est = estimate_period(probe, expected_period=expected)
         period_rows.append((y, expected, est.period, est.amplitude,
                             est.confidence, est.n_cycles, est.oscillating))
         err = abs(est.period - expected) / expected   # NaN, and only reported, if none oscillates
@@ -388,14 +395,14 @@ def checks(cfg, traj: Trajectory):
                 else f"no oscillation (amplitude {est.amplitude:.3e})")
         rows.append(Check(f"ray y={y:.6g}: {seen}",
                           f"period law violated on ray y={y:.6g}: rel err",
-                          err, cfg.period_tol if est.oscillating else None))
+                          err, PERIOD_TOL if est.oscillating else None))
 
     # mass functional; absolute for smooth data, drift for sampled jumps
     mass = traj.diagnostics.mass
     ref = u0_mass if smooth else mass[0]
     mass_err = float(np.max(np.abs(mass - ref))) / u0_mass
     rows.append(Check(f"mass functional: max relative deviation {mass_err:.3e}",
-                      "mass conservation violated:", mass_err, cfg.mass_tol))
+                      "mass conservation violated:", mass_err, MASS_TOL))
 
     # weak limit against cos, smooth data only: no rule yet gates the row by its 1/t
     # term, which grows with the data's width (heaviside a=-1 b=0, t=60: 2.6e-2 at alpha 3)
@@ -411,7 +418,7 @@ def checks(cfg, traj: Trajectory):
         weak_row = (t_w, val, target, weak_err)
         rows.append(Check(f"weak cos functional at t={t_w:g}: {val:.6g} (limit {target:.6g}, "
                           f"rel err {weak_err:.2e})", "weak limit violated: cos functional off by",
-                          weak_err, cfg.weak_tol))
+                          weak_err, WEAK_TOL))
 
     # route agreement: solver vs series on the grid nodes themselves (the
     # snapshots' node values), contour inversion pointwise
@@ -424,9 +431,8 @@ def checks(cfg, traj: Trajectory):
         node_errs.append(np.max(np.abs(snap - exact)) / np.max(np.abs(exact)))
     pde_err = float(np.max(node_errs))  # np.max, unlike max(), keeps a NaN
     rows.append(Check(f"solver vs series on nodes at t in {t_cmp}: max scaled error {pde_err:.3e}",
-                      "series vs solver mismatch", pde_err, cfg.pde_tol))
-    cmp_tbl = compare_methods(p, params, t_cmp, (0.25, 0.5, 0.75), traj=traj,
-                              tol={frozenset({"series", "mellin"}): cfg.mellin_tol})
+                      "series vs solver mismatch", pde_err, PDE_TOL))
+    cmp_tbl = compare_methods(p, params, t_cmp, COMPARE_X, traj=traj)
     if cmp_tbl.refusals:
         raise cmp_tbl.refusals[0][-1]
     rows.append(Check(cmp_tbl.summary(), "", math.nan, None))
@@ -445,7 +451,7 @@ def checks(cfg, traj: Trajectory):
         errs = np.abs(approx - exact) / np.abs(exact)
         rows.append(Check("asymptotic relative error on x = alpha^-t at t = 10..30: "
                           + ", ".join(f"{e:.3e}" for e in errs),
-                          "asymptotics violated: relative error at t=25", errs[3], cfg.asymp_tol))
+                          "asymptotics violated: relative error at t=25", errs[3], ASYMP_TOL))
         rows.append(Check(None, "asymptotics violated: largest rise of the error",
                           np.max(errs[1:] - errs[:-1] * (1.0 + 1e-9)), 0.0))
     return rows, period_rows, weak_row, cmp_tbl

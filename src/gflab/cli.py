@@ -344,7 +344,7 @@ def cmd_compare(args) -> int:
     ts = (1.0, 5.0) if args.t is None else _flag_floats("t", args.t)
     if min(ts) < 0.0:
         raise DomainError(f"--t needs times >= 0, got {args.t!r}")
-    xs = (0.25, 0.5, 0.75) if args.x is None else _flag_floats("x", args.x)
+    xs = analysis.COMPARE_X if args.x is None else _flag_floats("x", args.x)
     if min(xs) <= 0.0:
         raise DomainError(f"--x needs sizes > 0, got {args.x!r}")
     # the horizon sizes the grid for the run; the requested times are its snapshots

@@ -57,13 +57,6 @@ FIELDS = (
     ("time", "record_every", int, str),
     ("probes", "rays", parse_floats, _join),
     ("output", "directory", str.strip, str),
-    ("analyze", "period_tol", float, repr),
-    ("analyze", "mass_tol", float, repr),
-    ("analyze", "weak_tol", float, repr),
-    ("analyze", "pde_tol", float, repr),
-    ("analyze", "mellin_tol", float, repr),
-    ("analyze", "asymp_tol", float, repr),
-    ("analyze", "amp_threshold", float, repr),
     ("analyze", "t_min", float, repr),
 )
 _SECTIONS = {section: {k for s, k, *_ in FIELDS if s == section} for section, *_ in FIELDS}
@@ -78,8 +71,7 @@ class RunConfig(_Frozen):
     """Everything a run needs: profile, coefficients, grid, horizon, probes, outputs."""
 
     _fields = ("profile", "params", "m", "y_min", "y_max", "t_end", "dt", "snapshots",
-               "record_every", "rays", "directory", "period_tol", "mass_tol", "weak_tol",
-               "pde_tol", "mellin_tol", "asymp_tol", "amp_threshold", "t_min")
+               "record_every", "rays", "directory", "t_min")
 
     def __init__(self,
                  profile: InitialProfile = LogGaussian(mu=0.0, sigma=0.1, mass=1.0),
@@ -93,27 +85,15 @@ class RunConfig(_Frozen):
                  record_every: int = 1,
                  rays: tuple[float, ...] = (),       # empty: (-2, -1, -1/2) * log alpha
                  directory: str = "out",
-                 # analysis thresholds (checked by the analyze command)
-                 period_tol: float = 0.02,
-                 mass_tol: float = 1e-6,
-                 weak_tol: float = 0.02,
-                 pde_tol: float = 1e-7,
-                 mellin_tol: float = 1e-6,
-                 asymp_tol: float = 0.10,
-                 amp_threshold: float = 1e-3,
-                 t_min: float = 20.0,                # start of the probe analysis window
+                 t_min: float = 20.0,                # start of analyze's probe window
                  ) -> None:
         self._set(profile, params, m, y_min, y_max, t_end, dt, snapshots, record_every, rays,
-                  directory, period_tol, mass_tol, weak_tol, pde_tol, mellin_tol, asymp_tol,
-                  amp_threshold, t_min)
-        # the [analyze] keys but t_min are tolerances; any other number must be finite
-        for section, key, *_ in FIELDS:
+                  directory, t_min)
+        # every number must be finite
+        for _, key, *_ in FIELDS:
             value = _value(self, key)
-            if section == "analyze" and key != "t_min":
-                if not value > 0.0:
-                    raise DomainError(f"{key} must be positive")
-            elif any(isinstance(v, float) and not math.isfinite(v)
-                     for v in (value if isinstance(value, tuple) else (value,))):
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
                 raise DomainError(f"{key} must be finite, got {value}")
         if self.m < 1:
             raise DomainError(f"grid cells per log(alpha) must be >= 1, got {self.m}")

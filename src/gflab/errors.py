@@ -38,4 +38,4 @@ class MassLeakError(NumericsError):
 
 
 class ThresholdError(GFLabError):
-    """An analysis check violated its configured tolerance."""
+    """An analyze check measured a value above its gate (an analysis constant) or not a number."""

@@ -367,11 +367,7 @@ def moment(p: InitialProfile, q: float) -> float:
 #   logheaviside a=-1 b=0 height=1
 #   dirac x0=1 weight=1
 
-_PROFILE_FIELDS = {
-    "loggaussian": (LogGaussian, ("mu", "sigma", "mass")),
-    "logheaviside": (LogHeaviside, ("a", "b", "height")),
-    "dirac": (Dirac, ("x0", "weight")),
-}
+_PROFILES = {"loggaussian": LogGaussian, "logheaviside": LogHeaviside, "dirac": Dirac}
 
 
 def parse_profile(text: str) -> InitialProfile:
@@ -380,16 +376,16 @@ def parse_profile(text: str) -> InitialProfile:
     if not parts:
         raise DomainError("empty profile specification")
     kind = parts[0].lower()
-    if kind not in _PROFILE_FIELDS:
-        raise DomainError(f"unknown profile family {kind!r} (expected one of {sorted(_PROFILE_FIELDS)})")
-    cls, fields = _PROFILE_FIELDS[kind]
+    if kind not in _PROFILES:
+        raise DomainError(f"unknown profile family {kind!r} (expected one of {sorted(_PROFILES)})")
+    cls = _PROFILES[kind]
     kwargs = {}
     for item in parts[1:]:
         m = re.fullmatch(r"([A-Za-z0-9_]+)=([^\s]+)", item)
         if not m:
             raise DomainError(f"malformed profile field {item!r} (expected key=value)")
         key, val = m.group(1).lower(), m.group(2)
-        if key not in fields:
+        if key not in cls._fields:
             raise DomainError(f"unknown field {key!r} for profile family {kind!r}")
         try:
             kwargs[key] = float(val)
@@ -403,8 +399,8 @@ def parse_profile(text: str) -> InitialProfile:
 
 def format_profile(p: InitialProfile) -> str:
     """Inverse of parse_profile; floats use repr so the round trip is exact."""
-    for name, (cls, fields) in _PROFILE_FIELDS.items():
+    for name, cls in _PROFILES.items():
         if isinstance(p, cls):
-            body = " ".join(f"{f}={getattr(p, f)!r}" for f in fields)
+            body = " ".join(f"{f}={getattr(p, f)!r}" for f in cls._fields)
             return f"{name} {body}"
     raise DomainError(f"not a profile: {p!r}")

@@ -1,5 +1,6 @@
 """The README's library sketch runs as written and gives the values it states,
-and its command lines and flag table are those the parser takes."""
+its command lines and flag table are those the parser takes, and its gates
+table is analyze's."""
 
 import ast
 import math
@@ -9,7 +10,7 @@ import shlex
 
 import pytest
 
-from gflab import cli
+from gflab import analysis, cli
 from gflab.model import LogGaussian, mellin_U0
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -67,9 +68,23 @@ def test_flag_table_lists_the_config_flags_each_command_takes(capsys):
         for command, mark in zip(commands, marks, strict=True):
             if mark == "✓":
                 taken[command] |= flags
-    assert len(listed) == 21
+    assert len(listed) == 14
     for command in commands:
         with pytest.raises(SystemExit):
             cli.main([command, "--help"])
         shown = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
         assert shown & listed == taken[command], command
+
+
+def test_gates_table_lists_the_analysis_constants():
+    # the gates are the public float constants of gflab.analysis
+    table = re.search(r"^\| gate \|.*?\n\n", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(0)
+    _, _, *rows = table.strip().splitlines()
+    listed = {}
+    for row in rows:
+        name, value, _ = (cell.strip() for cell in row.strip("|").split("|"))
+        listed[name.strip("`")] = float(value)
+    gates = {name: value for name, value in vars(analysis).items()
+             if not name.startswith("_") and isinstance(value, float)}
+    assert listed == gates
