@@ -56,7 +56,9 @@ THETA_K_CAP = 512     # most terms asymp_v_theta sums before it raises
 def K_of_s(alpha: float, s):
     """Kernel symbol K(s) = alpha^{2-s} = exp((2 - s) log alpha)."""
     out = np.exp((2.0 - np.asarray(s)) * math.log(alpha))
-    return complex(out) if np.isscalar(s) else out
+    if out.ndim == 0 and not isinstance(s, np.ndarray):   # np.isscalar, without its cost
+        return complex(out)
+    return out
 
 
 def s_plus(alpha: float, t: float, x: float) -> float:
@@ -132,7 +134,8 @@ def _log_integrand(p: LogGaussian, alpha: float, t: float, log_x: float, nu: flo
     Log-gaussian data.  One exponent, so that no factor overflows or
     underflows on its own when the saddle sits far from s = 2; log U0 is the
     closed form of model.mellin_U0.  In real arithmetic, with K(nu + i tau) =
-    K(nu) e^{-i tau log alpha}, a node costs one cos/sin pair.
+    K(nu) e^{-i tau log alpha}, a node costs one cos/sin pair.  A float tau
+    (the tail bound's tau = 0) is taken in float arithmetic, not as a 0-d array.
     """
     w = nu - 2.0
     s2 = p.sigma**2
@@ -140,8 +143,9 @@ def _log_integrand(p: LogGaussian, alpha: float, t: float, log_x: float, nu: flo
     im = (p.mu + s2 * w - log_x) * tau
     if t > 0.0:  # at t = 0 the saddle may sit where K(s) overflows
         k, phase = K_of_s(alpha, nu).real, tau * math.log(alpha)
-        re = re + (k * np.cos(phase) - 1.0) * t
-        im = im - k * t * np.sin(phase)
+        cos, sin = (np.cos, np.sin) if isinstance(tau, np.ndarray) else (math.cos, math.sin)
+        re = re + (k * cos(phase) - 1.0) * t
+        im = im - k * t * sin(phase)
     return re, im
 
 
@@ -151,7 +155,12 @@ _LOG_PMF_CUT = math.log(1e-17)
 
 def _poisson_reach(lam: float) -> int:
     """Index distance from the mode of Poisson(lam) past which, on either side,
-    the pmf stays below 1e-17 of its value at the mode (0 for lam = 0)."""
+    the pmf stays below 1e-17 of its value at the mode (0 for lam = 0).
+
+    The right side reaches further: its distance is searched from the normal
+    estimate sqrt(2 c lam) plus the skew c / 3 (c = -log 1e-17), and the left
+    side's only where it reaches past the right's.
+    """
     if lam <= 0.0:
         return 0
     mode = math.floor(lam)
@@ -161,7 +170,11 @@ def _poisson_reach(lam: float) -> int:
     def below(k: int) -> bool:
         return k < 0 or k * log_lam - math.lgamma(k + 1) - log_mode < _LOG_PMF_CUT
 
-    return max(first_true(lambda d: below(mode + side * d), 0) for side in (1, -1))
+    guess = round(math.sqrt(-2.0 * _LOG_PMF_CUT * lam) - _LOG_PMF_CUT / 3.0)
+    right = first_true(lambda d: below(mode + d), 0, guess)
+    if below(mode - right):
+        return right
+    return first_true(lambda d: below(mode - d), right)
 
 
 class ContourQuad(_Frozen):
@@ -235,11 +248,13 @@ def _contour_value(p: LogGaussian, alpha: float, t: float, log_x: float,
     on the real axis, which is not doubled.
     """
     h = 2.0 * tau_max / (n_nodes - 1)
-    taus = h * np.arange((n_nodes + 1) // 2)   # exact near tau = 0, where the terms are largest
-    weights = np.full((2, taus.size), h / math.pi)   # rows: fine rule, half rule
-    weights[:, 0] = weights[:, -1] = h / (2.0 * math.pi)
-    weights[1, ::2] *= 2.0
-    weights[1, 1::2] = 0.0
+    # whole multiples of h: exact near tau = 0, where the terms are largest
+    taus = np.arange((n_nodes + 1) // 2, dtype=float) * h
+    weights = np.zeros((2, taus.size))   # rows: fine rule, half rule
+    weights[0] = h / math.pi
+    weights[1, ::2] = 2.0 * h / math.pi
+    weights[0, 0] = weights[0, -1] = h / (2.0 * math.pi)
+    weights[1, 0] = weights[1, -1] = h / math.pi
     (fine, half), rounding = _exp_sum(weights, *_log_integrand(p, alpha, t, log_x, nu, taus))
     return float(fine), float(half), float(rounding[0])
 
@@ -308,7 +323,7 @@ def poisson_sum(p: InitialProfile, alpha: float, s_plus_value: float, x: float) 
     n_lo, n_hi = default_poisson_range(p, alpha, x)
     ns = np.arange(n_lo, n_hi + 1)
     dens = density_from_log_x(p, lx + ns * la)
-    return float(np.sum(dens * np.exp(s_plus_value * ns * la)))
+    return float((dens * np.exp(s_plus_value * ns * la)).sum())
 
 
 def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float) -> float:
@@ -330,9 +345,12 @@ def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float) -> float:
     if k_max > THETA_K_CAP:  # the bound is |U0(s_k) / U0(s_plus)| at k = THETA_K_CAP
         tail = math.exp(-0.5 * (2.0 * math.pi * THETA_K_CAP * p.sigma / la) ** 2)
         raise TruncationError(f"theta sum needs {k_max} terms but the cap is {THETA_K_CAP}", tail)
-    ks = np.arange(k_max + 1)
-    z = _log_integrand(p, alpha, t, math.log(x), sp, s_k(0.0, ks, alpha).imag)
-    value, rounding = _exp_sum(np.where(ks > 0, 2.0, 1.0), *z)  # the real saddle is not doubled
+    # Im s_k for k = 0..k_max in real arithmetic: numpy divides a complex by a
+    # real d as a product with 1 / d, so this is s_k(0.0, k, alpha).imag bit for bit
+    taus = 0.0 - np.arange(k_max + 1) * (2.0 * math.pi) * (1.0 / la)
+    weights = np.full(k_max + 1, 2.0)
+    weights[0] = 1.0  # the real saddle is not doubled
+    value, rounding = _exp_sum(weights, *_log_integrand(p, alpha, t, math.log(x), sp, taus))
     denom = math.sqrt(2.0 * math.pi * t) * la * alpha ** (1.0 - sp / 2.0)
     v = float(value) / denom
     if not math.isfinite(v):

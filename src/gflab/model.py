@@ -154,19 +154,29 @@ def support_y(p: InitialProfile) -> tuple[float, float]:
     return (math.log(p.x0), math.log(p.x0))
 
 
+def _float_ceil(v: float) -> float:
+    return float(math.ceil(v)) if math.isfinite(v) else v
+
+
+def _float_floor(v: float) -> float:
+    return float(math.floor(v)) if math.isfinite(v) else v
+
+
 def dilation_window(p: InitialProfile, log_alpha: float, y):
     """First and last k with y + k log alpha in support_y(p), for a scalar or an array y.
 
     Floats (first > last where the lattice misses the support).  The quotient
     estimate is moved by one where the rounded y + k log alpha, the argument
     the series kernels evaluate, says otherwise, so exact lattice hits on an
-    edge count as inside.
+    edge count as inside.  A scalar y is taken in float arithmetic, which
+    rounds as numpy's does, not as a 0-d array.
     """
     lo, hi = support_y(p)
-    first = np.ceil((lo - y) / log_alpha)
+    ceil, floor = (np.ceil, np.floor) if isinstance(y, np.ndarray) else (_float_ceil, _float_floor)
+    first = ceil((lo - y) / log_alpha)
     first = first - (y + (first - 1.0) * log_alpha >= lo)
     first = first + (y + first * log_alpha < lo)
-    last = np.floor((hi - y) / log_alpha)
+    last = floor((hi - y) / log_alpha)
     last = last + (y + (last + 1.0) * log_alpha <= hi)
     last = last - (y + last * log_alpha > hi)
     return first, last
@@ -266,14 +276,29 @@ def integrate_dilates(p: InitialProfile, log_alpha: float, weights: np.ndarray,
     return float(np.sum(term_w * wq * psi(w - ks * log_alpha) * profile_eval_y(p, w)))
 
 
-def first_true(pred: Callable[[int], bool], start: int) -> int:
-    """Smallest k > start with pred(k), for a pred that stays true once it holds:
-    the step from start doubles until pred holds, then the bracket is bisected."""
-    lo, step = start, 1  # pred fails at lo (or lo precedes the search)
-    while not pred(lo + step):
-        lo += step
-        step *= 2
-    hi = lo + step
+def first_true(pred: Callable[[int], bool], start: int, guess: int | None = None) -> int:
+    """Smallest k > start with pred(k), for a pred that stays true once it holds.
+
+    The search starts at guess (default start + 1) and steps down while pred
+    holds or up while it fails, the step doubling each time; then the bracket
+    is bisected.  pred is never asked at k <= start.  A guess d away from the
+    answer costs about 2 log2(d) + 2 evaluations, so a closed-form estimate
+    makes the search short.
+    """
+    k = start + 1 if guess is None else max(start + 1, guess)
+    step = 1
+    if pred(k):
+        hi = k  # pred holds at hi
+        while hi - step > start and pred(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, start)  # pred fails at lo (or lo precedes the search)
+    else:
+        lo = k
+        while not pred(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -297,8 +322,9 @@ def density_from_log_x(p: InitialProfile, log_x):
         out = (p.mass / (p.sigma * SQRT_2PI)) * np.exp(expo)
     else:
         inside = (lx >= p.a) & (lx <= p.b)
-        out = np.where(inside, p.height * np.exp(-2.0 * np.clip(lx, p.a, p.b)), 0.0)
-    if np.isscalar(log_x):
+        # clipped, so that no value outside the support overflows on its way to 0
+        out = np.where(inside, p.height * np.exp(-2.0 * np.minimum(np.maximum(lx, p.a), p.b)), 0.0)
+    if lx.ndim == 0 and not isinstance(log_x, np.ndarray):   # np.isscalar, without its cost
         return float(out)
     return out
 
@@ -320,7 +346,7 @@ def profile_eval_y(p: InitialProfile, y):
         out = (p.mass / (p.sigma * SQRT_2PI)) * np.exp(-((ya - p.mu) ** 2) / (2.0 * p.sigma**2))
     else:
         out = np.where((ya >= p.a) & (ya <= p.b), p.height, 0.0)
-    if np.isscalar(y):
+    if ya.ndim == 0 and not isinstance(y, np.ndarray):   # np.isscalar, without its cost
         return float(out)
     return out
 

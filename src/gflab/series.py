@@ -18,8 +18,9 @@ Truncation combines two mechanisms: the Poisson tail beyond K is bounded by
 the standard ratio estimate, and the profile factor vanishes once
 alpha^k x leaves the (effective) support.  Terms span many orders of
 magnitude, so the Poisson weights are carried in log space to avoid
-overflow; pointwise sums over k = 0..K are evaluated as one array and summed
-exactly rounded (math.fsum), node-array sums with Neumaier compensation.
+overflow; a pointwise sum evaluates, as one array, only the k where its
+density can be nonzero and sums them exactly rounded (math.fsum), node-array
+sums with Neumaier compensation.
 
 Weak functionals need no pointwise values at all: integrating the sum term
 by term moves every integral onto the compact initial support
@@ -36,8 +37,10 @@ import numpy as np
 
 from .errors import DomainError, NumericsError, TruncationError
 from .model import (
+    SQRT_2PI,
     Dirac,
     InitialProfile,
+    LogGaussian,
     ModelParams,
     density_from_log_x,
     dilation_window,
@@ -71,12 +74,19 @@ def poisson_cutoff(lam: float, eps: float) -> int:
 
     The tail past K is bounded by the first neglected term times the geometric
     series with ratio lam / (K + 2), valid once that ratio is below one.  The
-    bound decreases in k from ceil(lam) on, so K is found by first_true.
+    bound decreases in k from ceil(lam) on, so K is found by first_true.  Its
+    search starts from the normal estimate lam + z sqrt(lam), where z^2 =
+    -2 log eps - log(2 pi lam) puts a gaussian tail at eps (the log dropped
+    below lam = 1 / (2 pi)), plus the Poisson skew z^2 / 6, scaled by lam
+    below lam = 1; the bound alone decides.
     """
     if lam <= 0.0:
         return 0
     target = math.log(eps) + lam
-    return first_true(lambda k: _poisson_tail_log_bound(lam, k) < target, int(math.ceil(lam)) - 1)
+    start = int(math.ceil(lam)) - 1
+    z2 = max(-2.0 * math.log(eps) - math.log(max(2.0 * math.pi * lam, 1.0)), 0.0)
+    guess = round(lam + math.sqrt(z2 * lam) + min(lam, 1.0) * z2 / 6.0)
+    return first_true(lambda k: _poisson_tail_log_bound(lam, k) < target, start, guess)
 
 
 def truncation_order(lam: float, k_support: int = 0) -> int:
@@ -91,6 +101,11 @@ def truncation_order(lam: float, k_support: int = 0) -> int:
         achieved = math.exp(min(_poisson_tail_log_bound(lam, cap) - lam, 0.0))
         raise TruncationError(f"series needs {k_cap} terms but the cap is {cap}", achieved)
     return k_cap
+
+
+def _cutoff_passes(lam: float, eps: float, k: int) -> bool:
+    """poisson_cutoff(lam, eps) > k, from at most one evaluation of its bound."""
+    return k < math.ceil(lam) or not _poisson_tail_log_bound(lam, k) < math.log(eps) + lam
 
 
 @lru_cache(maxsize=None)
@@ -108,22 +123,68 @@ def poisson_log_weights(lam: float, k_cap: int, start: float = 0.0) -> np.ndarra
     """
     steps = np.empty(k_cap + 1)
     steps[0] = start
-    steps[1:] = math.log(lam) - _log_k(1 << (k_cap - 1).bit_length())[:k_cap]
-    return np.cumsum(steps)
+    np.subtract(math.log(lam), _log_k(1 << (k_cap - 1).bit_length())[:k_cap], out=steps[1:])
+    return steps.cumsum()
+
+
+# np.exp is exactly 0 below about -745.13, so a log-gaussian density whose
+# exponent lies under this bound is 0
+_LOG_UNDERFLOW = -746.0
+
+
+def _gaussian_window(p: LogGaussian, tilt: float, start: float,
+                     log_alpha: float) -> tuple[float, float]:
+    """First and last k at which C exp(tilt y - (y - mu)^2 / (2 sigma^2)), the
+    log-gaussian density at y = start + k log_alpha, can be nonzero.
+
+    The exponent is above _LOG_UNDERFLOW on an interval of y in closed form;
+    the window is padded by one term on each side for the rounding of its
+    ends.  Where C overflows, 0 * C is NaN, not 0, and every k counts, as it
+    does where the interval's ends overflow.
+    """
+    if not math.isfinite(p.mass / (p.sigma * SQRT_2PI)):
+        return -math.inf, math.inf
+    s2 = p.sigma**2
+    r = s2 * (s2 * tilt * tilt + 2.0 * (tilt * p.mu - _LOG_UNDERFLOW))
+    if r < 0.0:
+        return 1.0, 0.0
+    centre, half = p.mu + s2 * tilt - start, math.sqrt(r)
+    first, last = (centre - half) / log_alpha, (centre + half) / log_alpha
+    if not (math.isfinite(first) and math.isfinite(last)):
+        return -math.inf, math.inf
+    return math.ceil(first) - 1.0, math.floor(last) + 1.0
 
 
 def _series_sum(density: Callable, p: InitialProfile, lam: float, start: float,
-                log_alpha: float, prefactor_log: float) -> float:
-    """sum_k density(p, start + k log_alpha) exp(k log lam - log k! + prefactor_log).
+                log_alpha: float, prefactor_log: float, tilt: float) -> float:
+    """sum_k density(p, start + k log_alpha) exp(k log lam - log k! + prefactor_log)
+    over k = 0..K, K = truncation_order(lam, k_support), summed exactly rounded.
 
-    One array evaluation over k = 0..K, summed exactly rounded.  Zero density
-    values are dropped before the weights are exponentiated, so a weight that
-    overflows never meets a vanishing profile factor.
+    density(p, y) is n(0, y) e^{tilt y}: density_from_log_x with tilt -2,
+    profile_eval_y with tilt 0.  Only the k where it can be nonzero are
+    evaluated: the dilation window for heaviside data, which is exact, and
+    _gaussian_window for log-gaussian data.  Of these only the terms with a
+    nonzero density are summed, so a weight that overflows never meets a
+    vanishing profile factor.  Every other term is 0, so the Poisson cutoff
+    is searched for only where it can cut the window short or pass the term
+    cap; its TruncationError is truncation_order's.  The log weights are the
+    running sum from k = 0, as poisson_log_weights gives them.
     """
-    k_cap = truncation_order(lam, int(dilation_window(p, log_alpha, start)[1]) + 1)
-    u = density(p, start + np.arange(k_cap + 1) * log_alpha)
+    eps, cap = DEFAULT_TRUNCATION
+    first, last = dilation_window(p, log_alpha, start)
+    k_support = int(last) + 1
+    if k_support > cap or _cutoff_passes(lam, eps, cap):
+        truncation_order(lam, k_support)   # K is past the cap: raises
+    if isinstance(p, LogGaussian):
+        first, last = _gaussian_window(p, tilt, start, log_alpha)
+    k_lo, k_hi = int(max(first, 0.0)), int(min(last, cap))   # K is at most the cap
+    if k_hi > k_support and not _cutoff_passes(lam, eps, k_hi - 1):   # K may fall below k_hi
+        k_hi = min(k_hi, truncation_order(lam, k_support))
+    if k_hi < k_lo:
+        return 0.0
+    u = density(p, start + np.arange(k_lo, k_hi + 1, dtype=float) * log_alpha)
     nz = u != 0.0
-    terms = u[nz] * np.exp(poisson_log_weights(lam, k_cap)[nz] + prefactor_log)
+    terms = u[nz] * np.exp(poisson_log_weights(lam, k_hi)[k_lo:][nz] + prefactor_log)
     return math.fsum(terms.tolist())
 
 
@@ -144,7 +205,8 @@ def eval_v(p: InitialProfile, alpha: float, t: float, x: float) -> float:
         return profile_eval_x(p, x)
     log_alpha = math.log(alpha)
     with np.errstate(over="ignore", invalid="ignore"):     # the guard below names an overflow
-        v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t)
+        v = _series_sum(density_from_log_x, p, alpha * alpha * t, math.log(x), log_alpha, -t,
+                        -2.0)
     if not math.isfinite(v):
         raise NumericsError(f"series: v({t:g}, {x:g}) = {v} is not finite")
     return v
@@ -160,7 +222,7 @@ def eval_n(p: InitialProfile, alpha: float, t: float, y: float) -> float:
         raise DomainError(f"log-size must be finite, got {y}")
     if t == 0.0:
         return profile_eval_y(p, y)
-    return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t)
+    return _series_sum(profile_eval_y, p, t, y, math.log(alpha), -t, 0.0)
 
 
 # a part of a sum below this share of it is left out

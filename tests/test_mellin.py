@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
+import oracles
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +15,7 @@ from gflab import mellin
 from gflab.analysis import route_u
 from gflab.errors import DomainError, QuadratureError, TruncationError
 from gflab.mellin import (
+    ERR_TOL,
     ContourQuad,
     K_of_s,
     _contour_value,
@@ -204,6 +208,32 @@ class TestInverseMellin:
                 assert abs(turns - round(turns)) < 1e-12
 
 
+class TestFiftyDigitReference:
+    """The contour against the explicit formula summed to 50 digits (tests/reference.py)."""
+
+    @pytest.mark.parametrize("p", [GAUSS, LogGaussian(0.4, 0.3, 2.0**-20)], ids=repr)
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_within_its_stated_error_wherever_it_returns(self, p, alpha):
+        # t log-uniform in [0.5, 120]; x on the rays y = -2, -1 and -1/2 log alpha
+        # (the concentration ray and the ends of the probe span), and off them
+        rng = random.Random(11)
+        la = math.log(alpha)
+        returned = 0
+        for _ in range(16):
+            t = math.exp(rng.uniform(math.log(0.5), math.log(120.0)))
+            for log_x in (-la * t, -2.0 * la * t, -0.5 * la * t,
+                          rng.uniform(-2.5, 0.0) * la * t, rng.uniform(-3.0, 1.0)):
+                x = math.exp(log_x)
+                try:
+                    got = inverse_mellin_v(p, alpha, t, x)
+                except QuadratureError:
+                    continue
+                returned += 1
+                ref = float(reference.v_log_gaussian(p, alpha, t, x))
+                assert abs(got - ref) <= ERR_TOL * abs(ref), (t, x, got, ref)
+        assert returned >= 60
+
+
 class TestSaddleLine:
     """The contour on the real saddle line: placement, sizing and the relative guard."""
 
@@ -216,24 +246,10 @@ class TestSaddleLine:
         assert lhs == pytest.approx(log_x, rel=1e-12, abs=1e-12)
 
     def test_poisson_reach_matches_linear_scan(self):
-        def linear_reach(lam):
-            mode = math.floor(lam)
-            log_mode = mode * math.log(lam) - math.lgamma(mode + 1)
-
-            def below(k):
-                return k < 0 or k * math.log(lam) - math.lgamma(k + 1) - log_mode < math.log(1e-17)
-
-            reach = 0
-            for side in (1, -1):
-                d = 1
-                while not below(mode + side * d):
-                    d += 1
-                reach = max(reach, d)
-            return reach
-
-        assert _poisson_reach(0.0) == 0
-        for lam in np.logspace(-4.0, 5.0, 181).tolist():
-            assert _poisson_reach(lam) == linear_reach(lam), lam
+        # the search starts from a closed-form estimate; the scan steps out from the mode
+        assert _poisson_reach(0.0) == oracles.poisson_reach(0.0) == 0
+        for lam in np.logspace(-9.0, 5.0, 1300).tolist():
+            assert _poisson_reach(lam) == oracles.poisson_reach(lam), lam
 
     def test_abscissa_at_t_zero_and_large_t(self):
         assert saddle_abscissa(GAUSS, 2.0, 0.0, 1.5) == 2.0 + math.log(1.5) / GAUSS.sigma**2

@@ -17,6 +17,7 @@ from gflab.model import (
     ModelParams,
     _gauss_legendre,
     dilation_window,
+    first_true,
     format_profile,
     mellin_U0,
     moment,
@@ -170,6 +171,42 @@ class TestDilationWindow:
         np.testing.assert_array_equal(last[has], ks[-1 - inside[has][:, ::-1].argmax(axis=1)])
         for i in range(0, y.size, 41):
             assert dilation_window(p, la, float(y[i])) == (first[i], last[i])
+
+
+    @pytest.mark.parametrize("alpha", [1.3, 2.0, 7.0])
+    def test_a_float_gives_the_array_floats(self, alpha):
+        # a float y is taken in float arithmetic, an array y in numpy's
+        la = math.log(alpha)
+        for p in (GAUSS, HEAVI):
+            lo, hi = support_y(p)
+            hits = np.arange(-5, 300)
+            y = np.concatenate([hi - hits * la, lo - hits * la, np.linspace(-60.0, 5.0, 997)])
+            first, last = dilation_window(p, la, y)
+            for i, y_i in enumerate(y.tolist()):
+                assert dilation_window(p, la, y_i) == (first[i], last[i])
+
+
+class TestFirstTrue:
+    def test_any_guess_finds_the_first_k(self):
+        # pred(k) is k >= answer; the search never asks at k <= start
+        for start in (-3, 0, 5):
+            for answer in range(start + 1, start + 40):
+                for guess in (None, *range(start - 5, start + 70, 3)):
+                    asked = []
+
+                    def pred(k):
+                        asked.append(k)
+                        return k >= answer
+
+                    assert first_true(pred, start, guess) == answer
+                    assert min(asked) > start
+
+    def test_a_close_guess_costs_few_evaluations(self):
+        for answer in (10, 1000, 10**6):
+            for miss in (-7, -1, 0, 1, 7):
+                calls = []
+                first_true(lambda k: calls.append(k) or k >= answer, 0, answer + miss)
+                assert len(calls) <= 2 * max(abs(miss), 1).bit_length() + 2
 
 
 def newton_gauss_legendre(n):

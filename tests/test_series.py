@@ -5,6 +5,7 @@ import warnings
 from math import exp, fsum, lgamma, log, pi, sqrt
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,6 @@ from gflab.model import (
 )
 from gflab.series import (
     SeriesTruncation,
-    _poisson_tail_log_bound,
     _series_sum,
     eval_n,
     eval_n_series,
@@ -138,15 +138,9 @@ class TestEvalV:
 
     @pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-10, 1e-6])
     def test_poisson_cutoff_matches_linear_scan(self, eps):
-        def linear_cutoff(lam):
-            target = math.log(eps) + lam
-            k = math.ceil(lam)
-            while _poisson_tail_log_bound(lam, k) >= target:
-                k += 1
-            return k
-
-        for lam in np.logspace(-3.0, 4.0, 281).tolist():
-            assert poisson_cutoff(lam, eps) == linear_cutoff(lam), lam
+        # the search starts from a closed-form estimate; the scan steps up from ceil(lam)
+        for lam in np.logspace(-9.0, math.log10(1.2e4), 1200).tolist():
+            assert poisson_cutoff(lam, eps) == oracles.poisson_cutoff(lam, eps), lam
 
 
 class TestPoissonLogWeights:
@@ -172,7 +166,7 @@ def direct_u(params, p, t, x):
     lam = params.b * params.alpha**2 * t
     log_x_eff = math.log(x) - params.g * t
     return _series_sum(density_from_log_x, p, lam, log_x_eff, params.log_alpha,
-                       -(params.b + params.g) * t)
+                       -(params.b + params.g) * t, -2.0)
 
 
 class TestEvalU:
