@@ -30,10 +30,11 @@ runs or none.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import functools
-import gc
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -446,12 +447,25 @@ def main(argv=None) -> int:
         return 2
 
 
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:    # None where the descriptor was closed at start-up
+            stream.flush()
+
+
 def entry() -> None:
     """The console script and `python -m gflab`.  Once the command has
-    returned, its objects (the numpy and gflab import graph) go to the
-    permanent generation, so the interpreter's final collections at exit skip
-    them; atexit handlers, stdio flushing and module teardown still run.  The
-    library never freezes: a host program's exit is its own."""
+    returned, the process ends as interpreter shutdown would end it, less
+    module teardown: stdio is flushed, the atexit handlers run (and stdio is
+    flushed again, for what they wrote), and os._exit ends it with main's
+    code.  Where a flush raises (a closed pipe), sys.exit hands the exit back
+    to the interpreter, which reports the error itself and exits with status
+    120.  The library never ends a process: a host program's exit is its own."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        _flush_stdio()
+        atexit._run_exitfuncs()
+        _flush_stdio()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)

@@ -368,7 +368,10 @@ def asymp_v_poisson(p: InitialProfile, alpha: float, t: float, x: float) -> floa
     the finitely many n with alpha^n x inside the support contribute.
     """
     sp = s_plus(alpha, t, x)
-    pref = math.exp((alpha ** (2.0 - sp) - 1.0) * t)
+    try:
+        pref = math.exp((alpha ** (2.0 - sp) - 1.0) * t)
+    except OverflowError:   # the guard below names it
+        pref = math.inf
     denom = math.sqrt(2.0 * math.pi * t) * alpha ** (1.0 - sp / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):     # the guard below names an overflow
         v = pref * poisson_sum(p, alpha, sp, x) / denom

@@ -20,7 +20,8 @@ alpha^k x leaves the (effective) support.  Terms span many orders of
 magnitude, so the Poisson weights are carried in log space to avoid
 overflow; a pointwise sum evaluates, as one array, only the k where its
 density can be nonzero and sums them exactly rounded (math.fsum), node-array
-sums with Neumaier compensation.
+sums with Neumaier compensation.  Every term is nonnegative, so Neumaier's
+branch on the larger of the running total and the term is their maximum.
 
 Weak functionals need no pointwise values at all: integrating the sum term
 by term moves every integral onto the compact initial support
@@ -257,29 +258,39 @@ def eval_n_series(p: InitialProfile, alpha: float, t: float, y: np.ndarray) -> n
     k_cap = truncation_order(t, int(np.max(last)) + 1)
     # the most terms a node can have in the support (one on its left edge), plus one
     n_pass = int(dilation_window(p, log_alpha, support_y(p)[0])[1]) + 2
-    # index k + 1 holds the weight e^{-t} t^k / k! of term k; zero (log -inf)
-    # for k = -1 and past k_cap
-    log_weights = np.full(k_cap + n_pass + 3, -np.inf)
-    log_weights[1:k_cap + 2] = poisson_log_weights(t, k_cap, start=-t)
+    # index k holds the weight e^{-t} t^k / k! of term k; zero (log -inf) past
+    # k_cap, so also at k = -1, which reads the last entry
+    log_weights = np.full(k_cap + n_pass + 2, -np.inf)
+    log_weights[:k_cap + 1] = poisson_log_weights(t, k_cap, start=-t)
     weights = np.zeros(log_weights.size)
-    weights[1:k_cap + 2] = [math.exp(w) for w in log_weights[1:k_cap + 2].tolist()]
+    weights[:k_cap + 1] = [math.exp(w) for w in log_weights[:k_cap + 1].tolist()]
+
+    # each term is built, and summed, in arrays allocated once per call
+    arg, term_out, s, big, small = (np.empty_like(y) for _ in range(5))
 
     def term(k: np.ndarray, with_log: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """Term k of every node, and its log from the two factors (None unless with_log)."""
-        n0 = profile_eval_y(p, y + k * log_alpha)
+        """Term k of every node (in term_out), and its log from the two factors
+        (None unless with_log)."""
+        np.multiply(k, log_alpha, out=arg)
+        n0 = profile_eval_y(p, np.add(y, arg, out=arg))
+        np.multiply(n0, weights.take(k), out=term_out)
         if not with_log:
-            return n0 * weights.take(k + 1), None
+            return term_out, None
         with np.errstate(divide="ignore"):
-            return n0 * weights.take(k + 1), np.log(n0) + log_weights.take(k + 1)
+            return term_out, np.log(n0) + log_weights.take(k)
 
     total = np.zeros_like(y)
     comp = np.zeros_like(y)
 
     def add(term_k: np.ndarray) -> None:
-        s = total + term_k
-        comp[...] += np.where(np.abs(total) >= np.abs(term_k), (total - s) + term_k,
-                              (term_k - s) + total)
-        total[...] = s
+        """Neumaier's step: total and term_k are nonnegative, so the larger of
+        the two is their maximum."""
+        nonlocal total, s
+        np.add(total, term_k, out=s)
+        np.subtract(np.maximum(total, term_k, out=big), s, out=big)
+        np.add(big, np.minimum(total, term_k, out=small), out=big)
+        np.add(comp, big, out=comp)
+        total, s = s, total
 
     k_first = np.clip(first, 0, k_cap + 1).astype(np.int64)
     log_edges = []

@@ -2,10 +2,12 @@
 
 Each function here is a route's previous implementation, spelled as it was:
 numpy over every term k = 0..K of the series, 0-d arrays for the contour's
-scalars, and searches that step one index at a time.  tests/test_oracles.py
-asserts that the routes in src/ return the same floats (compared with ==),
-the same error estimates and the same error messages; test_series.py and
-test_mellin.py that the searches return the same integers.
+scalars, searches that step one index at a time, and a node series that
+allocates every term afresh and branches Neumaier's step on np.abs.
+tests/test_oracles.py asserts that the routes in src/ return the same floats
+(compared with ==), the same error estimates and the same error messages;
+test_series.py and test_mellin.py that the searches return the same
+integers.
 """
 
 import math
@@ -23,8 +25,14 @@ from gflab.mellin import (
     s_plus,
     saddle_abscissa,
 )
-from gflab.model import LogGaussian, density_from_log_x, support_y
-from gflab.series import DEFAULT_TRUNCATION, _poisson_tail_log_bound, poisson_log_weights
+from gflab.model import LogGaussian, density_from_log_x, profile_eval_y, support_y
+from gflab.series import (
+    _LOG_NEGLIGIBLE,
+    DEFAULT_TRUNCATION,
+    _check_density_time,
+    _poisson_tail_log_bound,
+    poisson_log_weights,
+)
 
 
 def first_true(pred, start):
@@ -186,3 +194,58 @@ def asymp_v_poisson(p, alpha, t, x):
     if not math.isfinite(v):
         raise NumericsError(f"Poisson asymptotics: v({t:g}, {x:g}) = {v} is not finite")
     return v
+
+
+def eval_n_series(p, alpha, t, y):
+    """series.eval_n_series with fresh arrays for every term and Neumaier's
+    branch taken on np.abs of the total and the term."""
+    _check_density_time(p, t)
+    y = np.asarray(y, dtype=float)
+    if t == 0.0:
+        return profile_eval_y(p, y)
+    log_alpha = math.log(alpha)
+    first, last = dilation_window(p, log_alpha, y)
+    k_cap = truncation_order(t, int(np.max(last)) + 1)
+    n_pass = int(dilation_window(p, log_alpha, support_y(p)[0])[1]) + 2
+    log_weights = np.full(k_cap + n_pass + 3, -np.inf)
+    log_weights[1:k_cap + 2] = poisson_log_weights(t, k_cap, start=-t)
+    weights = np.zeros(log_weights.size)
+    weights[1:k_cap + 2] = [math.exp(w) for w in log_weights[1:k_cap + 2].tolist()]
+
+    def term(k, with_log=True):
+        n0 = profile_eval_y(p, y + k * log_alpha)
+        if not with_log:
+            return n0 * weights.take(k + 1), None
+        with np.errstate(divide="ignore"):
+            return n0 * weights.take(k + 1), np.log(n0) + log_weights.take(k + 1)
+
+    total = np.zeros_like(y)
+    comp = np.zeros_like(y)
+
+    def add(term_k):
+        s = total + term_k
+        comp[...] += np.where(np.abs(total) >= np.abs(term_k), (total - s) + term_k,
+                              (term_k - s) + total)
+        total[...] = s
+
+    k_first = np.clip(first, 0, k_cap + 1).astype(np.int64)
+    log_edges = []
+    for i in range(n_pass):
+        term_k, log_k = term(k_first + i, with_log=i in (0, n_pass - 1))
+        add(term_k)
+        if log_k is not None:
+            log_edges.append(log_k)
+    for edge, log_last, step in ((k_first, log_edges[0], -1),
+                                 (k_first + n_pass - 1, log_edges[-1], 1)):
+        while True:
+            term_k, log_next = term(edge + step)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drop = log_next - log_last
+                log_rest = np.where(drop < 0.0, log_next - np.log1p(-np.exp(drop)), np.inf)
+                widen = (log_next > -np.inf) & ~(log_rest <= _LOG_NEGLIGIBLE + np.log(total))
+            if not widen.any():
+                break
+            add(np.where(widen, term_k, 0.0))
+            edge = np.where(widen, edge + step, edge)
+            log_last = np.where(widen, log_next, log_last)
+    return total + comp

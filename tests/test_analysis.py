@@ -365,6 +365,15 @@ class TestTermwiseWeakFunctional:
                 err = abs(weak_test(gs, phi, t) - weak_test(ss, phi, t))
                 assert err <= 1e-9 * moment(profile, 1.0), (t, phi, err)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_ufunc_phi_is_the_mapped_one(self, alpha):
+        # np.cos over a node array returns math.cos's bits, node for node: a
+        # property of the platform's numpy that the analyze weak row relies on
+        traj = run_solver(GAUSS, alpha, 60.0, 0.01, snapshots=[1.0, 10.0, 60.0], rays=())
+        for source in (GridSource(traj), SeriesSource(GAUSS, alpha)):
+            for t in (1.0, 10.0, 60.0):
+                assert weak_test(source, np.cos, t) == weak_test(source, math.cos, t), (source, t)
+
     def test_series_weak_test_leaves_scipy_unloaded(self):
         code = ("import math, sys\n"
                 "from gflab.analysis import SeriesSource, weak_test\n"

@@ -1,5 +1,6 @@
 """Front end: config round trip, exit codes, CSV/SVG emission, determinism."""
 
+import atexit
 import copy
 import gc
 import math
@@ -279,6 +280,20 @@ class TestEvaluate:
         # the guard line alone: no numpy overflow warning before it
         assert len(captured.err.splitlines()) == 1
         assert not caught
+
+    @pytest.mark.parametrize("x", ["1e-300", "1e-200"])
+    def test_poisson_prefactor_overflow_exits_3(self, x, capsys):
+        # e^{(alpha^{2 - s_plus} - 1) t} overflows where the other routes still
+        # return values; the route's own guard names it, not a traceback
+        argv = ["evaluate", "--alpha", "1.5", "--t", "1", "--x", x]
+        assert main([*argv, "--method", "asymp-poisson"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        guard = f"numerical guard: Poisson asymptotics: v(1, {x}) = nan is not finite\n"
+        assert captured.err == guard
+        for method in ("asymp-theta", "mellin", "series"):
+            assert main([*argv, "--method", method]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("t, terms, bound",
                              [("3000", 12848, None), ("2400", 10359, "2.565e-05")],
@@ -1490,23 +1505,59 @@ class TestImportCost:
 
 
 class TestEntry:
-    """entry() freezes the interpreter's objects once main has returned, so the
-    final collections at exit skip them; main itself never freezes."""
+    """entry() ends the process once main has returned: stdio is flushed, the
+    atexit handlers run, stdio is flushed again for what they wrote, and
+    os._exit skips module teardown.  main itself never ends the process."""
 
-    @pytest.mark.parametrize("code", [0, 2, 3, 4])
-    def test_freezes_after_main_and_exits_with_its_code(self, code, monkeypatch):
+    @staticmethod
+    def record(monkeypatch, code, flush=None):
+        """Stub main, stdio, the atexit run and os._exit; their calls, in order."""
         calls = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                calls.append(f"flush {self.name}")
+                if flush is not None:
+                    flush()
 
         def fake_main():
             calls.append("main")
             return code
 
         monkeypatch.setattr(cli, "main", fake_main)
-        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("exitfuncs"))
+        monkeypatch.setattr(os, "_exit", lambda status: calls.append(("_exit", status)))
+        return calls
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_flushes_runs_exitfuncs_and_exits_with_its_code(self, code, monkeypatch):
+        calls = self.record(monkeypatch, code)
+        cli.entry()
+        stdio = ["flush stdout", "flush stderr"]
+        assert calls == ["main", *stdio, "exitfuncs", *stdio, ("_exit", code)]
+
+    def test_a_closed_stream_is_not_flushed(self, monkeypatch):
+        calls = self.record(monkeypatch, 0)
+        monkeypatch.setattr(sys, "stdout", None)
+        cli.entry()
+        assert calls == ["main", "flush stderr", "exitfuncs", "flush stderr", ("_exit", 0)]
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, ValueError])
+    def test_a_failed_flush_hands_the_exit_to_the_interpreter(self, error, monkeypatch):
+        def fail():
+            raise error
+
+        calls = self.record(monkeypatch, 3, flush=fail)
         with pytest.raises(SystemExit) as exc:
             cli.entry()
-        assert exc.value.code == code
-        assert calls == ["main", "freeze"]
+        assert exc.value.code == 3
+        # the interpreter's own exit runs the handlers and reports the flush
+        assert calls == ["main", "flush stdout"]
 
     def test_main_in_process_does_not_freeze(self, capsys):
         frozen = gc.get_freeze_count()
@@ -1527,6 +1578,49 @@ class TestEntry:
                              capture_output=True, text=True)
         assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
         assert captured.out if code == 0 else captured.err
+
+    @staticmethod
+    def env():
+        # stdout block-buffered, as it is by default
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return {**env, "PYTHONPATH": str(pathlib.Path(gflab.__file__).resolve().parents[1])}
+
+    def test_closed_stdout_exits_0(self, tmp_path):
+        # a descriptor closed at start-up leaves sys.stdout None
+        argv = ["compare", "--t", "1", "--x", "0.5", "--out-dir", str(tmp_path)]
+        run = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "gflab",
+                              *argv], env=self.env(), capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert (tmp_path / "compare.csv").read_text().startswith("method_a,method_b,t,x,")
+
+    def test_pipe_closed_by_its_reader_exits_120(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "gflab", "evaluate", "--method", "series",
+                                  "--t", "1", "--x", "0.5"], env=self.env(), stdout=write,
+                                 stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        # the interpreter's own report of the failed flush, and nothing else
+        assert run.returncode == 120
+        first, second = run.stderr.splitlines()
+        assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert second.startswith("BrokenPipeError: [Errno 32] Broken pipe")
+
+    @pytest.mark.parametrize("t, code", [("1", 0), ("3000", 3)])
+    def test_atexit_handlers_run_and_their_output_is_kept(self, t, code):
+        argv = ["gflab", "evaluate", "--method", "series", "--t", t, "--x", "0.5"]
+        script = ("import atexit, sys\n"
+                  "atexit.register(print, 'handler ran')\n"
+                  f"sys.argv = {argv!r}\n"
+                  "from gflab.cli import entry\n"
+                  "entry()\n")
+        run = subprocess.run([sys.executable, "-c", script], env=self.env(),
+                             capture_output=True, text=True)
+        assert run.returncode == code
+        assert run.stdout.endswith("handler ran\n")
+        assert run.stdout.startswith("t,x,value,method\n") == (code == 0)
 
 
 _PROFILES = st.one_of(
