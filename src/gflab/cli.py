@@ -178,6 +178,8 @@ def _write_csv(path: Path | None, header: list[str], blocks) -> None:
     dropped, and the bytes written (see _column for how a value is written).
     """
     if path is None:
+        if sys.stdout is None:      # the descriptor was closed at start-up
+            raise DomainError("stdout is closed: give --out PATH to write the table to a file")
         sys.stdout.flush()      # text printed before goes first
     else:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -76,11 +76,6 @@ def s_plus(alpha: float, t: float, x: float) -> float:
     return 2.0 - math.log(-math.log(x) / (t * la)) / la
 
 
-def s_k(s_plus_value: float, k, alpha: float):
-    """Vertical translate s_plus - 2 i k pi / log alpha of the saddle (k an int or an array)."""
-    return s_plus_value - 2j * math.pi * k / math.log(alpha)
-
-
 def psi(alpha: float, y: float) -> tuple[float, float, float]:
     """Ray exponent Psi and its first two derivatives at y < 0.
 
@@ -346,7 +341,7 @@ def asymp_v_theta(p: InitialProfile, alpha: float, t: float, x: float) -> float:
         tail = math.exp(-0.5 * (2.0 * math.pi * THETA_K_CAP * p.sigma / la) ** 2)
         raise TruncationError(f"theta sum needs {k_max} terms but the cap is {THETA_K_CAP}", tail)
     # Im s_k for k = 0..k_max in real arithmetic: numpy divides a complex by a
-    # real d as a product with 1 / d, so this is s_k(0.0, k, alpha).imag bit for bit
+    # real d as a product with 1 / d, so this is (-2j pi k / log alpha).imag bit for bit
     taus = 0.0 - np.arange(k_max + 1) * (2.0 * math.pi) * (1.0 / la)
     weights = np.full(k_max + 1, 2.0)
     weights[0] = 1.0  # the real saddle is not doubled

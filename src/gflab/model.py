@@ -107,6 +107,9 @@ class LogGaussian(_Frozen):
             raise DomainError(f"log-gaussian width must satisfy sigma > 0, got {sigma}")
         if not mass > 0.0:
             raise DomainError(f"log-gaussian mass must be positive, got {mass}")
+        if not math.isfinite(mass / (sigma * SQRT_2PI)):
+            raise DomainError(f"log-gaussian scale mass / (sigma sqrt(2 pi)) overflows, "
+                              f"got mass = {mass}, sigma = {sigma}")
         self._set(mu, sigma, mass)
 
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import DomainError, NumericsError, TruncationError
 from .model import (
-    SQRT_2PI,
     Dirac,
     InitialProfile,
     LogGaussian,
@@ -140,11 +139,8 @@ def _gaussian_window(p: LogGaussian, tilt: float, start: float,
 
     The exponent is above _LOG_UNDERFLOW on an interval of y in closed form;
     the window is padded by one term on each side for the rounding of its
-    ends.  Where C overflows, 0 * C is NaN, not 0, and every k counts, as it
-    does where the interval's ends overflow.
+    ends.  Where the interval's ends overflow, every k counts.
     """
-    if not math.isfinite(p.mass / (p.sigma * SQRT_2PI)):
-        return -math.inf, math.inf
     s2 = p.sigma**2
     r = s2 * (s2 * tilt * tilt + 2.0 * (tilt * p.mu - _LOG_UNDERFLOW))
     if r < 0.0:

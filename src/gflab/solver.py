@@ -110,10 +110,6 @@ class LogGrid(NamedTuple):
     def y_min(self) -> float:
         return self.j_lo * self.dy
 
-    @property
-    def y_max(self) -> float:
-        return (self.j_lo + self.n_nodes - 1) * self.dy
-
     def y_nodes(self) -> np.ndarray:
         return (self.j_lo + np.arange(self.n_nodes)) * self.dy
 

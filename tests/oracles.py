@@ -7,7 +7,8 @@ allocates every term afresh and branches Neumaier's step on np.abs.
 tests/test_oracles.py asserts that the routes in src/ return the same floats
 (compared with ==), the same error estimates and the same error messages;
 test_series.py and test_mellin.py that the searches return the same
-integers.
+integers.  s_k, the saddle's vertical translates, is here because no route
+calls it: only the tests name the translates.
 """
 
 import math
@@ -21,7 +22,6 @@ from gflab.mellin import (
     ERR_TOL,
     THETA_K_CAP,
     ContourQuad,
-    s_k,
     s_plus,
     saddle_abscissa,
 )
@@ -33,6 +33,11 @@ from gflab.series import (
     _poisson_tail_log_bound,
     poisson_log_weights,
 )
+
+
+def s_k(s_plus_value: float, k, alpha: float):
+    """Vertical translate s_plus - 2 i k pi / log alpha of the saddle (k an int or an array)."""
+    return s_plus_value - 2j * math.pi * k / math.log(alpha)
 
 
 def first_true(pred, start):

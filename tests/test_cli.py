@@ -281,6 +281,22 @@ class TestEvaluate:
         assert len(captured.err.splitlines()) == 1
         assert not caught
 
+    @pytest.mark.parametrize("command", [["analyze", "--out-dir", "unused"],
+                                         ["evaluate", "--method", "series", "--t", "1",
+                                          "--x", "0.25"]])
+    def test_overflowing_profile_scale_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        # refused when the profile is built: one line, no numpy warning, no file
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, "--profile", "loggaussian mu=0.3 sigma=0.1 mass=1e308"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: [model] profile: log-gaussian scale mass / (sigma "
+                                "sqrt(2 pi)) overflows, got mass = 1e+308, sigma = 0.1\n")
+        assert not caught
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("x", ["1e-300", "1e-200"])
     def test_poisson_prefactor_overflow_exits_3(self, x, capsys):
         # e^{(alpha^{2 - s_plus} - 1) t} overflows where the other routes still
@@ -1592,6 +1608,14 @@ class TestEntry:
                               *argv], env=self.env(), capture_output=True, text=True)
         assert (run.returncode, run.stderr) == (0, "")
         assert (tmp_path / "compare.csv").read_text().startswith("method_a,method_b,t,x,")
+
+    def test_closed_stdout_refuses_a_table_for_it(self):
+        # evaluate writes its table to stdout unless --out names a file
+        argv = ["evaluate", "--method", "series", "--t", "1", "--x", "0.5"]
+        run = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "gflab",
+                              *argv], env=self.env(), capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (
+            2, "error: stdout is closed: give --out PATH to write the table to a file\n")
 
     def test_pipe_closed_by_its_reader_exits_120(self):
         read, write = os.pipe()

@@ -66,6 +66,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             Dirac(-1.0)
 
+    @pytest.mark.parametrize("mass, sigma", [(1.7e308, 0.1), (1e308, 0.1), (1.0, 1e-310),
+                                             (math.inf, 1.0)])
+    def test_gaussian_scale_must_be_finite(self, mass, sigma):
+        # n(0, y) peaks at mass / (sigma sqrt(2 pi)); where that overflows, inf * 0 is NaN
+        with pytest.raises(DomainError, match=r"scale mass / \(sigma sqrt\(2 pi\)\) overflows"):
+            LogGaussian(0.0, sigma, mass)
+
     def test_dirac_has_no_density(self):
         with pytest.raises(DomainError, match="no pointwise density"):
             profile_eval_x(ATOM, 1.0)

@@ -157,9 +157,9 @@ class TestSeriesSum:
                 x = math.exp(log_x)
                 assert outcome(eval_v, p, 2.0, t, x) == outcome(series_v, p, 2.0, t, x)
 
-    @pytest.mark.parametrize("mass", [1e300, 1.7e308])
+    @pytest.mark.parametrize("mass", [1e300])
     def test_overflows_are_the_earlier_refusals(self, mass):
-        # inf past 1e300, and NaN where the profile's scale itself overflows
+        # inf past 1e300; a scale that itself overflows is refused when it is built
         p = LogGaussian(0.0, 0.1, mass)
         for t, x in ((5.0, 0.5), (30.0, 2.0**-30), (100.0, 1e-60), (1.0, 1e-300)):
             assert outcome(eval_v, p, 2.0, t, x) == outcome(series_v, p, 2.0, t, x), (t, x)
@@ -194,10 +194,9 @@ class TestSeriesSum:
                 assert got == want, (lam, start)
 
 
-# the node series' profiles: every series profile above, a gaussian wide
-# enough that its windows widen, and one whose scale overflows (NaN nodes)
-NODE_PROFILES = GAUSSIANS + [LogGaussian(0.0, 2.0, 1.0)] + HEAVISIDES[:2] + [
-    LogGaussian(0.0, 0.1, 1.7e308)]
+# the node series' profiles: every series profile above, and a gaussian wide
+# enough that its windows widen
+NODE_PROFILES = GAUSSIANS + [LogGaussian(0.0, 2.0, 1.0)] + HEAVISIDES[:2]
 
 
 def series_nodes(seed: int, p, alpha: float) -> np.ndarray:
@@ -216,12 +215,10 @@ class TestNodeSeries:
     def test_values_are_the_earlier_sum(self, p, alpha):
         y = series_nodes(29, p, alpha)
         for t in (0.0, 0.3, 1.0, 7.0, 60.0, 240.0):
-            with np.errstate(invalid="ignore"):     # inf times 0 where the scale overflows
-                got = series.eval_n_series(p, alpha, t, y)
-                want = oracles.eval_n_series(p, alpha, t, y)
-            # bit for bit, NaN nodes included
+            got = series.eval_n_series(p, alpha, t, y)
+            want = oracles.eval_n_series(p, alpha, t, y)
+            # bit for bit
             assert got.tobytes() == want.tobytes(), (t, np.flatnonzero(got != want)[:5])
-            assert np.isnan(got).any() == (p is NODE_PROFILES[-1])
 
 
 def contour_points(seed: int):

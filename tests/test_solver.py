@@ -36,7 +36,7 @@ class TestBuildGrid:
     def test_spacing_divides_log_alpha_exactly(self):
         g = build_grid(GAUSS, 2.0, -30.0, 2.0, 64)
         assert g.dy * 64 == LOG2
-        assert g.y_min <= -30.0 + 1e-9 and g.y_max >= 2.0 - 1e-9
+        assert g.y_min <= -30.0 + 1e-9 and g.y_nodes()[-1] >= 2.0 - 1e-9
 
     def test_single_cell_spacing(self):
         g = build_grid(GAUSS, 2.0, -10.0, 2.0, 1)
@@ -297,7 +297,7 @@ class TestOffNodeValues:
                        record_every=3)
         assert traj.diagnostics.times.tolist() == traj.times.tolist()
         for y in rays:
-            want = [traj.n_at(t, y * t) if g.y_min <= y * t <= g.y_max else 0.0
+            want = [traj.n_at(t, y * t) if g.y_min <= y * t <= g.y_nodes()[-1] else 0.0
                     for t in traj.times]
             assert traj.diagnostics.probes[y].tolist() == want
         assert traj.diagnostics.probes[-8.0][-1] == 0.0
@@ -361,7 +361,7 @@ class TestVFromGrid:
             assert got == pytest.approx(ref, rel=1e-6, abs=1e-30)
 
     def test_zero_above_grid(self, traj2):
-        assert v_from_grid(traj2, 2.0, math.exp(traj2.grid.y_max + 0.5)) == 0.0
+        assert v_from_grid(traj2, 2.0, math.exp(traj2.grid.y_nodes()[-1] + 0.5)) == 0.0
 
     def test_refuses_below_grid(self, traj2):
         with pytest.raises(DomainError, match="below the grid"):
